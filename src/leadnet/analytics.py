@@ -11,8 +11,8 @@ from collections import defaultdict
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-from .ingest import Corpus, Gender, Role, UserRef, WindowSlice
-from .multiplex import MultiplexTensor, layer_union, resolve_recipient
+from .ingest import Corpus, Gender, Role, WindowSlice
+from .multiplex import MultiplexTensor, layer_union, replies
 from .rank import RankVector
 
 
@@ -55,21 +55,18 @@ def homophily(slice: WindowSlice) -> HomophilyEntry:
             threads_w += 1
         elif thread.author.gender is Gender.male:
             threads_m += 1
-        prior: dict[str, UserRef] = {thread.author.user_id: thread.author}
-        for comment in thread.comments:
-            recipient = resolve_recipient(comment, thread, prior.values())
-            prior.setdefault(comment.author.user_id, comment.author)
-            author_gender = comment.author.gender
-            if author_gender is Gender.unknown or recipient.gender is Gender.unknown:
-                continue
-            if author_gender is Gender.female:
-                w_all += 1
-                if recipient.gender is Gender.female:
-                    ww += 1
-            else:
-                m_all += 1
-                if recipient.gender is Gender.male:
-                    mm += 1
+    for comment, recipient in replies(slice):
+        author_gender = comment.author.gender
+        if author_gender is Gender.unknown or recipient.gender is Gender.unknown:
+            continue
+        if author_gender is Gender.female:
+            w_all += 1
+            if recipient.gender is Gender.female:
+                ww += 1
+        else:
+            m_all += 1
+            if recipient.gender is Gender.male:
+                mm += 1
     threads_known = threads_w + threads_m
     return HomophilyEntry(
         window=slice.index,

@@ -41,6 +41,7 @@ from .export import (
     write_edges_csv,
     write_graph_dot,
     write_rankings_csv,
+    write_role_graph_dot,
 )
 from .ingest import (
     Corpus,
@@ -444,23 +445,39 @@ def cmd_ingest(cfg: dict, ctx: RunContext) -> None:
             handle.write(line + "\n")
 
 
-def _write_window_rankings(ctx, corpus, slices, params, jobs):
+def _ranked_windows(cfg: dict):
+    """Load and tile the corpus, then rank each window and score its
+    brokerage once.  Every window is ranked before any artifact is written,
+    so a window that fails to converge costs no writer work; its tensor is
+    dropped as soon as it is ranked."""
+    corpus, diags = _load_corpus(cfg)
+    _print_diags(diags)
+    slices = _slices(corpus, cfg)
+    params = _mpr_params(cfg)
+
     def work(window_slice):
         tensor = build_tensor(window_slice, corpus)
-        return multiplex_pagerank(tensor, params), brokerage(tensor)
+        try:
+            result = multiplex_pagerank(tensor, params)
+        except ConvergenceError as exc:
+            where = (f"window {window_slice.index} "
+                     f"({format_timestamp(window_slice.start)})")
+            raise ConvergenceError(exc.label, exc.residual, exc.last_iterate,
+                                   window=where) from None
+        return result, brokerage(tensor)
 
-    results = _map_windows(work, slices, jobs)
-    for window_slice, (result, broker) in zip(slices, results):
+    return corpus, slices, _map_windows(work, slices, cfg["jobs"])
+
+
+def _write_window_rankings(ctx, corpus, slices, ranked):
+    for window_slice, (result, broker) in zip(slices, ranked):
         name = f"rankings_w{window_slice.index:03d}.csv"
         write_rankings_csv(ctx.path(name), corpus, result, broker)
-    return results
 
 
 def cmd_rank(cfg: dict, ctx: RunContext) -> None:
-    corpus, diags = _load_corpus(cfg)
-    _print_diags(diags)
-    _write_window_rankings(ctx, corpus, _slices(corpus, cfg),
-                           _mpr_params(cfg), cfg["jobs"])
+    corpus, slices, ranked = _ranked_windows(cfg)
+    _write_window_rankings(ctx, corpus, slices, ranked)
 
 
 def _topic_streams(corpus, slices, cfg, jobs):
@@ -504,31 +521,25 @@ def cmd_topics(cfg: dict, ctx: RunContext) -> None:
     write_edges_csv(ctx.path(name), tensor, corpus)
 
 
-def _analytics_for_windows(corpus, slices, params, top_k, jobs):
-    def work(window_slice):
-        tensor = build_tensor(window_slice, corpus)
-        result = multiplex_pagerank(tensor, params)
+def _analytics_for_windows(corpus, slices, ranked, top_k):
+    rows = []
+    for window_slice, (result, _broker) in zip(slices, ranked):
         active = active_user_indices(window_slice, corpus)
-        top = top_mass(result.leadership, corpus, active, top_k)
-        return analytics_rows(
+        top = top_mass(result.leadership, corpus, active, top_k) \
+            if active else None
+        rows.extend(analytics_rows(
             format_timestamp(window_slice.start),
             homophily(window_slice),
             top,
             response_stats(window_slice, "author_role"),
             response_stats(window_slice, "author_gender"),
-        )
-
-    rows = []
-    for window_rows in _map_windows(work, slices, jobs):
-        rows.extend(window_rows)
+        ))
     return rows
 
 
 def cmd_analytics(cfg: dict, ctx: RunContext) -> None:
-    corpus, diags = _load_corpus(cfg)
-    _print_diags(diags)
-    rows = _analytics_for_windows(corpus, _slices(corpus, cfg),
-                                  _mpr_params(cfg), cfg["top_k"], cfg["jobs"])
+    corpus, slices, ranked = _ranked_windows(cfg)
+    rows = _analytics_for_windows(corpus, slices, ranked, cfg["top_k"])
     write_analytics_csv(ctx.path("analytics.csv"), rows)
 
 
@@ -552,30 +563,17 @@ def cmd_export_graph(cfg: dict, ctx: RunContext) -> None:
         subgraph, warnings = role_subgraph(tensor, corpus, cfg["role"])
         for line in warnings:
             print(f"warning: {line}", file=sys.stderr)
-        lines = ["graph leadnet_roles {"]
-        for i in subgraph.nodes:
-            lines.append(f'  "{corpus.users[i].user_id}";')
-        for i, j in subgraph.edges:
-            lines.append(
-                f'  "{corpus.users[i].user_id}" -- "{corpus.users[j].user_id}";'
-            )
-        lines.append("}")
-        ctx.path("role_graph.dot").write_text("\n".join(lines) + "\n",
-                                              encoding="utf-8")
+        write_role_graph_dot(ctx.path("role_graph.dot"), subgraph, corpus)
 
 
 def cmd_all(cfg: dict, ctx: RunContext) -> None:
-    corpus, diags = _load_corpus(cfg)
-    _print_diags(diags)
-    slices = _slices(corpus, cfg)
-    params = _mpr_params(cfg)
-    jobs = cfg["jobs"]
-    _write_window_rankings(ctx, corpus, slices, params, jobs)
-    rows = _analytics_for_windows(corpus, slices, params, cfg["top_k"], jobs)
+    corpus, slices, ranked = _ranked_windows(cfg)
+    _write_window_rankings(ctx, corpus, slices, ranked)
+    rows = _analytics_for_windows(corpus, slices, ranked, cfg["top_k"])
     write_analytics_csv(ctx.path("analytics.csv"), rows)
     if cfg["lexicon"] is not None:
         streams, _lexicon, _topic_cfg = _topic_streams(corpus, slices, cfg,
-                                                       jobs)
+                                                       cfg["jobs"])
         write_topics_json(streams, ctx.path("topics.json"))
     tensor = build_tensor(whole_span_slice(corpus), corpus)
     write_edges_csv(ctx.path("edges.csv"), tensor, corpus)

@@ -10,7 +10,7 @@ import csv
 from pathlib import Path
 from typing import Iterable
 
-from .analytics import HomophilyEntry, ResponseGroupStats, TopMassEntry
+from .analytics import HomophilyEntry, ResponseGroupStats, Subgraph, TopMassEntry
 from .ingest import Corpus, Gender
 from .multiplex import LAYER_NAMES, MultiplexTensor
 from .rank import MprResult, RankVector
@@ -64,19 +64,22 @@ def write_rankings_csv(
 def analytics_rows(
     window_start: str,
     homophily_entry: HomophilyEntry,
-    top_entry: TopMassEntry,
+    top_entry: TopMassEntry | None,
     role_stats: Iterable[ResponseGroupStats],
     gender_stats: Iterable[ResponseGroupStats],
 ) -> list[tuple[str, str, str, str, str]]:
-    """Flatten one window's analytics into ``analytics.csv`` rows."""
+    """Flatten one window's analytics into ``analytics.csv`` rows.  A
+    window without active users has no ``top_entry``: its top_mass_w row
+    reads k=0 with an empty value and a count of 0."""
     h = homophily_entry
+    top = ("k=0", "", "0") if top_entry is None else (
+        f"k={top_entry.k}", render(top_entry.mass_w), str(top_entry.n_active))
     rows = [
         (window_start, "homophily_p_ww", "", render(h.p_ww), str(h.w_comments)),
         (window_start, "homophily_p_mm", "", render(h.p_mm), str(h.m_comments)),
         (window_start, "prior_w", "", render(h.prior_w), str(h.threads_known)),
         (window_start, "prior_m", "", render(h.prior_m), str(h.threads_known)),
-        (window_start, "top_mass_w", f"k={top_entry.k}",
-         render(top_entry.mass_w), str(top_entry.n_active)),
+        (window_start, "top_mass_w", *top),
     ]
     for stats in role_stats:
         rows.append((window_start, "response_latency_mean_s",
@@ -137,5 +140,20 @@ def write_graph_dot(path: str | Path, tensor: MultiplexTensor,
                 f"{_dot_quote(corpus.users[dst].user_id)} "
                 f"[layer={_dot_quote(name)}, weight={_dot_quote(weight)}];"
             )
+    lines.append("}")
+    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+
+
+def write_role_graph_dot(path: str | Path, subgraph: Subgraph,
+                         corpus: Corpus) -> None:
+    """The role-filtered layer union as an undirected graph."""
+    lines = ["graph leadnet_roles {"]
+    for i in subgraph.nodes:
+        lines.append(f"  {_dot_quote(corpus.users[i].user_id)};")
+    for i, j in subgraph.edges:
+        lines.append(
+            f"  {_dot_quote(corpus.users[i].user_id)} -- "
+            f"{_dot_quote(corpus.users[j].user_id)};"
+        )
     lines.append("}")
     Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")

@@ -30,6 +30,7 @@ import csv
 import enum
 import json
 import math
+from bisect import bisect_right
 from dataclasses import dataclass
 from datetime import datetime, timedelta, timezone
 from pathlib import Path
@@ -753,22 +754,31 @@ def window_partition(corpus: Corpus, cfg: WindowConfig) -> list[WindowSlice]:
         bounds.append((start, end))
         start = end
 
+    # rated message id -> every window holding it (duplicate ids may
+    # sit in several); unrated messages stay out of the map
+    starts = [lo for lo, _hi in bounds]
     by_window: list[list[ThreadRecord]] = [[] for _ in bounds]
+    windows_of: dict[str, list[int]] = {
+        event.target_message_id: [] for event in corpus.ratings
+    }
     for thread in corpus.threads:
-        for idx, (lo, hi) in enumerate(bounds):
-            if lo <= thread.published_at < hi:
-                by_window[idx].append(thread)
-                break
+        idx = bisect_right(starts, thread.published_at) - 1
+        by_window[idx].append(thread)
+        for message_id in (thread.thread_id,
+                           *(c.comment_id for c in thread.comments)):
+            held = windows_of.get(message_id)
+            if held is not None and idx not in held:
+                held.append(idx)
+    ratings: list[list[RatingEvent]] = [[] for _ in bounds]
+    for event in corpus.ratings:
+        for idx in windows_of[event.target_message_id]:
+            ratings[idx].append(event)
 
-    slices = []
-    for idx, (lo, hi) in enumerate(bounds):
-        threads = tuple(by_window[idx])
-        message_ids = {t.thread_id for t in threads}
-        message_ids.update(c.comment_id for t in threads for c in t.comments)
-        ratings = tuple(r for r in corpus.ratings if r.target_message_id in message_ids)
-        slices.append(WindowSlice(index=idx, start=lo, end=hi, threads=threads,
-                                  ratings=ratings))
-    return slices
+    return [
+        WindowSlice(index=idx, start=lo, end=hi, threads=tuple(by_window[idx]),
+                    ratings=tuple(ratings[idx]))
+        for idx, (lo, hi) in enumerate(bounds)
+    ]
 
 
 def whole_span_slice(corpus: Corpus) -> WindowSlice:

@@ -19,7 +19,7 @@ from __future__ import annotations
 import re
 from collections import defaultdict
 from dataclasses import dataclass
-from typing import Iterable, Mapping
+from typing import Iterable, Iterator, Mapping
 
 from .ingest import (
     CommentRecord,
@@ -54,12 +54,6 @@ class Layer:
             raise ValueError("layer needs n >= 1")
         if self.orientation not in (ORIENT_RECEIVER, ORIENT_SENDER):
             raise ValueError(f"unknown orientation {self.orientation!r}")
-
-    def out_weight(self, i: int) -> float:
-        return sum(w for (s, _d), w in self.edges.items() if s == i)
-
-    def in_weight(self, j: int) -> float:
-        return sum(w for (_s, d), w in self.edges.items() if d == j)
 
 
 @dataclass(frozen=True)
@@ -114,6 +108,17 @@ def resolve_recipient(
     return thread.author
 
 
+def replies(slice: WindowSlice) -> Iterator[tuple[CommentRecord, UserRef]]:
+    """Every comment of the window with the user it answers, in thread
+    and comment order; the one record of who answered whom that the
+    collaboration layer and the homophily analytics share."""
+    for thread in slice.threads:
+        prior: dict[str, UserRef] = {thread.author.user_id: thread.author}
+        for comment in thread.comments:
+            yield comment, resolve_recipient(comment, thread, prior.values())
+            prior.setdefault(comment.author.user_id, comment.author)
+
+
 def _receiver_normalize(
     raw: Mapping[tuple[int, int], float]
 ) -> dict[tuple[int, int], float]:
@@ -147,16 +152,12 @@ def build_collaboration(slice: WindowSlice, corpus: Corpus) -> Layer:
     answerers."""
     index = corpus.user_index
     raw: dict[tuple[int, int], float] = defaultdict(float)
-    for thread in slice.threads:
-        prior: dict[str, UserRef] = {thread.author.user_id: thread.author}
-        for comment in thread.comments:
-            recipient = resolve_recipient(comment, thread, prior.values())
-            prior.setdefault(comment.author.user_id, comment.author)
-            i = index[comment.author.user_id]
-            j = index[recipient.user_id]
-            if i == j:
-                continue
-            raw[(i, j)] += comment_weight(comment.order_k)
+    for comment, recipient in replies(slice):
+        i = index[comment.author.user_id]
+        j = index[recipient.user_id]
+        if i == j:
+            continue
+        raw[(i, j)] += comment_weight(comment.order_k)
     return Layer(n=corpus.n_users, edges=_receiver_normalize(raw),
                  orientation=ORIENT_RECEIVER)
 

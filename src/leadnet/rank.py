@@ -41,11 +41,15 @@ LAYER_DIRECTION = {
 
 
 class ConvergenceError(Exception):
-    def __init__(self, label: str, residual: float, last_iterate: np.ndarray):
-        super().__init__(
-            f"{label} ranking did not converge: residual {residual:.3e}"
-        )
+    """A layer's iteration ran out of steps; ``window`` names where, when
+    the caller knows it."""
+
+    def __init__(self, label: str, residual: float, last_iterate: np.ndarray,
+                 window: str | None = None):
+        message = f"{label} ranking did not converge: residual {residual:.3e}"
+        super().__init__(message if window is None else f"{window}: {message}")
         self.label = label
+        self.window = window
         self.residual = residual
         self.last_iterate = last_iterate
 

@@ -304,6 +304,57 @@ class TestAll:
         assert serial == threaded
 
 
+@pytest.fixture(scope="module")
+def gappy_corpus_dir(tmp_path_factory):
+    """A corpus so small that some weeks and days have no threads."""
+    out = tmp_path_factory.mktemp("gappy")
+    assert run("synth", "--out", out, "--n-users", 30, "--n-threads", 20,
+               "--seed", 3) == 0
+    return out
+
+
+class TestEmptyWindows:
+    @pytest.mark.parametrize("window", ["week", "days:1"])
+    def test_empty_window_writes_an_empty_top_mass_row(
+            self, gappy_corpus_dir, tmp_path, window):
+        out = tmp_path / "all"
+        assert run("ingest", *base_args(gappy_corpus_dir), "--out", out,
+                   "--window", window) == 0
+        summary = json.loads((out / "corpus_summary.json").read_text())
+        empty = {w["start"] for w in summary["windows"] if w["threads"] == 0}
+        assert empty
+        assert run("all", *base_args(gappy_corpus_dir), "--out", out,
+                   "--window", window) == 0
+        with open(out / "analytics.csv", newline="") as handle:
+            rows = [r for r in csv.DictReader(handle)
+                    if r["metric"] == "top_mass_w"]
+        assert len(rows) == len(summary["windows"])
+        for row in rows:
+            if row["window_start"] in empty:
+                assert (row["group"], row["value"], row["count"]) == \
+                    ("k=0", "", "0")
+            else:
+                assert row["group"] != "k=0" and int(row["count"]) > 0
+
+
+class TestConvergenceFailure:
+    def test_error_names_the_window_and_leaves_nothing(
+            self, corpus_dir, tmp_path, capsys):
+        probe = tmp_path / "probe"
+        assert run("ingest", *base_args(corpus_dir), "--out", probe,
+                   "--window", "week") == 0
+        summary = json.loads((probe / "corpus_summary.json").read_text())
+        start = summary["windows"][0]["start"]
+        capsys.readouterr()
+        out = tmp_path / "all"
+        assert run("all", *base_args(corpus_dir), "--out", out,
+                   "--window", "week", "--max-iter", 1) == 1
+        err = capsys.readouterr().err
+        assert f"error: window 0 ({start}): empowerment ranking did not " \
+               "converge: residual " in err
+        assert list(out.iterdir()) == []
+
+
 class TestParser:
     def test_version_flag(self, capsys):
         with pytest.raises(SystemExit) as info:

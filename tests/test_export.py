@@ -10,6 +10,7 @@ from leadnet.analytics import (
     active_user_indices,
     homophily,
     response_stats,
+    role_subgraph,
     top_mass,
 )
 from leadnet.export import (
@@ -19,6 +20,7 @@ from leadnet.export import (
     write_edges_csv,
     write_graph_dot,
     write_rankings_csv,
+    write_role_graph_dot,
 )
 from leadnet.ingest import Gender, Role, UserRef
 from leadnet.multiplex import build_tensor
@@ -163,3 +165,24 @@ class TestGraphDot:
         assert '"we\\"ird" -> "b" [layer="empowerment", weight="1.0"];' \
             in text
         assert '"b" -> "we\\"ird" [layer="collaboration"' in text
+
+
+class TestRoleGraphDot:
+    def test_ids_are_quoted_and_escaped(self, tmp_path):
+        users = {
+            uid: UserRef(user_id=uid, role=Role.manager, gender=Gender.male)
+            for uid in ('a"b', "c")
+        }
+        corpus, window = make_corpus(
+            [("t0", 'a"b', [("c", "x"), ("d", "y")])], users=users)
+        subgraph, _warnings = role_subgraph(build_tensor(window, corpus),
+                                            corpus, [Role.manager])
+        path = tmp_path / "role_graph.dot"
+        write_role_graph_dot(path, subgraph, corpus)
+        assert path.read_text() == (
+            "graph leadnet_roles {\n"
+            '  "a\\"b";\n'
+            '  "c";\n'
+            '  "a\\"b" -- "c";\n'
+            "}\n"
+        )

@@ -13,6 +13,9 @@ from leadnet.ingest import (
     Role,
     UserRef,
     WindowConfig,
+    WindowSlice,
+    _grid_start,
+    _next_month,
     build_corpus,
     format_timestamp,
     message_author_map,
@@ -350,6 +353,101 @@ class TestWindows:
         assert len(window_slice.threads) == 2
         assert window_slice.start <= corpus.threads[0].published_at
         assert window_slice.end > corpus.threads[-1].published_at
+
+
+def brute_force_partition(corpus, cfg):
+    """The nested scans window_partition used to run: every window for
+    each thread, and every rating for each window."""
+    times = [t.published_at for t in corpus.threads]
+    first, last = min(times), max(times)
+    bounds = []
+    start = _grid_start(first, cfg)
+    while start <= last:
+        end = _next_month(start) if cfg.length == "month" else (
+            start + timedelta(days=7 if cfg.length == "week" else cfg.days)
+        )
+        bounds.append((start, end))
+        start = end
+    by_window = [[] for _ in bounds]
+    for thread in corpus.threads:
+        for idx, (lo, hi) in enumerate(bounds):
+            if lo <= thread.published_at < hi:
+                by_window[idx].append(thread)
+                break
+    slices = []
+    for idx, (lo, hi) in enumerate(bounds):
+        threads = tuple(by_window[idx])
+        message_ids = {t.thread_id for t in threads}
+        message_ids.update(c.comment_id for t in threads for c in t.comments)
+        ratings = tuple(r for r in corpus.ratings
+                        if r.target_message_id in message_ids)
+        slices.append(WindowSlice(index=idx, start=lo, end=hi,
+                                  threads=threads, ratings=ratings))
+    return slices
+
+
+def boundary_corpus():
+    """Threads out of time order, one exactly on a week, day and month
+    boundary, an empty week, and rated duplicate message ids: c2 twice in
+    one window, c1 in three threads that span two or three windows."""
+    def thread(thread_id, published, comment_ids):
+        created = format_timestamp(parse_timestamp(published)
+                                   + timedelta(hours=1))
+        return thread_obj(thread_id=thread_id, published=published,
+                          comments=[(cid, "b", created)
+                                    for cid in comment_ids])
+
+    objs = [
+        thread("t3", "2014-02-01T00:00:00Z", ["c5", "c1"]),
+        thread("t0", "2014-01-08T09:00:00Z", ["c1", "c2"]),
+        thread("t4", "2014-01-06T11:00:00Z", ["c2"]),
+        thread("t1", "2014-01-13T00:00:00Z", ["c3"]),
+        thread("t2", "2014-01-29T10:00:00Z", ["c1", "c4"]),
+    ]
+    threads, _ = parse_thread_log(jsonl(*objs))
+    events, _ = parse_ratings(jsonl(*(
+        {"rater_id": rater, "target_id": target, "value": 1}
+        for rater, target in [("d", "c1"), ("e", "t1"), ("d", "c2"),
+                              ("e", "c5"), ("f", "c1"), ("d", "c4")]
+    )))
+    corpus, diags = build_corpus(threads, events)
+    assert sum("duplicate message id" in line for line in diags) == 3
+    return corpus
+
+
+class TestWindowPartitionAgainstBruteForce:
+    ORIGIN = datetime(2014, 1, 4, 6, tzinfo=UTC)
+    CONFIGS = [
+        WindowConfig.from_string("week"),
+        WindowConfig.from_string("month"),
+        WindowConfig.from_string("days:1"),
+        WindowConfig.from_string("days:3", origin=ORIGIN),
+        WindowConfig.from_string("week", origin=ORIGIN),
+    ]
+
+    @pytest.mark.parametrize("cfg", CONFIGS)
+    def test_boundary_corpus(self, cfg):
+        corpus = boundary_corpus()
+        assert window_partition(corpus, cfg) == \
+            brute_force_partition(corpus, cfg)
+
+    def test_boundary_corpus_week_layout(self):
+        slices = window_partition(boundary_corpus(),
+                                  WindowConfig.from_string("week"))
+        assert [[t.thread_id for t in s.threads] for s in slices] == [
+            ["t0", "t4"], ["t1"], [], ["t3", "t2"],
+        ]
+        targets = [[r.target_message_id for r in s.ratings] for s in slices]
+        assert targets == [["c1", "c2", "c1"], ["t1"], [],
+                           ["c1", "c5", "c1", "c4"]]
+
+    @pytest.mark.parametrize("seed", range(4))
+    @pytest.mark.parametrize("cfg", CONFIGS)
+    def test_synthetic_corpora(self, cfg, seed):
+        corpus = generate(SyntheticSpec(n_users=12, n_threads=40,
+                                        span_days=30, seed=seed))
+        assert window_partition(corpus, cfg) == \
+            brute_force_partition(corpus, cfg)
 
 
 class TestRoundTrip:
