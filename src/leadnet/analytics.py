@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 from .ingest import Corpus, Gender, Role, WindowSlice
-from .multiplex import MultiplexTensor, layer_union, replies
+from .multiplex import MultiplexTensor, layer_union
 from .rank import RankVector
 
 
@@ -45,9 +45,8 @@ def _rate(num: int, den: int) -> float | None:
 
 
 def homophily(slice: WindowSlice) -> HomophilyEntry:
-    """Who answers whom, by gender; recipients resolve exactly like the
-    collaboration layer (mention of an active participant, else thread
-    author)."""
+    """Who answers whom, by gender; recipients are the threads'
+    ``recipients``, the record the collaboration layer reads too."""
     ww = w_all = mm = m_all = 0
     threads_w = threads_m = 0
     for thread in slice.threads:
@@ -55,18 +54,19 @@ def homophily(slice: WindowSlice) -> HomophilyEntry:
             threads_w += 1
         elif thread.author.gender is Gender.male:
             threads_m += 1
-    for comment, recipient in replies(slice):
-        author_gender = comment.author.gender
-        if author_gender is Gender.unknown or recipient.gender is Gender.unknown:
-            continue
-        if author_gender is Gender.female:
-            w_all += 1
-            if recipient.gender is Gender.female:
-                ww += 1
-        else:
-            m_all += 1
-            if recipient.gender is Gender.male:
-                mm += 1
+        for comment, recipient in zip(thread.comments, thread.recipients):
+            author_gender = comment.author.gender
+            if author_gender is Gender.unknown \
+                    or recipient.gender is Gender.unknown:
+                continue
+            if author_gender is Gender.female:
+                w_all += 1
+                if recipient.gender is Gender.female:
+                    ww += 1
+            else:
+                m_all += 1
+                if recipient.gender is Gender.male:
+                    mm += 1
     threads_known = threads_w + threads_m
     return HomophilyEntry(
         window=slice.index,

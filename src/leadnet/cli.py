@@ -283,26 +283,6 @@ def _json_ready(value: object) -> object:
     return value
 
 
-# semantic options recorded per command; worker counts and paths stay out
-# so identical inputs yield identical manifests.
-_SYNTH_KEYS = ("seed", "n_users", "n_threads", "comments_mean",
-               "gender_prior_w", "homophily_p_ww", "uplift",
-               "manager_latency_factor", "reply_latency_mean_s",
-               "like_rate", "dislike_rate", "span_days")
-_RANK_KEYS = ("alpha", "beta", "gamma", "layer_order", "tol", "max_iter")
-MANIFEST_KEYS = {
-    "synth": _SYNTH_KEYS,
-    "ingest": ("format", "window"),
-    "rank": ("format", "window") + _RANK_KEYS,
-    "topics": ("format", "window", "min_freq", "theta_v", "theta_h",
-               "stream", "window_index"),
-    "analytics": ("format", "window", "top_k") + _RANK_KEYS,
-    "export-graph": ("format", "window", "window_index", "role"),
-    "all": ("format", "window", "min_freq", "theta_v", "theta_h",
-            "top_k") + _RANK_KEYS,
-}
-
-
 def write_manifest(ctx: RunContext, command: str, cfg: dict) -> None:
     inputs = {}
     for key in ("input", "ratings", "lexicon", "stopwords"):
@@ -639,13 +619,17 @@ def _add_options(parser: argparse.ArgumentParser, names: Sequence[str]) -> None:
         parser.add_argument(flag, default=None, help=helps[name])
 
 
+_SYNTH_OPTS = ("seed", "n_users", "n_threads", "comments_mean",
+               "gender_prior_w", "homophily_p_ww", "uplift",
+               "manager_latency_factor", "reply_latency_mean_s",
+               "like_rate", "dislike_rate", "span_days")
 _INPUT_OPTS = ("input", "ratings", "format")
 _RANK_OPTS = ("alpha", "beta", "gamma", "layer_order", "tol", "max_iter")
 _TOPIC_OPTS = ("lexicon", "stopwords", "min_freq", "theta_v", "theta_h")
 _COMMON = ("out", "config")
 
 COMMAND_OPTIONS = {
-    "synth": _COMMON + ("seed",) + _SYNTH_KEYS[1:],
+    "synth": _COMMON + _SYNTH_OPTS,
     "ingest": _COMMON + _INPUT_OPTS + ("window",),
     "rank": _COMMON + _INPUT_OPTS + ("window", "jobs") + _RANK_OPTS,
     "topics": _COMMON + _INPUT_OPTS + ("window", "jobs") + _TOPIC_OPTS
@@ -655,6 +639,16 @@ COMMAND_OPTIONS = {
     "export-graph": _COMMON + _INPUT_OPTS + ("window", "window_index", "role"),
     "all": _COMMON + _INPUT_OPTS + ("window", "jobs") + _RANK_OPTS
            + _TOPIC_OPTS + ("top_k",),
+}
+
+# the semantic options a command records in its manifest: everything it
+# accepts except paths, the config file and the worker count, so identical
+# inputs yield identical manifests.
+_NOT_RECORDED = ("input", "ratings", "lexicon", "stopwords", "out", "config",
+                 "jobs")
+MANIFEST_KEYS = {
+    command: tuple(name for name in options if name not in _NOT_RECORDED)
+    for command, options in COMMAND_OPTIONS.items()
 }
 
 _SUMMARIES = {

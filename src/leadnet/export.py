@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import csv
 from pathlib import Path
-from typing import Iterable
+from typing import Iterable, Iterator
 
 from .analytics import HomophilyEntry, ResponseGroupStats, Subgraph, TopMassEntry
 from .ingest import Corpus, Gender
@@ -100,20 +100,23 @@ def write_analytics_csv(path: str | Path, rows: Iterable[tuple]) -> None:
             out.writerow(list(row))
 
 
+def _edge_rows(tensor: MultiplexTensor,
+              corpus: Corpus) -> Iterator[tuple[str, str, str, str]]:
+    """Every edge as rendered (src id, dst id, weight, layer), layer by
+    layer in LAYER_NAMES order and sorted by user index within a layer."""
+    for name in LAYER_NAMES:
+        layer = tensor.layer(name)
+        for (src, dst) in sorted(layer.edges):
+            yield (corpus.users[src].user_id, corpus.users[dst].user_id,
+                   render(layer.edges[(src, dst)]), name)
+
+
 def write_edges_csv(path: str | Path, tensor: MultiplexTensor,
                     corpus: Corpus) -> None:
     with open(path, "w", encoding="utf-8", newline="") as handle:
         out = _writer(handle)
         out.writerow(EDGES_COLUMNS)
-        for name in LAYER_NAMES:
-            layer = tensor.layer(name)
-            for (src, dst) in sorted(layer.edges):
-                out.writerow([
-                    corpus.users[src].user_id,
-                    corpus.users[dst].user_id,
-                    render(layer.edges[(src, dst)]),
-                    name,
-                ])
+        out.writerows(_edge_rows(tensor, corpus))
 
 
 def _dot_quote(text: str) -> str:
@@ -123,23 +126,20 @@ def _dot_quote(text: str) -> str:
 def write_graph_dot(path: str | Path, tensor: MultiplexTensor,
                     corpus: Corpus) -> None:
     """All three layers in one digraph; edges carry a layer attribute."""
+    quoted = {user.user_id: _dot_quote(user.user_id) for user in corpus.users}
     lines = ["digraph leadnet {"]
     for user in corpus.users:
         gender = "unknown" if user.gender is Gender.unknown \
             else user.gender.name
         lines.append(
-            f"  {_dot_quote(user.user_id)} "
+            f"  {quoted[user.user_id]} "
             f"[gender={_dot_quote(gender)}, role={_dot_quote(user.role.value)}];"
         )
-    for name in LAYER_NAMES:
-        layer = tensor.layer(name)
-        for (src, dst) in sorted(layer.edges):
-            weight = render(layer.edges[(src, dst)])
-            lines.append(
-                f"  {_dot_quote(corpus.users[src].user_id)} -> "
-                f"{_dot_quote(corpus.users[dst].user_id)} "
-                f"[layer={_dot_quote(name)}, weight={_dot_quote(weight)}];"
-            )
+    for src, dst, weight, name in _edge_rows(tensor, corpus):
+        lines.append(
+            f"  {quoted[src]} -> {quoted[dst]} "
+            f"[layer={_dot_quote(name)}, weight={_dot_quote(weight)}];"
+        )
     lines.append("}")
     Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
 

@@ -30,11 +30,13 @@ import csv
 import enum
 import json
 import math
+import re
 from bisect import bisect_right
 from dataclasses import dataclass
 from datetime import datetime, timedelta, timezone
+from functools import cached_property
 from pathlib import Path
-from typing import IO, Iterable
+from typing import IO, Iterable, Mapping
 
 
 class IngestError(Exception):
@@ -101,6 +103,36 @@ class ThreadRecord:
     tags: tuple[str, ...]
     author: UserRef
     comments: tuple[CommentRecord, ...]
+
+    @cached_property
+    def recipients(self) -> tuple[UserRef, ...]:
+        """Who each comment answers, aligned with ``comments``: the first
+        @-mention naming a participant already active in the thread (the
+        author or an earlier commenter), else the thread author.  Computed
+        on first use and kept, so every window holding the thread shares
+        one resolution."""
+        active = {self.author.user_id: self.author}
+        answered = []
+        for comment in self.comments:
+            answered.append(_mentioned(comment.text, active) or self.author)
+            active.setdefault(comment.author.user_id, comment.author)
+        return tuple(answered)
+
+
+_MENTION = re.compile(r"@(\S+)")
+_TRAILING_PUNCT = ".,;:!?)('\"`>]}"
+
+
+def _mentioned(text: str, participants: Mapping[str, UserRef]) -> UserRef | None:
+    """The participant named by the first @-mention token in ``text``,
+    as written or with its trailing punctuation stripped; None when no
+    mention names one."""
+    for match in _MENTION.finditer(text):
+        token = match.group(1)
+        for candidate in (token, token.rstrip(_TRAILING_PUNCT)):
+            if candidate in participants:
+                return participants[candidate]
+    return None
 
 
 @dataclass(frozen=True)

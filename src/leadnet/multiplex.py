@@ -16,19 +16,11 @@ Self-loops never appear in any layer.
 
 from __future__ import annotations
 
-import re
 from collections import defaultdict
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Mapping
+from typing import Mapping
 
-from .ingest import (
-    CommentRecord,
-    Corpus,
-    ThreadRecord,
-    UserRef,
-    WindowSlice,
-    message_author_map,
-)
+from .ingest import Corpus, WindowSlice, message_author_map
 
 # Orientation of the stored weights: which endpoint the normalization
 # sums to 1 over.
@@ -80,45 +72,6 @@ def comment_weight(k: int) -> float:
     return 0.5 + 0.5 / k
 
 
-_MENTION = re.compile(r"@(\S+)")
-_TRAILING_PUNCT = ".,;:!?)('\"`>]}"
-
-
-def resolve_recipient(
-    comment: CommentRecord,
-    thread: ThreadRecord,
-    prior_participants: Iterable[UserRef],
-) -> UserRef:
-    """Who a comment answers.
-
-    An @-mention token naming a participant already active in the thread
-    (the author or an earlier commenter) wins; the first such mention in
-    text order is used.  Everything else falls back to the thread author.
-    """
-    by_id = {ref.user_id: ref for ref in prior_participants}
-    for match in _MENTION.finditer(comment.text):
-        token = match.group(1)
-        while token:
-            if token in by_id:
-                return by_id[token]
-            stripped = token.rstrip(_TRAILING_PUNCT)
-            if stripped == token:
-                break
-            token = stripped
-    return thread.author
-
-
-def replies(slice: WindowSlice) -> Iterator[tuple[CommentRecord, UserRef]]:
-    """Every comment of the window with the user it answers, in thread
-    and comment order; the one record of who answered whom that the
-    collaboration layer and the homophily analytics share."""
-    for thread in slice.threads:
-        prior: dict[str, UserRef] = {thread.author.user_id: thread.author}
-        for comment in thread.comments:
-            yield comment, resolve_recipient(comment, thread, prior.values())
-            prior.setdefault(comment.author.user_id, comment.author)
-
-
 def _receiver_normalize(
     raw: Mapping[tuple[int, int], float]
 ) -> dict[tuple[int, int], float]:
@@ -152,12 +105,13 @@ def build_collaboration(slice: WindowSlice, corpus: Corpus) -> Layer:
     answerers."""
     index = corpus.user_index
     raw: dict[tuple[int, int], float] = defaultdict(float)
-    for comment, recipient in replies(slice):
-        i = index[comment.author.user_id]
-        j = index[recipient.user_id]
-        if i == j:
-            continue
-        raw[(i, j)] += comment_weight(comment.order_k)
+    for thread in slice.threads:
+        for comment, recipient in zip(thread.comments, thread.recipients):
+            i = index[comment.author.user_id]
+            j = index[recipient.user_id]
+            if i == j:
+                continue
+            raw[(i, j)] += comment_weight(comment.order_k)
     return Layer(n=corpus.n_users, edges=_receiver_normalize(raw),
                  orientation=ORIENT_RECEIVER)
 

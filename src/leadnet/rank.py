@@ -142,17 +142,13 @@ def _power_iterate(
     tol: float,
     max_iter: int,
     label: str,
-    walk_scale: np.ndarray | None = None,
-    teleport: np.ndarray | None = None,
+    walk_scale: np.ndarray,
+    teleport: np.ndarray,
 ) -> np.ndarray:
-    if teleport is None:
-        teleport = np.full(n, (1.0 - alpha) / n)
     r = np.full(n, 1.0 / n)
     residual = np.inf
     for _ in range(max_iter):
-        moved = matrix @ r
-        if walk_scale is not None:
-            moved = walk_scale * moved
+        moved = walk_scale * (matrix @ r)
         nxt = alpha * moved + teleport
         total = nxt.sum()
         if total <= 0.0:
@@ -179,7 +175,9 @@ def pagerank(
     if not 0.0 < alpha < 1.0:
         raise ValueError("alpha must be in (0, 1)")
     matrix = _iteration_matrix(layer, direction)
-    scores = _power_iterate(matrix, layer.n, alpha, tol, max_iter, label)
+    scores = _power_iterate(matrix, layer.n, alpha, tol, max_iter, label,
+                            walk_scale=np.ones(layer.n),
+                            teleport=np.full(layer.n, (1.0 - alpha) / layer.n))
     return RankVector(scores=scores, label=label)
 
 
@@ -188,29 +186,25 @@ def multiplex_pagerank(
 ) -> MprResult:
     """Rank layers in params.layer_order, feeding each converged vector
     into the next layer's walk and teleport terms.  The final layer's
-    vector doubles as the leadership rank."""
+    vector doubles as the leadership rank.  The first layer takes x = 1,
+    which makes its walk scale 1 and its teleport (1 - alpha) / n: plain
+    PageRank."""
     vectors: dict[str, np.ndarray] = {}
-    prev: np.ndarray | None = None
+    prev = np.ones(tensor.n)
     for position, name in enumerate(params.layer_order):
         layer = tensor.layer(name)
         alpha = params.alpha[position]
         matrix = _iteration_matrix(layer, LAYER_DIRECTION[name])
-        if prev is None:
-            scores = _power_iterate(
-                matrix, tensor.n, alpha, params.tol, params.max_iter, name
-            )
-        else:
-            x = np.where(prev <= 0.0, params.epsilon_floor, prev)
-            walk_scale = x ** params.beta
-            x_gamma = x ** params.gamma
-            teleport = (1.0 - alpha) * x_gamma / x_gamma.sum()
-            scores = _power_iterate(
-                matrix, tensor.n, alpha, params.tol, params.max_iter, name,
-                walk_scale=walk_scale, teleport=teleport,
-            )
+        x = np.where(prev <= 0.0, params.epsilon_floor, prev)
+        walk_scale = x ** params.beta
+        x_gamma = x ** params.gamma
+        teleport = (1.0 - alpha) * x_gamma / x_gamma.sum()
+        scores = _power_iterate(
+            matrix, tensor.n, alpha, params.tol, params.max_iter, name,
+            walk_scale=walk_scale, teleport=teleport,
+        )
         vectors[name] = scores
         prev = scores
-    assert prev is not None
     return MprResult(
         empowerment=RankVector(vectors["empowerment"], "empowerment"),
         collaboration=RankVector(vectors["collaboration"], "collaboration"),

@@ -20,10 +20,11 @@ import json
 import re
 from collections import Counter, defaultdict
 from dataclasses import dataclass
+from functools import cached_property
 from pathlib import Path
 from typing import IO, Iterable, Mapping, Sequence
 
-from .ingest import ThreadRecord, WindowSlice
+from .ingest import IngestError, ThreadRecord, WindowSlice
 
 TOKEN = re.compile(r"\w+", re.UNICODE)
 
@@ -57,14 +58,14 @@ class ConceptLexicon:
             if not surface or any(not t for t in surface):
                 raise ValueError("lexicon surfaces must be non-empty token tuples")
 
-    @property
+    @cached_property
     def stop_tokens(self) -> frozenset[str]:
         tokens: set[str] = set()
         for group in self.stopclass.values():
             tokens |= group
         return frozenset(tokens)
 
-    @property
+    @cached_property
     def max_surface_len(self) -> int:
         return max((len(s) for s in self.entries), default=0)
 
@@ -79,16 +80,18 @@ def load_lexicon(
 ) -> ConceptLexicon:
     """Read the TSV lexicon (surface_form<TAB>concept_id<TAB>language) and
     the stopclass file (one token per line, optional <TAB>language).
-    Duplicate surfaces keep the lexicographically smallest concept id."""
+    Duplicate surfaces keep the lexicographically smallest concept id.
+    A malformed lexicon line raises IngestError naming its line number."""
     entries: dict[tuple[str, ...], str] = {}
-    for line in _read_lines(lexicon_source):
+    for lineno, line in _read_lines(lexicon_source):
         parts = line.split("\t")
         if len(parts) < 2:
-            raise ValueError(f"bad lexicon line {line!r}: expected surface<TAB>concept_id")
+            raise IngestError(f"bad lexicon line {lineno} {line!r}:"
+                              " expected surface<TAB>concept_id")
         surface = tuple(tokenize(parts[0]))
         concept_id = parts[1].strip()
         if not surface or not concept_id:
-            raise ValueError(f"bad lexicon line {line!r}")
+            raise IngestError(f"bad lexicon line {lineno} {line!r}")
         if surface in entries:
             entries[surface] = min(entries[surface], concept_id)
         else:
@@ -96,7 +99,7 @@ def load_lexicon(
 
     stopclass: dict[str, set[str]] = defaultdict(set)
     if stopwords_source is not None:
-        for line in _read_lines(stopwords_source):
+        for _lineno, line in _read_lines(stopwords_source):
             parts = line.split("\t")
             token = parts[0].strip().lower()
             lang = parts[1].strip() if len(parts) > 1 and parts[1].strip() else "any"
@@ -108,16 +111,17 @@ def load_lexicon(
     )
 
 
-def _read_lines(source: str | Path | IO[str]) -> Iterable[str]:
+def _read_lines(source: str | Path | IO[str]) -> Iterable[tuple[int, str]]:
+    """(line number, line) for every line that is neither blank nor a
+    "#" comment."""
     if isinstance(source, (str, Path)):
         with open(source, "r", encoding="utf-8") as stream:
             lines = stream.read().splitlines()
     else:
         lines = source.read().splitlines()
-    for line in lines:
-        line = line.rstrip("\n")
+    for lineno, line in enumerate(lines, start=1):
         if line.strip() and not line.lstrip().startswith("#"):
-            yield line
+            yield lineno, line
 
 
 def extract_concepts(

@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from leadnet import __version__, cli
+from leadnet import __version__, cli, ingest
 
 
 def run(*argv):
@@ -353,6 +353,66 @@ class TestConvergenceFailure:
         assert f"error: window 0 ({start}): empowerment ranking did not " \
                "converge: residual " in err
         assert list(out.iterdir()) == []
+
+
+def lex_args(corpus_dir):
+    return ["--lexicon", corpus_dir / "lexicon.tsv",
+            "--stopwords", corpus_dir / "stopwords.txt"]
+
+
+class TestManifestKeys:
+    NOT_RECORDED = {"input", "ratings", "lexicon", "stopwords", "out",
+                    "config", "jobs"}
+
+    @pytest.mark.parametrize("command", sorted(cli.COMMAND_OPTIONS))
+    def test_manifest_records_every_semantic_option(
+            self, corpus_dir, tmp_path, command):
+        accepted = set(cli.COMMAND_OPTIONS[command])
+        out = tmp_path / command
+        args = ["--out", out]
+        if command == "synth":
+            args += ["--n-users", 10, "--n-threads", 5]
+        else:
+            args += base_args(corpus_dir)
+        if "lexicon" in accepted:
+            args += lex_args(corpus_dir)
+        assert run(command, *args) == 0
+        recorded = set(read_manifest(out)["config"])
+        assert recorded == accepted - self.NOT_RECORDED
+        assert not recorded & self.NOT_RECORDED
+
+
+class TestLexiconErrors:
+    @pytest.mark.parametrize("command", ["topics", "all"])
+    def test_malformed_line_is_an_input_error(
+            self, corpus_dir, tmp_path, capsys, command):
+        lexicon = tmp_path / "lexicon.tsv"
+        lexicon.write_text("# concepts\n\nbogus-line-without-tab\n")
+        out = tmp_path / "out"
+        assert run(command, *base_args(corpus_dir), "--lexicon", lexicon,
+                   "--out", out, "--window", "week") == 1
+        assert "error: bad lexicon line 3 'bogus-line-without-tab': " \
+               "expected surface<TAB>concept_id" in capsys.readouterr().err
+        assert list(out.iterdir()) == []
+
+
+class TestRecipientResolution:
+    def test_all_resolves_each_comment_once(self, corpus_dir, tmp_path,
+                                            monkeypatch):
+        threads, _diags = ingest.parse_thread_log(corpus_dir / "threads.jsonl")
+        comments = sum(len(t.comments) for t in threads)
+        resolved = []
+        mentioned = ingest._mentioned
+
+        def counting(text, participants):
+            resolved.append(text)
+            return mentioned(text, participants)
+
+        monkeypatch.setattr(ingest, "_mentioned", counting)
+        assert run("all", *base_args(corpus_dir), *lex_args(corpus_dir),
+                   "--out", tmp_path / "all", "--window", "week") == 0
+        assert comments > 0
+        assert len(resolved) == comments
 
 
 class TestParser:

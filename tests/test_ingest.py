@@ -2,10 +2,13 @@
 
 import io
 import json
+import random
 from datetime import datetime, timedelta, timezone
 
 import pytest
 
+from conftest import make_corpus, random_corpus, resolve_like_package
+from leadnet.analytics import homophily
 from leadnet.ingest import (
     CorpusError,
     CorruptInputError,
@@ -465,3 +468,86 @@ class TestRoundTrip:
         assert rebuilt.threads == corpus.threads
         assert len(rebuilt.ratings) == len(corpus.ratings)
         assert set(rebuilt.ratings) == set(corpus.ratings)
+
+
+def reference_recipients(thread):
+    """Recipient ids from the test-side resolver, one per comment."""
+    prior = {thread.author.user_id}
+    answered = []
+    for comment in thread.comments:
+        answered.append(resolve_like_package(comment.text,
+                                             thread.author.user_id, prior))
+        prior.add(comment.author.user_id)
+    return answered
+
+
+class TestRecipients:
+    @pytest.mark.parametrize("seed", range(12))
+    def test_random_corpora_match_reference(self, seed):
+        corpus, _window, _threads, _ratings = random_corpus(
+            random.Random(9000 + seed), n_threads=10, p_mention=0.5)
+        for thread in corpus.threads:
+            assert len(thread.recipients) == len(thread.comments)
+            assert [r.user_id for r in thread.recipients] == \
+                reference_recipients(thread)
+
+    def test_random_corpora_cover_ghosts_and_punctuation(self):
+        texts = [
+            c.text
+            for seed in range(12)
+            for t in random_corpus(random.Random(9000 + seed), n_threads=10,
+                                   p_mention=0.5)[0].threads
+            for c in t.comments
+        ]
+        assert any("@ghost" in text for text in texts)
+        assert any(text.startswith("@u") and text.split()[0].endswith(",")
+                   for text in texts)
+
+    def test_mention_rules(self):
+        corpus, _window = make_corpus([("t0", "a", [
+            ("b", "hello"),
+            ("c", "@b, thanks"),
+            ("d", "@ghost then @c!"),
+            ("b", "@e see below"),
+            ("e", "@d."),
+            ("a", "@b) and @c"),
+            ("c", "mail a@b"),
+        ])])
+        thread = corpus.threads[0]
+        # a later commenter (e, for b's comment) is not yet active, so
+        # that comment falls back to the thread author; an "@" inside a
+        # word starts a mention too, which the reference resolver skips
+        expected = ["a", "b", "c", "a", "d", "b", "b"]
+        assert [r.user_id for r in thread.recipients] == expected
+        assert reference_recipients(thread) == expected[:6] + ["a"]
+
+    def test_recipients_are_computed_once(self):
+        corpus, _window = make_corpus([("t0", "a", [("b", "hi")])])
+        thread = corpus.threads[0]
+        assert thread.recipients is thread.recipients
+
+    def test_recipient_is_the_canonical_merged_user(self):
+        # x's gender is only known from the second thread; the recipient
+        # of m's comment in the first thread must carry it after merging
+        threads, _diags = parse_thread_log(jsonl(
+            {"thread_id": "t0", "published_at": "2014-01-06T09:00:00Z",
+             "author": {"user_id": "x"},
+             "comments": [{"comment_id": "c1", "text": "hi",
+                           "created_at": "2014-01-06T10:00:00Z",
+                           "author": {"user_id": "m", "gender": 0}},
+                          {"comment_id": "c2", "text": "@m ok",
+                           "created_at": "2014-01-06T11:00:00Z",
+                           "author": {"user_id": "x"}}]},
+            {"thread_id": "t1", "published_at": "2014-01-07T09:00:00Z",
+             "author": {"user_id": "x", "gender": 1}},
+        ))
+        assert threads[0].recipients[0].gender is Gender.unknown
+        corpus, _diags = build_corpus(threads)
+        canonical = corpus.users[corpus.user_index["x"]]
+        assert canonical.gender is Gender.female
+        first = corpus.threads[0]
+        assert first.recipients[0] is canonical
+        assert first.recipients[1] is corpus.users[corpus.user_index["m"]]
+        entry = homophily(whole_span_slice(corpus))
+        assert entry.m_comments == 1 and entry.mm_comments == 0
+        assert entry.w_comments == 1 and entry.ww_comments == 0
