@@ -425,11 +425,12 @@ def cmd_ingest(cfg: dict, ctx: RunContext) -> None:
             handle.write(line + "\n")
 
 
-def _ranked_windows(cfg: dict):
-    """Load and tile the corpus, then rank each window and score its
-    brokerage once.  Every window is ranked before any artifact is written,
-    so a window that fails to converge costs no writer work; its tensor is
-    dropped as soon as it is ranked."""
+def _ranked_windows(cfg: dict, with_brokerage: bool):
+    """Load and tile the corpus, then rank each window once and, when
+    ``with_brokerage``, score its brokerage (else None).  Every window is
+    ranked before any artifact is written, so a window that fails to
+    converge costs no writer work; its tensor is dropped as soon as it is
+    ranked."""
     corpus, diags = _load_corpus(cfg)
     _print_diags(diags)
     slices = _slices(corpus, cfg)
@@ -444,7 +445,7 @@ def _ranked_windows(cfg: dict):
                      f"({format_timestamp(window_slice.start)})")
             raise ConvergenceError(exc.label, exc.residual, exc.last_iterate,
                                    window=where) from None
-        return result, brokerage(tensor)
+        return result, brokerage(tensor) if with_brokerage else None
 
     return corpus, slices, _map_windows(work, slices, cfg["jobs"])
 
@@ -456,7 +457,7 @@ def _write_window_rankings(ctx, corpus, slices, ranked):
 
 
 def cmd_rank(cfg: dict, ctx: RunContext) -> None:
-    corpus, slices, ranked = _ranked_windows(cfg)
+    corpus, slices, ranked = _ranked_windows(cfg, with_brokerage=True)
     _write_window_rankings(ctx, corpus, slices, ranked)
 
 
@@ -518,7 +519,7 @@ def _analytics_for_windows(corpus, slices, ranked, top_k):
 
 
 def cmd_analytics(cfg: dict, ctx: RunContext) -> None:
-    corpus, slices, ranked = _ranked_windows(cfg)
+    corpus, slices, ranked = _ranked_windows(cfg, with_brokerage=False)
     rows = _analytics_for_windows(corpus, slices, ranked, cfg["top_k"])
     write_analytics_csv(ctx.path("analytics.csv"), rows)
 
@@ -547,7 +548,7 @@ def cmd_export_graph(cfg: dict, ctx: RunContext) -> None:
 
 
 def cmd_all(cfg: dict, ctx: RunContext) -> None:
-    corpus, slices, ranked = _ranked_windows(cfg)
+    corpus, slices, ranked = _ranked_windows(cfg, with_brokerage=True)
     _write_window_rankings(ctx, corpus, slices, ranked)
     rows = _analytics_for_windows(corpus, slices, ranked, cfg["top_k"])
     write_analytics_csv(ctx.path("analytics.csv"), rows)

@@ -127,21 +127,21 @@ def write_graph_dot(path: str | Path, tensor: MultiplexTensor,
                     corpus: Corpus) -> None:
     """All three layers in one digraph; edges carry a layer attribute."""
     quoted = {user.user_id: _dot_quote(user.user_id) for user in corpus.users}
-    lines = ["digraph leadnet {"]
-    for user in corpus.users:
-        gender = "unknown" if user.gender is Gender.unknown \
-            else user.gender.name
-        lines.append(
-            f"  {quoted[user.user_id]} "
-            f"[gender={_dot_quote(gender)}, role={_dot_quote(user.role.value)}];"
-        )
-    for src, dst, weight, name in _edge_rows(tensor, corpus):
-        lines.append(
-            f"  {quoted[src]} -> {quoted[dst]} "
-            f"[layer={_dot_quote(name)}, weight={_dot_quote(weight)}];"
-        )
-    lines.append("}")
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+    with open(path, "w", encoding="utf-8") as out:
+        out.write("digraph leadnet {\n")
+        for user in corpus.users:
+            gender = "unknown" if user.gender is Gender.unknown \
+                else user.gender.name
+            out.write(
+                f"  {quoted[user.user_id]} "
+                f"[gender={_dot_quote(gender)}, role={_dot_quote(user.role.value)}];\n"
+            )
+        for src, dst, weight, name in _edge_rows(tensor, corpus):
+            out.write(
+                f"  {quoted[src]} -> {quoted[dst]} "
+                f"[layer={_dot_quote(name)}, weight={_dot_quote(weight)}];\n"
+            )
+        out.write("}\n")
 
 
 def write_role_graph_dot(path: str | Path, subgraph: Subgraph,

@@ -32,7 +32,7 @@ import json
 import math
 import re
 from bisect import bisect_right
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from datetime import datetime, timedelta, timezone
 from functools import cached_property
 from pathlib import Path
@@ -119,14 +119,14 @@ class ThreadRecord:
         return tuple(answered)
 
 
-_MENTION = re.compile(r"@(\S+)")
+_MENTION = re.compile(r"(?<!\S)@(\S+)")
 _TRAILING_PUNCT = ".,;:!?)('\"`>]}"
 
 
 def _mentioned(text: str, participants: Mapping[str, UserRef]) -> UserRef | None:
-    """The participant named by the first @-mention token in ``text``,
-    as written or with its trailing punctuation stripped; None when no
-    mention names one."""
+    """The participant named by the first @-mention token in ``text``
+    (a token starting with "@"), as written or with its trailing
+    punctuation stripped; None when no mention names one."""
     for match in _MENTION.finditer(text):
         token = match.group(1)
         for candidate in (token, token.rstrip(_TRAILING_PUNCT)):
@@ -232,6 +232,8 @@ def parse_timestamp(text: str) -> datetime:
     if raw.endswith(("Z", "z")):
         raw = raw[:-1] + "+00:00"
     dt = datetime.fromisoformat(raw)
+    if dt.tzinfo is UTC and not dt.microsecond:
+        return dt  # a zero offset already parses to timezone.utc
     if dt.tzinfo is None:
         dt = dt.replace(tzinfo=UTC)
     return dt.astimezone(UTC).replace(microsecond=0)
@@ -269,8 +271,15 @@ def decode_role(value: object) -> Role | None:
         return None
 
 
-def _decode_user(obj: object, lineno: int, diags: list[str], where: str) -> UserRef | None:
-    """Decode an author object; None means the record/comment is unusable."""
+def _decode_user(obj: object, lineno: int, diags: list[str], where: str,
+                 known: dict[tuple, UserRef]) -> UserRef | None:
+    """Decode an author object; None means the record/comment is unusable.
+
+    ``known`` is the parse's table of refs, keyed both by raw
+    (user_id, role, gender) values and by decoded ones, so each distinct
+    user is one object.  Raw keys are stored only for decodes that wrote
+    no diagnostic, so every unrecognized value is reported where it
+    occurs."""
     if not isinstance(obj, dict) or not obj.get("user_id"):
         diags.append(f"missing author_id at line {lineno}{where}")
         return None
@@ -278,15 +287,26 @@ def _decode_user(obj: object, lineno: int, diags: list[str], where: str) -> User
     if not isinstance(user_id, str):
         diags.append(f"invalid author_id at line {lineno}{where}")
         return None
-    gender = decode_gender(obj.get("gender"))
+    raw_role, raw_gender = obj.get("role"), obj.get("gender")
+    raw: tuple | None = (user_id, raw_role, raw_gender)
+    try:
+        ref = known.get(raw)
+    except TypeError:  # an unhashable role or gender, which never decodes
+        raw, ref = None, None
+    if ref is not None:
+        return ref
+    gender = decode_gender(raw_gender)
     if gender is None:
-        diags.append(f"unrecognized gender {obj.get('gender')!r} at line {lineno}{where}")
-        gender = Gender.unknown
-    role = decode_role(obj.get("role"))
+        diags.append(f"unrecognized gender {raw_gender!r} at line {lineno}{where}")
+        gender, raw = Gender.unknown, None
+    role = decode_role(raw_role)
     if role is None:
-        diags.append(f"unrecognized role {obj.get('role')!r} at line {lineno}{where}")
-        role = Role.unknown
-    return UserRef(user_id=user_id, role=role, gender=gender)
+        diags.append(f"unrecognized role {raw_role!r} at line {lineno}{where}")
+        role, raw = Role.unknown, None
+    ref = known.setdefault((user_id, role, gender), UserRef(user_id, role, gender))
+    if raw is not None:
+        known[raw] = ref
+    return ref
 
 
 # ---------------------------------------------------------------------------
@@ -354,6 +374,7 @@ def _finish_comments(
 def _parse_threads_jsonl(stream: IO[str]) -> tuple[list[ThreadRecord], list[str]]:
     threads: list[ThreadRecord] = []
     diags: list[str] = []
+    known: dict[tuple, UserRef] = {}
     seen_threads: set[str] = set()
     total = 0
     malformed = 0
@@ -368,7 +389,7 @@ def _parse_threads_jsonl(stream: IO[str]) -> tuple[list[ThreadRecord], list[str]
             diags.append(f"invalid JSON at line {lineno}")
             malformed += 1
             continue
-        record = _decode_thread_obj(obj, lineno, diags)
+        record = _decode_thread_obj(obj, lineno, diags, known)
         if record is None:
             malformed += 1
             continue
@@ -386,7 +407,8 @@ def _parse_threads_jsonl(stream: IO[str]) -> tuple[list[ThreadRecord], list[str]
     return threads, diags
 
 
-def _decode_thread_obj(obj: object, lineno: int, diags: list[str]) -> ThreadRecord | None:
+def _decode_thread_obj(obj: object, lineno: int, diags: list[str],
+                       known: dict[tuple, UserRef]) -> ThreadRecord | None:
     if not isinstance(obj, dict):
         diags.append(f"record is not an object at line {lineno}")
         return None
@@ -394,7 +416,7 @@ def _decode_thread_obj(obj: object, lineno: int, diags: list[str]) -> ThreadReco
     if not thread_id or not isinstance(thread_id, str):
         diags.append(f"missing thread_id at line {lineno}")
         return None
-    author = _decode_user(obj.get("author"), lineno, diags, "")
+    author = _decode_user(obj.get("author"), lineno, diags, "", known)
     if author is None:
         return None
     if "published_at" not in obj:
@@ -427,7 +449,7 @@ def _decode_thread_obj(obj: object, lineno: int, diags: list[str]) -> ThreadReco
             diags.append(f"missing comment_id at line {lineno}{where}; comment skipped")
             continue
         where = f" (comment {c['comment_id']})"
-        c_author = _decode_user(c.get("author"), lineno, diags, where)
+        c_author = _decode_user(c.get("author"), lineno, diags, where, known)
         if c_author is None:
             continue
         try:
@@ -461,13 +483,14 @@ CSV_COLUMNS = [
 
 
 def _csv_user(user_id: object, role: object, gender_text: object,
-              lineno: int, diags: list[str], where: str) -> UserRef | None:
+              lineno: int, diags: list[str], where: str,
+              known: dict[tuple, UserRef]) -> UserRef | None:
     gender: object = gender_text
     if isinstance(gender_text, str):
         g = gender_text.strip()
         gender = int(g) if g in ("0", "1") else (g or None)
     return _decode_user({"user_id": user_id, "role": role or None, "gender": gender},
-                        lineno, diags, where)
+                        lineno, diags, where, known)
 
 
 def _parse_threads_csv(stream: IO[str]) -> tuple[list[ThreadRecord], list[str]]:
@@ -479,6 +502,7 @@ def _parse_threads_csv(stream: IO[str]) -> tuple[list[ThreadRecord], list[str]]:
     their comment rows.
     """
     diags: list[str] = []
+    known: dict[tuple, UserRef] = {}
     reader = csv.DictReader(stream)
     missing = [c for c in CSV_COLUMNS if c not in (reader.fieldnames or [])]
     if missing:
@@ -504,7 +528,7 @@ def _parse_threads_csv(stream: IO[str]) -> tuple[list[ThreadRecord], list[str]]:
                 malformed += 1
                 continue
             author = _csv_user(row.get("author_id", "").strip(), row.get("author_role"),
-                               row.get("author_gender"), lineno, diags, "")
+                               row.get("author_gender"), lineno, diags, "", known)
             if author is None:
                 malformed += 1
                 continue
@@ -533,7 +557,8 @@ def _parse_threads_csv(stream: IO[str]) -> tuple[list[ThreadRecord], list[str]]:
                 continue
             author = _csv_user(row.get("comment_author_id", "").strip(),
                                row.get("comment_author_role"),
-                               row.get("comment_author_gender"), lineno, diags, where)
+                               row.get("comment_author_gender"), lineno, diags, where,
+                               known)
             if author is None:
                 malformed += 1
                 continue
@@ -578,6 +603,7 @@ def parse_ratings(source: str | Path | IO[str]) -> tuple[list[RatingEvent], list
         total = 0
         malformed = 0
         events: dict[tuple[str, str], RatingEvent] = {}
+        raters: dict[str, UserRef] = {}
         for lineno, line in enumerate(stream, start=1):
             if not line.strip():
                 continue
@@ -610,8 +636,11 @@ def parse_ratings(source: str | Path | IO[str]) -> tuple[list[RatingEvent], list
             if value == 0:
                 diags.append(f"rating value 0 (no opinion) at line {lineno}; skipped")
                 continue
+            rater = raters.get(rater_id)
+            if rater is None:
+                rater = raters[rater_id] = UserRef(user_id=rater_id)
             events[(rater_id, target_id)] = RatingEvent(
-                rater=UserRef(user_id=rater_id),
+                rater=rater,
                 target_message_id=target_id,
                 value=value,
             )
@@ -627,10 +656,13 @@ def parse_ratings(source: str | Path | IO[str]) -> tuple[list[RatingEvent], list
 # corpus assembly
 
 def _merge_attrs(
-    attrs: dict[str, tuple[Role, Gender]], ref: UserRef, diags: list[str]
+    attrs: dict[str, tuple[Role, Gender]], first: dict[str, UserRef],
+    ref: UserRef, diags: list[str],
 ) -> None:
     """Field-wise merge: the first known role/gender for a user_id wins;
-    later conflicting known values are reported and ignored."""
+    later conflicting known values are reported and ignored.  ``first``
+    keeps the first ref seen for each user_id."""
+    first.setdefault(ref.user_id, ref)
     role, gender = attrs.get(ref.user_id, (Role.unknown, Gender.unknown))
     if ref.role is not Role.unknown:
         if role is Role.unknown:
@@ -651,14 +683,33 @@ def _merge_attrs(
     attrs[ref.user_id] = (role, gender)
 
 
+def _with_canonical_refs(thread: ThreadRecord,
+                         canonical: Mapping[str, UserRef]) -> ThreadRecord:
+    """``thread`` itself when every ref in it is canonical, else a copy
+    with each replaced ref swapped in (its recipients computed afresh)."""
+    author = canonical[thread.author.user_id]
+    if author is thread.author and all(
+            c.author is canonical[c.author.user_id] for c in thread.comments):
+        return thread
+    comments = tuple(
+        c if c.author is canonical[c.author.user_id]
+        else replace(c, author=canonical[c.author.user_id])
+        for c in thread.comments
+    )
+    return replace(thread, author=author, comments=comments)
+
+
 def build_corpus(
     threads: Iterable[ThreadRecord], ratings: Iterable[RatingEvent] = ()
 ) -> tuple[Corpus, list[str]]:
     """Assemble validated records into a Corpus.
 
-    Every author and rater is mapped to a single canonical UserRef;
-    ratings whose target is not a known message are dropped with a
-    diagnostic.  Zero valid threads is fatal.
+    Every author and rater is mapped to a single canonical UserRef: the
+    first ref seen for the user when it already holds the merged role and
+    gender, else a new one.  A record whose refs are all canonical is kept
+    as it is; only records holding a replaced ref are rebuilt.  Ratings
+    whose target is not a known message are dropped with a diagnostic.
+    Zero valid threads is fatal.
     """
     threads = list(threads)
     ratings = list(ratings)
@@ -667,17 +718,20 @@ def build_corpus(
 
     diags: list[str] = []
     attrs: dict[str, tuple[Role, Gender]] = {}
+    first: dict[str, UserRef] = {}
     for thread in threads:
-        _merge_attrs(attrs, thread.author, diags)
+        _merge_attrs(attrs, first, thread.author, diags)
         for comment in thread.comments:
-            _merge_attrs(attrs, comment.author, diags)
+            _merge_attrs(attrs, first, comment.author, diags)
     for event in ratings:
-        _merge_attrs(attrs, event.rater, diags)
+        _merge_attrs(attrs, first, event.rater, diags)
 
-    canonical = {
-        user_id: UserRef(user_id=user_id, role=role, gender=gender)
-        for user_id, (role, gender) in attrs.items()
-    }
+    canonical = {}
+    for user_id, (role, gender) in attrs.items():
+        ref = first[user_id]
+        if ref.role is not role or ref.gender is not gender:
+            ref = UserRef(user_id=user_id, role=role, gender=gender)
+        canonical[user_id] = ref
     users = tuple(canonical[user_id] for user_id in sorted(canonical))
     user_index = {ref.user_id: i for i, ref in enumerate(users)}
 
@@ -685,7 +739,6 @@ def build_corpus(
     message_ids: set[str] = set()
     for thread in threads:
         message_ids.add(thread.thread_id)
-        comments = []
         for c in thread.comments:
             if c.comment_id in message_ids:
                 diags.append(
@@ -693,16 +746,7 @@ def build_corpus(
                     " comment kept, rating targets resolve to the first occurrence"
                 )
             message_ids.add(c.comment_id)
-            comments.append(CommentRecord(
-                comment_id=c.comment_id, text=c.text, created_at=c.created_at,
-                author=canonical[c.author.user_id], order_k=c.order_k,
-            ))
-        fixed_threads.append(ThreadRecord(
-            thread_id=thread.thread_id, title=thread.title,
-            description=thread.description, published_at=thread.published_at,
-            tags=thread.tags, author=canonical[thread.author.user_id],
-            comments=tuple(comments),
-        ))
+        fixed_threads.append(_with_canonical_refs(thread, canonical))
 
     fixed_ratings = []
     for event in ratings:
@@ -712,11 +756,8 @@ def build_corpus(
                 f" {event.target_message_id}; dropped"
             )
             continue
-        fixed_ratings.append(RatingEvent(
-            rater=canonical[event.rater.user_id],
-            target_message_id=event.target_message_id,
-            value=event.value,
-        ))
+        rater = canonical[event.rater.user_id]
+        fixed_ratings.append(event if event.rater is rater else replace(event, rater=rater))
 
     corpus = Corpus(
         users=users,

@@ -415,6 +415,35 @@ class TestRecipientResolution:
         assert len(resolved) == comments
 
 
+class TestBrokerageScoring:
+    @pytest.fixture
+    def scored(self, monkeypatch):
+        calls = []
+        brokerage = cli.brokerage
+
+        def counting(tensor):
+            calls.append(tensor)
+            return brokerage(tensor)
+
+        monkeypatch.setattr(cli, "brokerage", counting)
+        return calls
+
+    def test_analytics_scores_no_brokerage(self, corpus_dir, tmp_path,
+                                           scored):
+        assert run("analytics", *base_args(corpus_dir), "--out",
+                   tmp_path / "an", "--window", "week") == 0
+        assert (tmp_path / "an" / "analytics.csv").exists()
+        assert scored == []
+
+    def test_all_scores_each_window_once(self, corpus_dir, tmp_path, scored):
+        out = tmp_path / "all"
+        assert run("all", *base_args(corpus_dir), *lex_args(corpus_dir),
+                   "--out", out, "--window", "week") == 0
+        windows = list(out.glob("rankings_w*.csv"))
+        assert len(windows) > 1
+        assert len(scored) == len(windows)
+
+
 class TestParser:
     def test_version_flag(self, capsys):
         with pytest.raises(SystemExit) as info:

@@ -10,10 +10,14 @@ import pytest
 from conftest import make_corpus, random_corpus, resolve_like_package
 from leadnet.analytics import homophily
 from leadnet.ingest import (
+    CSV_COLUMNS,
+    CommentRecord,
     CorpusError,
     CorruptInputError,
     Gender,
+    RatingEvent,
     Role,
+    ThreadRecord,
     UserRef,
     WindowConfig,
     WindowSlice,
@@ -470,6 +474,262 @@ class TestRoundTrip:
         assert set(rebuilt.ratings) == set(corpus.ratings)
 
 
+def old_parse_timestamp(text):
+    """parse_timestamp before its UTC fast path, as the reference."""
+    raw = text.strip()
+    if raw.endswith(("Z", "z")):
+        raw = raw[:-1] + "+00:00"
+    dt = datetime.fromisoformat(raw)
+    if dt.tzinfo is None:
+        dt = dt.replace(tzinfo=UTC)
+    return dt.astimezone(UTC).replace(microsecond=0)
+
+
+class TestTimestampFastPath:
+    @pytest.mark.parametrize("text", [
+        "2014-01-06T09:30:00Z", "2014-01-06T09:30:00z",
+        "2014-01-06T09:30:00+00:00", "2014-01-06T09:30:00-00:00",
+        "2014-01-06T10:30:00+01:00", "2014-01-06T03:00:00-06:30",
+        "2014-01-06T23:59:59+05:45", "2014-01-06T09:30:00.999999Z",
+        "2014-01-06T09:30:00.5+00:00", "2014-01-06T09:30:00.000001-02:00",
+        "2014-01-06T09:30:00", "2014-01-06T09:30:00.25", "2014-01-06",
+        "  2014-01-06T09:30:00Z  ",
+    ])
+    def test_matches_old_formula(self, text):
+        new, old = parse_timestamp(text), old_parse_timestamp(text)
+        assert new == old
+        assert new.tzinfo is old.tzinfo is UTC
+        assert new.microsecond == 0
+
+
+def shared_refs_log():
+    """Three threads where users recur as authors and commenters, with
+    raw role and gender values spelled in more than one way: a is a
+    female manager, b a male consultant whom t3 names without a role
+    or gender, and c a partner of unknown gender."""
+    def thread(thread_id, published, author, *comments):
+        return {"thread_id": thread_id, "published_at": published,
+                "author": author,
+                "comments": [{"comment_id": cid, "created_at": at,
+                              "author": who} for cid, at, who in comments]}
+
+    a = {"user_id": "a", "role": "manager", "gender": 1}
+    b = {"user_id": "b", "role": "consultant", "gender": 0}
+    return jsonl(
+        thread("t1", "2014-01-06T09:00:00Z", a,
+               ("c1", "2014-01-06T10:00:00Z", b),
+               ("c2", "2014-01-06T11:00:00Z", dict(a, role="Manager"))),
+        thread("t2", "2014-01-06T12:00:00Z", dict(b, role="consultant "),
+               ("c3", "2014-01-06T13:00:00Z", dict(a, gender=1.0))),
+        thread("t3", "2014-01-07T09:00:00Z", dict(a, role=" manager"),
+               ("c4", "2014-01-07T10:00:00Z",
+                {"user_id": "b", "gender": "unknown"}),
+               ("c5", "2014-01-07T11:00:00Z",
+                {"user_id": "c", "role": "partner"})),
+    )
+
+
+def parsed_refs(threads):
+    return [ref for t in threads
+            for ref in (t.author, *(c.author for c in t.comments))]
+
+
+def assert_one_object_per_user(refs):
+    by_value: dict = {}
+    for ref in refs:
+        by_value.setdefault((ref.user_id, ref.role, ref.gender), set()).add(id(ref))
+    assert all(len(ids) == 1 for ids in by_value.values()), by_value
+
+
+class TestSharedRefs:
+    def test_jsonl_builds_one_ref_per_user(self):
+        threads, diags = parse_thread_log(shared_refs_log())
+        assert diags == []
+        refs = parsed_refs(threads)
+        assert_one_object_per_user(refs)
+        # a, b, b without role or gender, c
+        assert len({id(r) for r in refs}) == 4
+        assert threads[0].author is threads[2].author
+        assert threads[0].comments[0].author is threads[1].author
+
+    def test_csv_builds_one_ref_per_user(self):
+        csv_text = io.StringIO(
+            ",".join(CSV_COLUMNS) + "\n"
+            "t1,title,desc,2014-01-06T09:00:00Z,x,a,manager,1,,,,,,\n"
+            "t1,,,,,,,,c1,hi,2014-01-06T10:00:00Z,b,,\n"
+            "t1,,,,,,,,c2,hi,2014-01-06T11:00:00Z,a,Manager,1\n"
+            "t2,title,desc,2014-01-06T12:00:00Z,x,b,,unknown,,,,,,\n"
+            "t2,,,,,,,,c3,hi,2014-01-06T13:00:00Z,a,manager, 1 \n"
+        )
+        threads, diags = parse_thread_log(csv_text, format="csv")
+        assert diags == []
+        refs = parsed_refs(threads)
+        assert_one_object_per_user(refs)
+        assert len({id(r) for r in refs}) == 2
+
+    def test_ratings_build_one_ref_per_rater(self):
+        events, _diags = parse_ratings(jsonl(
+            {"rater_id": "a", "target_id": "m1", "value": 1},
+            {"rater_id": "b", "target_id": "m1", "value": -1},
+            {"rater_id": "a", "target_id": "m2", "value": -1},
+            {"rater_id": "a", "target_id": "m3", "value": 1},
+        ))
+        raters = {}
+        for event in events:
+            raters.setdefault(event.rater.user_id, set()).add(id(event.rater))
+        assert {uid: len(ids) for uid, ids in raters.items()} == {"a": 1, "b": 1}
+
+    def test_unrecognized_values_reported_on_every_line(self):
+        # q's gender and r's role are unrecognized on each of three lines
+        lines = [thread_obj(thread_id=f"t{i}", comments=[
+            (f"c{i}", "r", "2014-01-06T10:00:00Z")]) for i in range(3)]
+        for obj in lines:
+            obj["author"] = {"user_id": "q", "role": "manager", "gender": 7}
+            obj["comments"][0]["author"] = {"user_id": "r", "role": "wizard",
+                                            "gender": 0}
+        threads, diags = parse_thread_log(jsonl(*lines))
+        assert diags == [
+            line
+            for i in range(3)
+            for line in (f"unrecognized gender 7 at line {i + 1}",
+                         f"unrecognized role 'wizard' at line {i + 1} (comment c{i})")
+        ]
+        assert len(threads) == 3
+        assert_one_object_per_user(parsed_refs(threads))
+        assert threads[0].author == UserRef("q", Role.manager)
+        assert threads[0].comments[0].author == UserRef("r", gender=Gender.male)
+
+    def test_unhashable_values_are_reported(self):
+        threads, diags = parse_thread_log(jsonl(
+            thread_obj(), thread_obj(thread_id="t2"),
+            dict(thread_obj(thread_id="t3"),
+                 author={"user_id": "a", "role": ["manager"], "gender": {}}),
+        ))
+        assert diags == ["unrecognized gender {} at line 3",
+                         "unrecognized role ['manager'] at line 3"]
+        assert threads[2].author == UserRef("a")
+
+
+def fresh_copy(thread):
+    """A copy of ``thread`` that shares no record or ref with it."""
+    def ref(user):
+        return UserRef(user.user_id, user.role, user.gender)
+    return ThreadRecord(
+        thread_id=thread.thread_id, title=thread.title,
+        description=thread.description, published_at=thread.published_at,
+        tags=thread.tags, author=ref(thread.author),
+        comments=tuple(
+            CommentRecord(comment_id=c.comment_id, text=c.text,
+                          created_at=c.created_at, author=ref(c.author),
+                          order_k=c.order_k)
+            for c in thread.comments),
+    )
+
+
+class TestCanonicalRecords:
+    def test_canonical_thread_is_kept(self):
+        threads, _diags = parse_thread_log(shared_refs_log())
+        corpus, diags = build_corpus(threads)
+        assert diags == []
+        a, b, c = (corpus.users[corpus.user_index[u]] for u in "abc")
+        assert a is threads[0].author and b is threads[1].author
+        assert c is threads[2].comments[1].author
+        # t1 and t2 hold only refs already carrying their merged
+        # attributes; t3 holds b as written without a role or gender
+        assert corpus.threads[0] is threads[0]
+        assert corpus.threads[1] is threads[1]
+        rebuilt = corpus.threads[2]
+        assert rebuilt is not threads[2]
+        assert rebuilt.author is a
+        assert rebuilt.comments[0].author is b
+        assert rebuilt.comments[1] is threads[2].comments[1]
+        assert rebuilt.recipients == (a, a)
+
+    def test_filled_in_attribute_rebuilds_thread(self):
+        threads, _diags = parse_thread_log(jsonl(
+            {"thread_id": "t0", "published_at": "2014-01-06T09:00:00Z",
+             "author": {"user_id": "x"},
+             "comments": [{"comment_id": "c1", "text": "hi",
+                           "created_at": "2014-01-06T10:00:00Z",
+                           "author": {"user_id": "m", "gender": 0}}]},
+            {"thread_id": "t1", "published_at": "2014-01-07T09:00:00Z",
+             "author": {"user_id": "x", "role": "director", "gender": 1}},
+        ))
+        stale = threads[0].recipients
+        corpus, diags = build_corpus(threads)
+        assert diags == []
+        x = corpus.users[corpus.user_index["x"]]
+        assert (x.role, x.gender) == (Role.director, Gender.female)
+        # x is first seen without attributes, so its canonical ref is new
+        # and both threads it authors are rebuilt
+        assert x == threads[1].author and x is not threads[1].author
+        assert corpus.threads[1] == threads[1]
+        assert corpus.threads[1] is not threads[1]
+        assert corpus.threads[1].author is x
+        rebuilt = corpus.threads[0]
+        assert rebuilt is not threads[0]
+        assert rebuilt.author is x
+        assert rebuilt.comments[0] is threads[0].comments[0]
+        assert stale[0].gender is Gender.unknown
+        assert rebuilt.recipients[0] is x
+
+    def test_conflicting_attribute_rebuilds_thread(self):
+        threads, _diags = parse_thread_log(jsonl(
+            thread_obj(author="b"),
+            dict(thread_obj(thread_id="t2", author="b",
+                            comments=[("c1", "z", "2014-01-06T10:00:00Z")]),
+                 author={"user_id": "b", "role": "director", "gender": 0}),
+        ))
+        corpus, diags = build_corpus(threads)
+        assert diags == [
+            "conflicting role for b: keeping manager, saw director",
+            "conflicting gender for b: keeping 1, saw 0",
+        ]
+        b = corpus.users[corpus.user_index["b"]]
+        assert b is threads[0].author
+        assert corpus.threads[0] is threads[0]
+        rebuilt = corpus.threads[1]
+        assert rebuilt is not threads[1]
+        assert rebuilt.author is b and (b.role, b.gender) == (Role.manager,
+                                                              Gender.female)
+        assert rebuilt.recipients[0] is b
+
+    def test_rating_kept_only_when_rater_is_canonical(self):
+        threads, _diags = parse_thread_log(shared_refs_log())
+        events, _diags = parse_ratings(jsonl(
+            {"rater_id": "a", "target_id": "c1", "value": 1},
+            {"rater_id": "r", "target_id": "c1", "value": 1},
+        ))
+        corpus, _diags = build_corpus(threads, events)
+        assert corpus.ratings[0] is not events[0]
+        assert corpus.ratings[0].rater is corpus.users[corpus.user_index["a"]]
+        assert corpus.ratings[1] is events[1]
+        assert corpus.ratings[1].rater is corpus.users[corpus.user_index["r"]]
+
+    @pytest.mark.parametrize("seed", [3, 11])
+    def test_equals_corpus_of_unshared_copies(self, tmp_path, seed):
+        source = generate(SyntheticSpec(n_users=15, n_threads=40, seed=seed))
+        write_threads_jsonl(source.threads, tmp_path / "threads.jsonl")
+        write_ratings_jsonl(source.ratings, tmp_path / "ratings.jsonl")
+        threads, _diags = parse_thread_log(tmp_path / "threads.jsonl")
+        events, _diags = parse_ratings(tmp_path / "ratings.jsonl")
+        corpus, diags = build_corpus(threads, events)
+        fresh, fresh_diags = build_corpus(
+            [fresh_copy(t) for t in threads],
+            [RatingEvent(UserRef(e.rater.user_id, e.rater.role, e.rater.gender),
+                         e.target_message_id, e.value) for e in events])
+        assert diags == fresh_diags
+        assert corpus.users == fresh.users
+        assert corpus.user_index == fresh.user_index
+        assert corpus.ratings == fresh.ratings
+        assert len(corpus.threads) == len(fresh.threads)
+        for ours, theirs in zip(corpus.threads, fresh.threads):
+            for field in ("thread_id", "title", "description",
+                          "published_at", "tags", "author", "comments"):
+                assert getattr(ours, field) == getattr(theirs, field)
+            assert ours.recipients == theirs.recipients
+
+
 def reference_recipients(thread):
     """Recipient ids from the test-side resolver, one per comment."""
     prior = {thread.author.user_id}
@@ -516,10 +776,10 @@ class TestRecipients:
         thread = corpus.threads[0]
         # a later commenter (e, for b's comment) is not yet active, so
         # that comment falls back to the thread author; an "@" inside a
-        # word starts a mention too, which the reference resolver skips
-        expected = ["a", "b", "c", "a", "d", "b", "b"]
+        # word starts no mention, so "mail a@b" answers the author too
+        expected = ["a", "b", "c", "a", "d", "b", "a"]
         assert [r.user_id for r in thread.recipients] == expected
-        assert reference_recipients(thread) == expected[:6] + ["a"]
+        assert reference_recipients(thread) == expected
 
     def test_recipients_are_computed_once(self):
         corpus, _window = make_corpus([("t0", "a", [("b", "hi")])])
