@@ -7,8 +7,11 @@ same inputs always produce byte-identical files.
 from __future__ import annotations
 
 import csv
+import io
 from pathlib import Path
 from typing import Iterable, Iterator
+
+import numpy as np
 
 from .analytics import HomophilyEntry, ResponseGroupStats, Subgraph, TopMassEntry
 from .ingest import Corpus, Gender
@@ -36,29 +39,27 @@ def _writer(handle) -> csv.writer:
     return csv.writer(handle, lineterminator="\n")
 
 
+def _gender_name(gender: Gender) -> str:
+    return "unknown" if gender is Gender.unknown else gender.name
+
+
 def write_rankings_csv(
     path: str | Path, corpus: Corpus, result: MprResult, broker: RankVector,
 ) -> None:
-    """One row per user, highest leadership first; ties break on id."""
-    order = sorted(
-        range(len(corpus.users)),
-        key=lambda i: (-result.leadership.scores[i], corpus.users[i].user_id),
-    )
+    """One row per user, highest leadership first; ties break on id
+    (users are indexed in id order)."""
+    n = len(corpus.users)
+    order = np.lexsort((np.arange(n), -result.leadership.scores))
+    columns = [vector.scores[order].tolist() for vector in (
+        result.empowerment, result.collaboration, result.credibility,
+        result.leadership, broker)]
     with open(path, "w", encoding="utf-8", newline="") as handle:
         out = _writer(handle)
         out.writerow(RANKINGS_COLUMNS)
-        for i in order:
+        for i, *scores in zip(order.tolist(), *columns):
             user = corpus.users[i]
-            gender = "unknown" if user.gender is Gender.unknown \
-                else user.gender.name
-            out.writerow([
-                user.user_id, gender, user.role.value,
-                render(float(result.empowerment.scores[i])),
-                render(float(result.collaboration.scores[i])),
-                render(float(result.credibility.scores[i])),
-                render(float(result.leadership.scores[i])),
-                render(float(broker.scores[i])),
-            ])
+            out.writerow([user.user_id, _gender_name(user.gender),
+                          user.role.value, *map(repr, scores)])
 
 
 def analytics_rows(
@@ -100,23 +101,42 @@ def write_analytics_csv(path: str | Path, rows: Iterable[tuple]) -> None:
             out.writerow(list(row))
 
 
-def _edge_rows(tensor: MultiplexTensor,
-              corpus: Corpus) -> Iterator[tuple[str, str, str, str]]:
-    """Every edge as rendered (src id, dst id, weight, layer), layer by
-    layer in LAYER_NAMES order and sorted by user index within a layer."""
+# rows rendered per batch: enough to amortize numpy calls, few enough
+# that a batch of strings stays small next to the corpus
+_CHUNK = 4096
+
+
+def _edge_chunks(tensor: MultiplexTensor
+                 ) -> Iterator[tuple[str, list[int], list[int], Iterator[str]]]:
+    """Every edge as (layer, src indices, dst indices, rendered weights),
+    a batch at a time, layer by layer in LAYER_NAMES order and sorted by
+    user index within a layer."""
     for name in LAYER_NAMES:
         layer = tensor.layer(name)
-        for (src, dst) in sorted(layer.edges):
-            yield (corpus.users[src].user_id, corpus.users[dst].user_id,
-                   render(layer.edges[(src, dst)]), name)
+        for lo in range(0, layer.src.size, _CHUNK):
+            hi = lo + _CHUNK
+            yield (name, layer.src[lo:hi].tolist(), layer.dst[lo:hi].tolist(),
+                   map(repr, layer.weight[lo:hi].tolist()))
+
+
+def _csv_field(text: str) -> str:
+    """``text`` as csv.writer renders it as one field of a row: quoted
+    when it holds a delimiter, a quote or a line break."""
+    buffer = io.StringIO()
+    _writer(buffer).writerow([text])
+    return buffer.getvalue()[:-1]
 
 
 def write_edges_csv(path: str | Path, tensor: MultiplexTensor,
                     corpus: Corpus) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as handle:
-        out = _writer(handle)
-        out.writerow(EDGES_COLUMNS)
-        out.writerows(_edge_rows(tensor, corpus))
+    """The edge rows csv.writer would write; each id is rendered once."""
+    ids = [_csv_field(user.user_id) for user in corpus.users]
+    with open(path, "w", encoding="utf-8", newline="") as out:
+        _writer(out).writerow(EDGES_COLUMNS)
+        for name, src, dst, weight in _edge_chunks(tensor):
+            tail = f",{name}\n"
+            out.write("".join([f"{ids[s]},{ids[d]},{w}{tail}"
+                               for s, d, w in zip(src, dst, weight)]))
 
 
 def _dot_quote(text: str) -> str:
@@ -126,21 +146,19 @@ def _dot_quote(text: str) -> str:
 def write_graph_dot(path: str | Path, tensor: MultiplexTensor,
                     corpus: Corpus) -> None:
     """All three layers in one digraph; edges carry a layer attribute."""
-    quoted = {user.user_id: _dot_quote(user.user_id) for user in corpus.users}
+    quoted = [_dot_quote(user.user_id) for user in corpus.users]
     with open(path, "w", encoding="utf-8") as out:
         out.write("digraph leadnet {\n")
-        for user in corpus.users:
-            gender = "unknown" if user.gender is Gender.unknown \
-                else user.gender.name
+        for user, node in zip(corpus.users, quoted):
             out.write(
-                f"  {quoted[user.user_id]} "
-                f"[gender={_dot_quote(gender)}, role={_dot_quote(user.role.value)}];\n"
+                f"  {node} [gender={_dot_quote(_gender_name(user.gender))}, "
+                f"role={_dot_quote(user.role.value)}];\n"
             )
-        for src, dst, weight, name in _edge_rows(tensor, corpus):
-            out.write(
-                f"  {quoted[src]} -> {quoted[dst]} "
-                f"[layer={_dot_quote(name)}, weight={_dot_quote(weight)}];\n"
-            )
+        for name, src, dst, weight in _edge_chunks(tensor):
+            # a float's repr needs no escaping inside quotes
+            tail = f" [layer={_dot_quote(name)}, weight=\""
+            out.write("".join([f"  {quoted[s]} -> {quoted[d]}{tail}{w}\"];\n"
+                               for s, d, w in zip(src, dst, weight)]))
         out.write("}\n")
 
 

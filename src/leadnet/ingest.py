@@ -594,16 +594,33 @@ def _parse_threads_csv(stream: IO[str]) -> tuple[list[ThreadRecord], list[str]]:
 # ---------------------------------------------------------------------------
 # ratings parsing
 
-def parse_ratings(source: str | Path | IO[str]) -> tuple[list[RatingEvent], list[str]]:
+def author_refs(threads: Iterable[ThreadRecord]) -> dict[str, UserRef]:
+    """The first ref of each user id in ``threads``, visiting each thread's
+    author and then its commenters: the ref ``build_corpus`` keeps as
+    canonical when no later record adds to it."""
+    refs: dict[str, UserRef] = {}
+    for thread in threads:
+        refs.setdefault(thread.author.user_id, thread.author)
+        for comment in thread.comments:
+            refs.setdefault(comment.author.user_id, comment.author)
+    return refs
+
+
+def parse_ratings(
+    source: str | Path | IO[str], refs: Mapping[str, UserRef] | None = None,
+) -> tuple[list[RatingEvent], list[str]]:
     """Parse like/dislike events; duplicates per (rater, target) collapse
-    to the last occurrence and value 0 ("no opinion") is skipped."""
+    to the last occurrence and value 0 ("no opinion") is skipped.  A
+    rater named in ``refs`` (such as ``author_refs`` of the thread log)
+    gets that ref, so ``build_corpus`` can keep the event as it is; any
+    other rater gets a ref of unknown role and gender."""
     stream, owned = _open_maybe(source)
     try:
         diags: list[str] = []
         total = 0
         malformed = 0
         events: dict[tuple[str, str], RatingEvent] = {}
-        raters: dict[str, UserRef] = {}
+        raters: dict[str, UserRef] = dict(refs or {})
         for lineno, line in enumerate(stream, start=1):
             if not line.strip():
                 continue

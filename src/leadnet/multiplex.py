@@ -12,15 +12,24 @@ Layers share the corpus user indexing and differ in what an edge means:
   (rows sum to 1).
 
 Self-loops never appear in any layer.
+
+A tensor is built from one walk over the window's threads and ratings
+into integer event arrays; each layer is then a group-by over those rows.
+Every floating-point sum adds its terms in the order the window lists
+them, so the weights are bit-identical to accumulating them in dicts.
 """
 
 from __future__ import annotations
 
-from collections import defaultdict
 from dataclasses import dataclass
-from typing import Mapping
+from functools import cached_property
+from types import MappingProxyType
+from typing import Mapping, NamedTuple
 
-from .ingest import Corpus, WindowSlice, message_author_map
+import numpy as np
+from scipy import sparse
+
+from .ingest import Corpus, WindowSlice
 
 # Orientation of the stored weights: which endpoint the normalization
 # sums to 1 over.
@@ -30,22 +39,55 @@ ORIENT_SENDER = "sender_normalized"
 LAYER_NAMES = ("empowerment", "collaboration", "credibility")
 
 
-@dataclass(frozen=True)
 class Layer:
     """Sparse weighted digraph over the corpus user index.
 
-    ``edges`` maps (src, dst) to a weight >= 0; treat it as immutable.
+    The edges are held as three read-only arrays sorted by (src, dst):
+    ``src``, ``dst`` and ``weight`` (a weight may be 0).  ``matrix`` is
+    the same graph as an n x n CSR matrix, weight[src, dst], and
+    ``edges`` as a read-only {(src, dst): weight} mapping; both are
+    derived on first use.  ``Layer(n, edges, orientation)`` builds a
+    layer from such a mapping.
     """
 
-    n: int
-    edges: dict[tuple[int, int], float]
-    orientation: str
+    def __init__(self, n: int, edges: Mapping[tuple[int, int], float],
+                 orientation: str):
+        keys = sorted(edges)
+        self._init(n, np.array([i for i, _j in keys], dtype=np.int64),
+                   np.array([j for _i, j in keys], dtype=np.int64),
+                   np.array([edges[key] for key in keys], dtype=float),
+                   orientation)
 
-    def __post_init__(self) -> None:
-        if self.n < 1:
+    @classmethod
+    def from_arrays(cls, n: int, src: np.ndarray, dst: np.ndarray,
+                    weight: np.ndarray, orientation: str) -> Layer:
+        """A layer over edge arrays already sorted by (src, dst)."""
+        layer = cls.__new__(cls)
+        layer._init(n, src, dst, weight, orientation)
+        return layer
+
+    def _init(self, n, src, dst, weight, orientation) -> None:
+        if n < 1:
             raise ValueError("layer needs n >= 1")
-        if self.orientation not in (ORIENT_RECEIVER, ORIENT_SENDER):
-            raise ValueError(f"unknown orientation {self.orientation!r}")
+        if orientation not in (ORIENT_RECEIVER, ORIENT_SENDER):
+            raise ValueError(f"unknown orientation {orientation!r}")
+        for array in (src, dst, weight):
+            array.setflags(write=False)
+        self.n = n
+        self.orientation = orientation
+        self.src, self.dst, self.weight = src, dst, weight
+
+    @cached_property
+    def matrix(self) -> sparse.csr_matrix:
+        indptr = np.concatenate(([0], np.cumsum(np.bincount(self.src,
+                                                            minlength=self.n))))
+        return sparse.csr_matrix((self.weight, self.dst, indptr),
+                                 shape=(self.n, self.n))
+
+    @cached_property
+    def edges(self) -> Mapping[tuple[int, int], float]:
+        return MappingProxyType(dict(zip(
+            zip(self.src.tolist(), self.dst.tolist()), self.weight.tolist())))
 
 
 @dataclass(frozen=True)
@@ -64,77 +106,142 @@ class MultiplexTensor:
         return tuple((name, self.layer(name)) for name in LAYER_NAMES)
 
 
-def comment_weight(k: int) -> float:
+def comment_weight(k: int | np.ndarray) -> float | np.ndarray:
     """Positional weight of the k-th comment of a thread (k starts at 1):
-    the first reply counts 1.0, later replies decay toward 0.5."""
-    if k < 1:
+    the first reply counts 1.0, later replies decay toward 0.5.  ``k``
+    may be an int or an integer array."""
+    if np.any(np.asarray(k) < 1):
         raise ValueError("comment order k starts at 1")
     return 0.5 + 0.5 / k
 
 
-def _receiver_normalize(
-    raw: Mapping[tuple[int, int], float]
-) -> dict[tuple[int, int], float]:
-    incoming: dict[int, float] = defaultdict(float)
-    for (_i, j), w in raw.items():
-        incoming[j] += w
-    return {(i, j): w / incoming[j] for (i, j), w in raw.items()}
+class _Events(NamedTuple):
+    """One window as integer rows over the corpus user index.
+
+    Per comment, in thread then comment order: the thread's position in
+    the window, the thread author, the commenter, the user it answers and
+    its order k.  Per rating, in window order: the rater, the author of
+    the rated message (-1 when no message of the window has its id) and
+    the value."""
+
+    position: np.ndarray
+    author: np.ndarray
+    commenter: np.ndarray
+    recipient: np.ndarray
+    order_k: np.ndarray
+    rater: np.ndarray
+    rated: np.ndarray
+    value: np.ndarray
+
+
+def _events(slice: WindowSlice, corpus: Corpus) -> _Events:
+    """Walk the window once.  A message id held twice resolves to its
+    first occurrence in the window, as ``ingest.message_author_map``
+    does."""
+    index = corpus.user_index
+    position: list[int] = []
+    author: list[int] = []
+    commenter: list[int] = []
+    recipient: list[int] = []
+    order_k: list[int] = []
+    message_ids: list[str] = []
+    message_authors: list[int] = []
+    for p, thread in enumerate(slice.threads):
+        a = index[thread.author.user_id]
+        message_ids.append(thread.thread_id)
+        message_authors.append(a)
+        comments = thread.comments
+        if not comments:
+            continue
+        by = [index[c.author.user_id] for c in comments]
+        message_ids += [c.comment_id for c in comments]
+        message_authors += by
+        commenter += by
+        order_k += [c.order_k for c in comments]
+        recipient += [index[r.user_id] for r in thread.recipients]
+        position += [p] * len(by)
+        author += [a] * len(by)
+    # built backwards so that the first occurrence of an id is kept
+    message_author = dict(zip(reversed(message_ids), reversed(message_authors)))
+    ratings = slice.ratings
+    return _Events(
+        *(np.array(column, dtype=np.int64) for column in (
+            position, author, commenter, recipient, order_k,
+            [index[e.rater.user_id] for e in ratings],
+            [message_author.get(e.target_message_id, -1) for e in ratings],
+            [e.value for e in ratings])),
+    )
+
+
+def _pairs(n: int, src: np.ndarray, dst: np.ndarray):
+    """Group rows by (src, dst).  Returns the distinct pairs sorted by
+    (src, dst), each row's pair number, and the pair numbers in order of
+    first occurrence (the insertion order of a dict keyed by pair)."""
+    keys, first, inverse = np.unique(src * n + dst, return_index=True,
+                                     return_inverse=True)
+    return keys // n, keys % n, inverse, np.argsort(first)
+
+
+def _receiver_normalized(n: int, src, dst, raw, first_order) -> Layer:
+    """Divide each pair's weight by the total its receiver gets, adding
+    that total in first-occurrence order."""
+    incoming = np.bincount(dst[first_order], weights=raw[first_order],
+                           minlength=n)
+    return Layer.from_arrays(n, src, dst, raw / incoming[dst],
+                             ORIENT_RECEIVER)
+
+
+def _empowerment(ev: _Events, n: int) -> Layer:
+    others = np.flatnonzero(ev.commenter != ev.author)
+    # one row per (thread, commenter), its first comment, in row order
+    first = others[np.sort(np.unique(
+        ev.position[others] * n + ev.commenter[others], return_index=True)[1])]
+    src, dst, inverse, first_order = _pairs(n, ev.author[first],
+                                            ev.commenter[first])
+    raw = np.bincount(inverse, minlength=src.size).astype(float)
+    return _receiver_normalized(n, src, dst, raw, first_order)
+
+
+def _collaboration(ev: _Events, n: int) -> Layer:
+    keep = ev.commenter != ev.recipient
+    src, dst, inverse, first_order = _pairs(n, ev.commenter[keep],
+                                            ev.recipient[keep])
+    raw = np.bincount(inverse, weights=comment_weight(ev.order_k[keep]),
+                      minlength=src.size)
+    return _receiver_normalized(n, src, dst, raw, first_order)
+
+
+def _trust(ev: _Events, n: int):
+    """Rater -> rated-author pairs sorted by (src, dst), their trust
+    scores, and the pairs' first-occurrence order."""
+    keep = (ev.rated >= 0) & (ev.rater != ev.rated)
+    src, dst, inverse, first_order = _pairs(n, ev.rater[keep], ev.rated[keep])
+    deltas = np.bincount(inverse, weights=ev.value[keep], minlength=src.size)
+    counts = np.bincount(inverse, minlength=src.size)
+    return src, dst, 0.5 + 0.5 * (deltas / counts), first_order
+
+
+def _credibility(ev: _Events, n: int) -> Layer:
+    src, dst, trust, first_order = _trust(ev, n)
+    total = np.bincount(src[first_order], weights=trust[first_order],
+                        minlength=n)[src]
+    # a rater whose scores are all zero spreads uniformly
+    uniform = 1.0 / np.bincount(src, minlength=n)[src]
+    weight = np.divide(trust, total, out=uniform, where=total > 0)
+    return Layer.from_arrays(n, src, dst, weight, ORIENT_SENDER)
 
 
 def build_empowerment(slice: WindowSlice, corpus: Corpus) -> Layer:
     """One indicator per (thread, distinct commenter), author -> commenter,
     then normalized over each commenter's empowerers."""
-    index = corpus.user_index
-    raw: dict[tuple[int, int], float] = defaultdict(float)
-    for thread in slice.threads:
-        i = index[thread.author.user_id]
-        seen: set[int] = set()
-        for comment in thread.comments:
-            j = index[comment.author.user_id]
-            if j == i or j in seen:
-                continue
-            seen.add(j)
-            raw[(i, j)] += 1.0
-    return Layer(n=corpus.n_users, edges=_receiver_normalize(raw),
-                 orientation=ORIENT_RECEIVER)
+    return _empowerment(_events(slice, corpus), corpus.n_users)
 
 
 def build_collaboration(slice: WindowSlice, corpus: Corpus) -> Layer:
     """Comment k aims 0.5 + 0.5/k at its recipient (mention or thread
     author); self-answers are dropped; normalized over each recipient's
     answerers."""
-    index = corpus.user_index
-    raw: dict[tuple[int, int], float] = defaultdict(float)
-    for thread in slice.threads:
-        for comment, recipient in zip(thread.comments, thread.recipients):
-            i = index[comment.author.user_id]
-            j = index[recipient.user_id]
-            if i == j:
-                continue
-            raw[(i, j)] += comment_weight(comment.order_k)
-    return Layer(n=corpus.n_users, edges=_receiver_normalize(raw),
-                 orientation=ORIENT_RECEIVER)
-
-
-def _trust_by_rater(
-    slice: WindowSlice, corpus: Corpus
-) -> dict[int, dict[int, float]]:
-    authors = message_author_map(slice.threads)
-    index = corpus.user_index
-    deltas: dict[tuple[int, int], list[int]] = defaultdict(list)
-    for event in slice.ratings:
-        target_author = authors.get(event.target_message_id)
-        if target_author is None:
-            continue
-        i = index[event.rater.user_id]
-        j = index[target_author.user_id]
-        if i == j:
-            continue
-        deltas[(i, j)].append(event.value)
-    trust: dict[int, dict[int, float]] = defaultdict(dict)
-    for (i, j), ds in deltas.items():
-        trust[i][j] = 0.5 + 0.5 * (sum(ds) / len(ds))
-    return trust
+    return _collaboration(_events(slice, corpus), corpus.n_users)
 
 
 def trust_score(rater_id: str, ratee_id: str, slice: WindowSlice,
@@ -144,35 +251,44 @@ def trust_score(rater_id: str, ratee_id: str, slice: WindowSlice,
     Values below 0.5 indicate distrust; the range is [0, 1]."""
     i = corpus.user_index[rater_id]
     j = corpus.user_index[ratee_id]
-    return _trust_by_rater(slice, corpus).get(i, {}).get(j)
+    src, dst, trust, _order = _trust(_events(slice, corpus), corpus.n_users)
+    hit = np.flatnonzero((src == i) & (dst == j))
+    return float(trust[hit[0]]) if hit.size else None
 
 
 def build_credibility(slice: WindowSlice, corpus: Corpus) -> Layer:
     """Trust scores normalized over each rater's rated authors; a rater
     whose scores are all zero (disliked everything) spreads uniformly."""
-    edges: dict[tuple[int, int], float] = {}
-    for i, trusts in _trust_by_rater(slice, corpus).items():
-        total = sum(trusts.values())
-        for j, t in sorted(trusts.items()):
-            edges[(i, j)] = t / total if total > 0 else 1.0 / len(trusts)
-    return Layer(n=corpus.n_users, edges=edges, orientation=ORIENT_SENDER)
+    return _credibility(_events(slice, corpus), corpus.n_users)
 
 
 def build_tensor(slice: WindowSlice, corpus: Corpus) -> MultiplexTensor:
+    ev = _events(slice, corpus)
+    n = corpus.n_users
     return MultiplexTensor(
-        n=corpus.n_users,
-        empowerment=build_empowerment(slice, corpus),
-        collaboration=build_collaboration(slice, corpus),
-        credibility=build_credibility(slice, corpus),
+        n=n,
+        empowerment=_empowerment(ev, n),
+        collaboration=_collaboration(ev, n),
+        credibility=_credibility(ev, n),
     )
+
+
+def union_adjacency(tensor: MultiplexTensor) -> sparse.csr_matrix:
+    """Undirected union of the three layers' edge supports as a 0/1
+    n x n CSR matrix (an edge of weight 0 still counts)."""
+    src = np.concatenate([layer.src for _name, layer in tensor.layers()])
+    dst = np.concatenate([layer.dst for _name, layer in tensor.layers()])
+    adjacency = sparse.coo_matrix(
+        (np.ones(2 * src.size), (np.concatenate((src, dst)),
+                                 np.concatenate((dst, src)))),
+        shape=(tensor.n, tensor.n)).tocsr()
+    adjacency.data[:] = 1.0
+    return adjacency
 
 
 def layer_union(tensor: MultiplexTensor) -> list[set[int]]:
     """Undirected union of the three layers' edge supports, as neighbor
     sets indexed like the corpus users."""
-    neighbors: list[set[int]] = [set() for _ in range(tensor.n)]
-    for _name, layer in tensor.layers():
-        for (i, j) in layer.edges:
-            neighbors[i].add(j)
-            neighbors[j].add(i)
-    return neighbors
+    adjacency = union_adjacency(tensor)
+    indptr, indices = adjacency.indptr, adjacency.indices.tolist()
+    return [set(indices[indptr[v]:indptr[v + 1]]) for v in range(tensor.n)]

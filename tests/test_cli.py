@@ -455,3 +455,49 @@ class TestParser:
         with pytest.raises(SystemExit) as info:
             run()
         assert info.value.code == 2
+
+
+class TestFailingDailyRun:
+    def test_stops_at_window_zero_having_resolved_only_its_threads(
+            self, corpus_dir, tmp_path, monkeypatch, capsys):
+        threads, _diags = ingest.parse_thread_log(corpus_dir / "threads.jsonl")
+        corpus, _ = ingest.build_corpus(threads)
+        daily = ingest.window_partition(
+            corpus, ingest.WindowConfig.from_string("days:1"))
+        assert len(daily) > 1
+        first_day = sum(len(t.comments) for t in daily[0].threads)
+        assert 0 < first_day < sum(len(t.comments) for t in threads)
+        resolved = []
+        mentioned = ingest._mentioned
+
+        def counting(text, participants):
+            resolved.append(text)
+            return mentioned(text, participants)
+
+        monkeypatch.setattr(ingest, "_mentioned", counting)
+        out = tmp_path / "all"
+        assert run("all", *base_args(corpus_dir), *lex_args(corpus_dir),
+                   "--out", out, "--window", "days:1", "--max-iter", 1) == 1
+        assert "error: window 0 (" in capsys.readouterr().err
+        assert len(resolved) == first_day
+        assert list(out.iterdir()) == []
+
+
+class TestRatingsKeepParsedEvents:
+    def test_load_corpus_keeps_every_parsed_rating(self, corpus_dir,
+                                                   monkeypatch):
+        parsed = []
+        parse_ratings = cli.parse_ratings
+
+        def keeping(*args):
+            events, diags = parse_ratings(*args)
+            parsed.extend(events)
+            return events, diags
+
+        monkeypatch.setattr(cli, "parse_ratings", keeping)
+        corpus, _diags = cli._load_corpus({
+            "input": corpus_dir / "threads.jsonl", "format": "jsonl",
+            "ratings": corpus_dir / "ratings.jsonl"})
+        assert len(corpus.ratings) == len(parsed) > 0
+        assert all(kept is event
+                   for kept, event in zip(corpus.ratings, parsed))

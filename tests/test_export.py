@@ -1,11 +1,13 @@
 """File writers: exact rendering, ordering and escaping."""
 
 import csv
+import io
 
 import numpy as np
 import pytest
 
 from conftest import make_corpus
+from leadnet import export
 from leadnet.analytics import (
     active_user_indices,
     homophily,
@@ -186,3 +188,53 @@ class TestRoleGraphDot:
             '  "a\\"b" -- "c";\n'
             "}\n"
         )
+
+
+class TestEdgeFilesInBatches:
+    """Both edge writers against a row-at-a-time rendering of
+    ``layer.edges``, over ids that need quoting and batches smaller than
+    a layer."""
+
+    @pytest.fixture()
+    def odd_ids(self, monkeypatch):
+        monkeypatch.setattr(export, "_CHUNK", 2)
+        ids = ["a,b", 'q"uote', "new\nline", " lead", "back\\slash", "plain"]
+        users = {uid: UserRef(user_id=uid, role=Role.manager,
+                              gender=Gender.female) for uid in ids}
+        corpus, window = make_corpus(
+            [("t0", "a,b", [('q"uote', "x"), ("new\nline", "@a,b y"),
+                            ("plain", '@q"uote z')]),
+             ("t1", " lead", [("back\\slash", "w"), ("a,b", "v")])],
+            [("plain", "t0", 1), ("a,b", "t1m1", -1), ("a,b", "t0m2", 1)],
+            users=users)
+        return corpus, build_tensor(window, corpus)
+
+    def rows(self, corpus, tensor):
+        for name, layer in tensor.layers():
+            for (i, j), weight in sorted(layer.edges.items()):
+                yield (corpus.users[i].user_id, corpus.users[j].user_id,
+                       repr(weight), name)
+
+    def test_edges_csv_matches_csv_writer(self, odd_ids, tmp_path):
+        corpus, tensor = odd_ids
+        want = io.StringIO()
+        writer = csv.writer(want, lineterminator="\n")
+        writer.writerow(["src", "dst", "weight", "layer"])
+        writer.writerows(self.rows(corpus, tensor))
+        path = tmp_path / "edges.csv"
+        write_edges_csv(path, tensor, corpus)
+        with open(path, encoding="utf-8", newline="") as handle:
+            assert handle.read() == want.getvalue()
+        assert want.getvalue().count("\n") > 2 * export._CHUNK + 1
+
+    def test_graph_dot_matches_row_rendering(self, odd_ids, tmp_path):
+        corpus, tensor = odd_ids
+        path = tmp_path / "graph.dot"
+        write_graph_dot(path, tensor, corpus)
+        q = export._dot_quote
+        edges = "".join(f"  {q(src)} -> {q(dst)} [layer={q(name)}, "
+                        f"weight={q(weight)}];\n"
+                        for src, dst, weight, name in self.rows(corpus, tensor))
+        text = path.read_text(encoding="utf-8")
+        assert text.endswith("];\n" + edges + "}\n")
+        assert text.count(" -> ") == edges.count(" -> ")

@@ -1,14 +1,25 @@
 """Layer construction: weights, normalization, mention resolution."""
 
 import random
+from collections import defaultdict
+from dataclasses import replace
+from datetime import timedelta
 
 import pytest
 
 import oracles
-from conftest import make_corpus, random_corpus, resolve_like_package
+from conftest import T0, make_corpus, random_corpus, resolve_like_package
+from leadnet.ingest import (
+    WindowConfig,
+    WindowSlice,
+    message_author_map,
+    whole_span_slice,
+    window_partition,
+)
 from leadnet.multiplex import (
     ORIENT_RECEIVER,
     ORIENT_SENDER,
+    Layer,
     build_collaboration,
     build_credibility,
     build_empowerment,
@@ -248,3 +259,186 @@ class TestLayerUnion:
         assert neighbors[at["A"]] == {at["B"], at["C"]}
         assert neighbors[at["B"]] == {at["A"]}
         assert neighbors[at["C"]] == {at["A"]}
+
+
+# ---------------------------------------------------------------------------
+# differential: the array layers against dict accumulation, bit for bit
+
+def dict_empowerment(window, corpus):
+    index = corpus.user_index
+    raw = defaultdict(float)
+    for thread in window.threads:
+        i = index[thread.author.user_id]
+        seen = set()
+        for comment in thread.comments:
+            j = index[comment.author.user_id]
+            if j == i or j in seen:
+                continue
+            seen.add(j)
+            raw[(i, j)] += 1.0
+    return dict_receiver_normalize(raw)
+
+
+def dict_collaboration(window, corpus):
+    index = corpus.user_index
+    raw = defaultdict(float)
+    for thread in window.threads:
+        for comment, recipient in zip(thread.comments, thread.recipients):
+            i = index[comment.author.user_id]
+            j = index[recipient.user_id]
+            if i != j:
+                raw[(i, j)] += 0.5 + 0.5 / comment.order_k
+    return dict_receiver_normalize(raw)
+
+
+def dict_receiver_normalize(raw):
+    incoming = defaultdict(float)
+    for (_i, j), w in raw.items():
+        incoming[j] += w
+    return {(i, j): w / incoming[j] for (i, j), w in raw.items()}
+
+
+def dict_credibility(window, corpus):
+    authors = message_author_map(window.threads)
+    index = corpus.user_index
+    deltas = defaultdict(list)
+    for event in window.ratings:
+        target_author = authors.get(event.target_message_id)
+        if target_author is None:
+            continue
+        i = index[event.rater.user_id]
+        j = index[target_author.user_id]
+        if i != j:
+            deltas[(i, j)].append(event.value)
+    trust = defaultdict(dict)
+    for (i, j), ds in deltas.items():
+        trust[i][j] = 0.5 + 0.5 * (sum(ds) / len(ds))
+    edges = {}
+    for i, trusts in trust.items():
+        total = sum(trusts.values())
+        for j, t in trusts.items():
+            edges[(i, j)] = t / total if total > 0 else 1.0 / len(trusts)
+    return edges
+
+
+DICT_BUILDERS = {
+    "empowerment": dict_empowerment,
+    "collaboration": dict_collaboration,
+    "credibility": dict_credibility,
+}
+
+
+def assert_layers_match_dicts(window, corpus):
+    tensor = build_tensor(window, corpus)
+    for name, layer in tensor.layers():
+        want = DICT_BUILDERS[name](window, corpus)
+        assert dict(layer.edges) == want, (name, window.index)
+        assert list(layer.edges) == sorted(want)
+        matrix = layer.matrix.toarray()
+        for (i, j), w in want.items():
+            assert matrix[i, j] == w
+
+
+def all_slices(corpus):
+    return [whole_span_slice(corpus), *window_partition(
+        corpus, WindowConfig.from_string("days:1"))]
+
+
+class TestArraysMatchDicts:
+    @pytest.mark.parametrize("seed", range(25))
+    def test_random_corpora(self, seed):
+        rng = random.Random(9100 + seed)
+        corpus, window, _threads, _ratings = random_corpus(
+            rng, n_users=rng.randrange(3, 12), n_threads=rng.randrange(1, 40))
+        assert_layers_match_dicts(window, corpus)
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_random_corpora_over_daily_windows(self, seed):
+        rng = random.Random(9200 + seed)
+        corpus, _window, _threads, _ratings = random_corpus(
+            rng, n_users=10, n_threads=60)
+        for window in all_slices(corpus):
+            assert_layers_match_dicts(window, corpus)
+
+    def test_self_loops(self):
+        corpus, window = make_corpus(
+            [("t1", "A", [("A", "bump"), ("B", "@B me"), ("A", "@A again"),
+                          ("C", "@C")])],
+            [("A", "t1", 1), ("B", "t1m2", -1), ("C", "t1m1", 1)],
+        )
+        assert_layers_match_dicts(window, corpus)
+        for _name, layer in build_tensor(window, corpus).layers():
+            assert all(i != j for i, j in layer.edges)
+
+    def test_rater_who_disliked_everything(self):
+        corpus, window = make_corpus(
+            [("t1", "A", [("B", "x")]), ("t2", "B", [("C", "y")]),
+             ("t3", "C", [])],
+            [("R", "t1", -1), ("R", "t2", -1), ("R", "t1m1", -1),
+             ("R", "t3", -1), ("S", "t3", -1), ("S", "t1", 1)],
+        )
+        assert_layers_match_dicts(window, corpus)
+        at = corpus.user_index
+        edges = build_tensor(window, corpus).credibility.edges
+        assert edges[(at["R"], at["C"])] == 1.0 / 3.0
+        assert edges[(at["S"], at["C"])] == 0.0
+
+    def test_rated_duplicate_ids_within_and_across_windows(self):
+        # thread "t0m1" reuses the id of t0's first comment, in the same
+        # day; thread "t1m1" (25 hours later) reuses t1's, a day later
+        specs = [("t0", "A", [("B", "x")]), ("t1", "C", [("D", "y")]),
+                 ("t0m1", "E", [("F", "z")])]
+        specs += [(f"f{k}", "G", []) for k in range(22)]
+        specs += [("t1m1", "H", [("A", "w")])]
+        corpus, _window = make_corpus(
+            specs,
+            [("R", "t0m1", 1), ("S", "t0m1", -1), ("R", "t1m1", -1),
+             ("S", "t1m1", 1), ("R", "t1m1m1", 1)],
+        )
+        slices = all_slices(corpus)
+        assert len(slices) == 3
+        assert [len(s.ratings) for s in slices] == [5, 4, 3]
+        for window in slices:
+            assert_layers_match_dicts(window, corpus)
+        at = corpus.user_index
+        day0, day1 = (build_tensor(s, corpus).credibility for s in slices[1:])
+        assert (at["R"], at["B"]) in day0.edges   # t0m1 is B's comment
+        assert (at["R"], at["H"]) in day1.edges   # t1m1 is H's thread
+
+    def test_thread_log_out_of_time_order(self):
+        rng = random.Random(9300)
+        corpus, _window, _threads, _ratings = random_corpus(
+            rng, n_users=9, n_threads=40)
+        hours = list(range(len(corpus.threads)))
+        rng.shuffle(hours)
+        shuffled = replace(corpus, threads=tuple(
+            replace(thread, published_at=T0 + timedelta(hours=3 * h))
+            for thread, h in zip(corpus.threads, hours)))
+        for window in all_slices(shuffled):
+            assert_layers_match_dicts(window, shuffled)
+
+    def test_empty_window(self):
+        corpus, window = make_corpus([("t1", "A", [("B", "x")])],
+                                     [("B", "t1", 1)])
+        empty = WindowSlice(index=1, start=window.end,
+                            end=window.end + timedelta(days=1),
+                            threads=(), ratings=())
+        assert_layers_match_dicts(empty, corpus)
+        tensor = build_tensor(empty, corpus)
+        assert all(layer.edges == {} for _name, layer in tensor.layers())
+        assert layer_union(tensor) == [set()] * corpus.n_users
+
+
+class TestLayerFromMapping:
+    def test_mapping_round_trips_and_is_read_only(self):
+        layer = Layer(n=3, edges={(2, 0): 0.25, (0, 1): 0.0, (0, 2): 1.0},
+                      orientation=ORIENT_SENDER)
+        assert list(layer.edges.items()) == [((0, 1), 0.0), ((0, 2), 1.0),
+                                             ((2, 0), 0.25)]
+        assert layer.matrix.toarray().tolist() == [[0.0, 0.0, 1.0],
+                                                   [0.0, 0.0, 0.0],
+                                                   [0.25, 0.0, 0.0]]
+        with pytest.raises(TypeError):
+            layer.edges[(1, 1)] = 1.0
+        with pytest.raises(ValueError):
+            layer.weight[0] = 2.0

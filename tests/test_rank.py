@@ -4,6 +4,7 @@ import random
 
 import numpy as np
 import pytest
+from scipy import sparse
 
 import oracles
 from conftest import random_corpus
@@ -15,12 +16,14 @@ from leadnet.multiplex import (
     build_tensor,
     layer_union,
 )
+from leadnet import rank
 from leadnet.rank import (
     AS_IS,
     LAYER_DIRECTION,
     TRANSPOSED,
     ConvergenceError,
     MprParams,
+    MprResult,
     RankVector,
     brokerage,
     multiplex_pagerank,
@@ -228,3 +231,78 @@ class TestBrokerage:
         got = brokerage(neighbors).scores
         want = oracles.brute_force_brokerage(neighbors)
         assert np.max(np.abs(got - want)) < 1e-12
+
+
+def graph_with_leaves(rng, n):
+    """Random symmetric neighbor sets where some nodes stay isolated and
+    some hang off the rest by a single edge."""
+    neighbors = [set() for _ in range(n)]
+    roles = [rng.choice(["isolated", "leaf", "core", "core"])
+             for _ in range(n)]
+    core = [v for v in range(n) if roles[v] == "core"]
+    for a in core:
+        for b in core:
+            if a < b and rng.random() < 0.5:
+                neighbors[a].add(b)
+                neighbors[b].add(a)
+    for v in range(n):
+        if roles[v] == "leaf" and core:
+            u = rng.choice(core)
+            neighbors[v].add(u)
+            neighbors[u].add(v)
+    return neighbors
+
+
+class TestBrokerageTriangles:
+    @pytest.mark.parametrize("seed", range(30))
+    def test_matches_brute_force_with_isolated_and_leaf_nodes(self, seed):
+        rng = random.Random(8500 + seed)
+        neighbors = graph_with_leaves(rng, rng.randrange(1, 16))
+        got = brokerage(neighbors).scores
+        assert np.array_equal(got, oracles.brute_force_brokerage(neighbors))
+
+    @pytest.mark.parametrize("seed", range(10))
+    def test_tensor_path_matches_brute_force(self, seed):
+        rng = random.Random(8600 + seed)
+        corpus, window, _t, _r = random_corpus(rng, n_users=12,
+                                               n_threads=10)
+        tensor = build_tensor(window, corpus)
+        neighbors = [set() for _ in range(tensor.n)]
+        for _name, layer in tensor.layers():
+            for i, j in layer.edges:
+                neighbors[i].add(j)
+                neighbors[j].add(i)
+        assert layer_union(tensor) == neighbors
+        assert np.array_equal(brokerage(tensor).scores,
+                              oracles.brute_force_brokerage(neighbors))
+
+    def test_empty_graph_is_rejected(self):
+        with pytest.raises(ValueError):
+            brokerage([])
+
+
+def mapping_iteration_matrix(layer, direction):
+    """The rank matrix built from ``layer.edges`` through COO."""
+    rows, cols, vals = [], [], []
+    for (i, j), w in layer.edges.items():
+        rows.append(i if direction == TRANSPOSED else j)
+        cols.append(j if direction == TRANSPOSED else i)
+        vals.append(w)
+    return sparse.csr_matrix((vals, (rows, cols)), shape=(layer.n, layer.n))
+
+
+class TestStoredMatrices:
+    @pytest.mark.parametrize("seed", range(10))
+    def test_rank_equals_mapping_built_matrices(self, seed, monkeypatch):
+        rng = random.Random(8700 + seed)
+        corpus, window, _t, _r = random_corpus(rng, n_users=10,
+                                               n_threads=12)
+        tensor = build_tensor(window, corpus)
+        params = MprParams(tol=1e-12)
+        got = multiplex_pagerank(tensor, params)
+        monkeypatch.setattr(rank, "_iteration_matrix",
+                            mapping_iteration_matrix)
+        want = multiplex_pagerank(tensor, params)
+        for name in MprResult._fields:
+            assert np.array_equal(getattr(got, name).scores,
+                                  getattr(want, name).scores), name
