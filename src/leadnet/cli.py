@@ -5,9 +5,13 @@ Subcommands cover the full pipeline: ``synth`` writes a seeded corpus,
 compute one artifact family each, ``export-graph`` dumps the network, and
 ``all`` produces every artifact in one pass.
 
-Option values resolve with precedence: command line flag, then
-``LEADNET_<NAME>`` environment variable, then a ``--config`` JSON file,
-then the built-in default.  Every run writes ``manifest.json`` recording
+Each option is declared once, in ``SETTINGS``, and its value resolves
+with precedence: command line flag, then ``LEADNET_<NAME>`` environment
+variable, then a ``--config`` JSON file, then the default, which comes
+from the config dataclass that owns the option (``MprParams``,
+``TopicConfig``, ``SyntheticSpec``) where there is one.  A command
+resolves only the options it takes and ignores environment variables and
+config entries for the others.  Every run writes ``manifest.json`` recording
 the tool version, resolved semantic options, input digests and artifact
 names; it deliberately excludes timestamps, paths and worker counts so
 reruns of the same inputs produce byte-identical output trees.
@@ -19,6 +23,7 @@ inputs, non-convergence), 2 on bad usage or bad option values.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import hashlib
 import json
 import os
@@ -101,10 +106,6 @@ def _float(value: object) -> float:
         raise UsageError(f"expected a number, got {value!r}") from exc
 
 
-def _str(value: object) -> str:
-    return str(value)
-
-
 def _window(value: object) -> str:
     try:
         WindowConfig.from_string(str(value))
@@ -120,12 +121,15 @@ def _format(value: object) -> str:
     return text
 
 
-def _alpha(value: object) -> tuple[float, float, float]:
+def _items(value: object) -> list[str]:
+    """A list option given as a JSON list or a comma-separated string."""
     if isinstance(value, (list, tuple)):
-        parts = [str(v) for v in value]
-    else:
-        parts = [p.strip() for p in str(value).split(",") if p.strip()]
-    vals = [_float(p) for p in parts]
+        return [str(v) for v in value]
+    return [p.strip() for p in str(value).split(",") if p.strip()]
+
+
+def _alpha(value: object) -> tuple[float, float, float]:
+    vals = [_float(p) for p in _items(value)]
     if len(vals) == 1:
         vals = vals * 3
     if len(vals) != 3:
@@ -134,10 +138,7 @@ def _alpha(value: object) -> tuple[float, float, float]:
 
 
 def _layer_order(value: object) -> tuple[str, ...]:
-    if isinstance(value, (list, tuple)):
-        names = [str(v) for v in value]
-    else:
-        names = [p.strip() for p in str(value).split(",") if p.strip()]
+    names = _items(value)
     if sorted(names) != sorted(LAYER_NAMES):
         raise UsageError(
             f"layer order must be a permutation of {', '.join(LAYER_NAMES)}"
@@ -146,12 +147,8 @@ def _layer_order(value: object) -> tuple[str, ...]:
 
 
 def _roles(value: object) -> tuple[Role, ...]:
-    if isinstance(value, (list, tuple)):
-        names = [str(v) for v in value]
-    else:
-        names = [p.strip() for p in str(value).split(",") if p.strip()]
     roles = []
-    for name in names:
+    for name in _items(value):
         role = decode_role(name)
         if role is None or role is Role.unknown:
             raise UsageError(f"unknown role {name!r}")
@@ -161,42 +158,68 @@ def _roles(value: object) -> tuple[Role, ...]:
     return tuple(roles)
 
 
-# name -> (caster, default); every option flows through this table so the
-# flag > environment > config file > default precedence is uniform.
-SETTINGS: dict[str, tuple[Callable[[object], object], object]] = {
-    "input": (_str, None),
-    "ratings": (_str, None),
-    "lexicon": (_str, None),
-    "stopwords": (_str, None),
-    "out": (_str, None),
-    "format": (_format, "jsonl"),
-    "window": (_window, "month"),
-    "alpha": (_alpha, (0.85, 0.85, 0.85)),
-    "beta": (_float, 1.0),
-    "gamma": (_float, 1.0),
-    "layer_order": (_layer_order, LAYER_NAMES),
-    "tol": (_float, 1e-9),
-    "max_iter": (_int, 1000),
-    "min_freq": (_int, 3),
-    "theta_v": (_float, 0.5),
-    "theta_h": (_float, 0.3),
-    "top_k": (_int, None),
-    "role": (_roles, None),
-    "seed": (_int, 42),
-    "jobs": (_int, 1),
-    "window_index": (_int, None),
-    "stream": (_str, None),
-    "n_users": (_int, 120),
-    "n_threads": (_int, 500),
-    "comments_mean": (_float, 3.0),
-    "gender_prior_w": (_float, 0.24),
-    "homophily_p_ww": (_float, 0.48),
-    "uplift": (_float, 1.0),
-    "manager_latency_factor": (_float, 0.5),
-    "reply_latency_mean_s": (_float, 14400.0),
-    "like_rate": (_float, 0.15),
-    "dislike_rate": (_float, 0.05),
-    "span_days": (_int, 56),
+# name -> (caster, default, help); every option flows through this table
+# so the flag > environment > config file > default precedence is uniform.
+# A default that a config dataclass owns is read from that class.
+SETTINGS: dict[str, tuple[Callable[[object], object], object, str]] = {
+    "input": (str, None,
+              "thread log to read (JSONL, or CSV with --format csv)"),
+    "ratings": (str, None, "ratings log to read (JSONL)"),
+    "lexicon": (str, None,
+                "concept lexicon TSV (surface, concept id, language)"),
+    "stopwords": (str, None, "stopword list, one token per line"),
+    "out": (str, None, "output directory (created if missing)"),
+    "format": (_format, "jsonl", "thread log format: jsonl or csv"),
+    "window": (_window, "month", "window length: week, month, or days:N"),
+    "alpha": (_alpha, MprParams.alpha,
+              "damping per layer: one value or three comma-separated"),
+    "beta": (_float, MprParams.beta,
+             "exponent coupling the walk to the previous layer"),
+    "gamma": (_float, MprParams.gamma,
+              "exponent coupling teleportation to the previous layer"),
+    "layer_order": (_layer_order, MprParams.layer_order,
+                    "comma-separated layer evaluation order"),
+    "tol": (_float, MprParams.tol,
+            "convergence threshold on the L1 step change"),
+    "max_iter": (_int, MprParams.max_iter, "maximum iterations per layer"),
+    "min_freq": (_int, TopicConfig.min_freq,
+                 "minimum n-gram frequency for topic vertices"),
+    "theta_v": (_float, TopicConfig.theta_v,
+                "cosine threshold for merging topics within a window"),
+    "theta_h": (_float, TopicConfig.theta_h,
+                "cosine threshold for chaining topics across windows"),
+    "top_k": (_int, None,
+              "head size for concentration stats (default: decile)"),
+    "role": (_roles, None, "comma-separated role filter"),
+    "seed": (_int, SyntheticSpec.seed, "random seed"),
+    "jobs": (_int, 1, "worker threads for per-window stages"),
+    "window_index": (_int, None, "window to operate on (0-based)"),
+    "stream": (str, None, "topic stream id to export a network for"),
+    "n_users": (_int, SyntheticSpec.n_users,
+                "synthetic corpus: number of users"),
+    "n_threads": (_int, SyntheticSpec.n_threads,
+                  "synthetic corpus: number of threads"),
+    "comments_mean": (_float, SyntheticSpec.comments_mean,
+                      "synthetic corpus: mean comments per thread"),
+    "gender_prior_w": (_float, SyntheticSpec.gender_prior_w,
+                       "synthetic corpus: share of women among users"),
+    "homophily_p_ww": (_float, SyntheticSpec.homophily_p_ww,
+                       "synthetic corpus: p(reply target is a woman | "
+                       "replier is a woman)"),
+    "uplift": (_float, SyntheticSpec.women_activity_uplift,
+               "synthetic corpus: women's thread-authoring uplift"),
+    "manager_latency_factor": (_float, SyntheticSpec.manager_latency_factor,
+                               "synthetic corpus: reply latency scale "
+                               "for manager threads"),
+    "reply_latency_mean_s": (_float, SyntheticSpec.reply_latency_mean_s,
+                             "synthetic corpus: mean reply latency "
+                             "in seconds"),
+    "like_rate": (_float, SyntheticSpec.like_rate,
+                  "synthetic corpus: p(message receives a like)"),
+    "dislike_rate": (_float, SyntheticSpec.dislike_rate,
+                     "synthetic corpus: p(message receives a dislike)"),
+    "span_days": (_int, SyntheticSpec.span_days,
+                  "synthetic corpus: days covered by the corpus"),
 }
 
 
@@ -217,12 +240,14 @@ def _load_config_file(path: str | None) -> dict:
 
 
 def resolve_settings(args: argparse.Namespace) -> dict:
-    config_path = getattr(args, "config", None) \
-        or os.environ.get(ENV_PREFIX + "CONFIG")
-    file_values = _load_config_file(config_path)
+    """Resolve the options the command takes; environment variables and
+    config entries for the other options are ignored."""
+    file_values = _load_config_file(
+        args.config or os.environ.get(ENV_PREFIX + "CONFIG"))
     resolved = {}
-    for name, (caster, default) in SETTINGS.items():
-        value = getattr(args, name, None)
+    for name in COMMAND_OPTIONS[args.command]:
+        caster, default, _help = SETTINGS[name]
+        value = getattr(args, name)
         if value is None:
             value = os.environ.get(ENV_PREFIX + name.upper())
         if value is None:
@@ -324,18 +349,10 @@ def _slices(corpus: Corpus, cfg: dict) -> list[WindowSlice]:
     return window_partition(corpus, WindowConfig.from_string(cfg["window"]))
 
 
-def _mpr_params(cfg: dict) -> MprParams:
-    try:
-        return MprParams(
-            alpha=cfg["alpha"],
-            beta=cfg["beta"],
-            gamma=cfg["gamma"],
-            layer_order=cfg["layer_order"],
-            tol=cfg["tol"],
-            max_iter=cfg["max_iter"],
-        )
-    except ValueError as exc:
-        raise UsageError(str(exc)) from exc
+def _from_options(cls: type, cfg: dict):
+    """A config dataclass whose every field is the option of that name."""
+    return cls(**{field.name: cfg[field.name]
+                  for field in dataclasses.fields(cls)})
 
 
 def _map_windows(fn: Callable, slices: Sequence[WindowSlice], jobs: int) -> list:
@@ -353,42 +370,19 @@ def _print_diags(diags: Sequence[str]) -> None:
 # ---------------------------------------------------------------------------
 # commands
 
+# synth option -> SyntheticSpec field, where the two names differ
+_SPEC_FIELDS = {"uplift": "women_activity_uplift"}
+
+
 def cmd_synth(cfg: dict, ctx: RunContext) -> None:
-    spec = SyntheticSpec(
-        n_users=cfg["n_users"],
-        n_threads=cfg["n_threads"],
-        gender_prior_w=cfg["gender_prior_w"],
-        comments_mean=cfg["comments_mean"],
-        homophily_p_ww=cfg["homophily_p_ww"],
-        women_activity_uplift=cfg["uplift"],
-        manager_latency_factor=cfg["manager_latency_factor"],
-        reply_latency_mean_s=cfg["reply_latency_mean_s"],
-        like_rate=cfg["like_rate"],
-        dislike_rate=cfg["dislike_rate"],
-        span_days=cfg["span_days"],
-        seed=cfg["seed"],
-    )
+    spec = SyntheticSpec(**{_SPEC_FIELDS.get(name, name): cfg[name]
+                            for name in _SYNTH_OPTS})
     corpus = generate(spec)
     write_threads_jsonl(corpus.threads, ctx.path("threads.jsonl"))
     write_ratings_jsonl(corpus.ratings, ctx.path("ratings.jsonl"))
     write_lexicon_tsv(ctx.path("lexicon.tsv"))
     write_stopwords_txt(ctx.path("stopwords.txt"))
-    payload = {
-        "n_users": spec.n_users,
-        "n_threads": spec.n_threads,
-        "gender_prior_w": spec.gender_prior_w,
-        "role_weights": [[name, weight] for name, weight in spec.role_weights],
-        "comments_mean": spec.comments_mean,
-        "homophily_p_ww": spec.homophily_p_ww,
-        "women_activity_uplift": spec.women_activity_uplift,
-        "manager_latency_factor": spec.manager_latency_factor,
-        "reply_latency_mean_s": spec.reply_latency_mean_s,
-        "like_rate": spec.like_rate,
-        "dislike_rate": spec.dislike_rate,
-        "start": format_timestamp(spec.start),
-        "span_days": spec.span_days,
-        "seed": spec.seed,
-    }
+    payload = {**dataclasses.asdict(spec), "start": format_timestamp(spec.start)}
     with open(ctx.path("synth_spec.json"), "w", encoding="utf-8") as handle:
         json.dump(payload, handle, indent=2, sort_keys=True)
         handle.write("\n")
@@ -436,7 +430,7 @@ def _ranked_windows(cfg: dict, with_brokerage: bool):
     corpus, diags = _load_corpus(cfg)
     _print_diags(diags)
     slices = _slices(corpus, cfg)
-    params = _mpr_params(cfg)
+    params = _from_options(MprParams, cfg)
 
     def work(window_slice):
         tensor = build_tensor(window_slice, corpus)
@@ -463,25 +457,20 @@ def cmd_rank(cfg: dict, ctx: RunContext) -> None:
     _write_window_rankings(ctx, corpus, slices, ranked)
 
 
-def _topic_streams(corpus, slices, cfg, jobs):
+def _topic_streams(slices, cfg):
     lexicon = load_lexicon(_require(cfg, "lexicon"), cfg["stopwords"])
-    topic_cfg = TopicConfig(
-        min_freq=cfg["min_freq"],
-        theta_v=cfg["theta_v"],
-        theta_h=cfg["theta_h"],
-    )
+    topic_cfg = _from_options(TopicConfig, cfg)
     per_window = _map_windows(
-        lambda s: topics_in_window(s, lexicon, topic_cfg), slices, jobs,
+        lambda s: topics_in_window(s, lexicon, topic_cfg), slices, cfg["jobs"],
     )
-    return chain_streams(per_window, topic_cfg.theta_h), lexicon, topic_cfg
+    return chain_streams(per_window, topic_cfg.theta_h), lexicon
 
 
 def cmd_topics(cfg: dict, ctx: RunContext) -> None:
     corpus, diags = _load_corpus(cfg)
     _print_diags(diags)
     slices = _slices(corpus, cfg)
-    streams, lexicon, topic_cfg = _topic_streams(corpus, slices, cfg,
-                                                 cfg["jobs"])
+    streams, lexicon = _topic_streams(slices, cfg)
     write_topics_json(streams, ctx.path("topics.json"))
     if cfg["stream"] is None:
         return
@@ -496,7 +485,7 @@ def cmd_topics(cfg: dict, ctx: RunContext) -> None:
     if not wanted:
         raise UsageError(f"no stream named {cfg['stream']!r}")
     try:
-        filtered = topic_network(wanted[0], slices[index], lexicon, topic_cfg)
+        filtered = topic_network(wanted[0], slices[index], lexicon)
     except ValueError as exc:
         raise UsageError(str(exc)) from exc
     tensor = build_tensor(filtered, corpus)
@@ -555,8 +544,7 @@ def cmd_all(cfg: dict, ctx: RunContext) -> None:
     rows = _analytics_for_windows(corpus, slices, ranked, cfg["top_k"])
     write_analytics_csv(ctx.path("analytics.csv"), rows)
     if cfg["lexicon"] is not None:
-        streams, _lexicon, _topic_cfg = _topic_streams(corpus, slices, cfg,
-                                                       cfg["jobs"])
+        streams, _lexicon = _topic_streams(slices, cfg)
         write_topics_json(streams, ctx.path("topics.json"))
     tensor = build_tensor(whole_span_slice(corpus), corpus)
     write_edges_csv(ctx.path("edges.csv"), tensor, corpus)
@@ -577,51 +565,6 @@ COMMANDS = {
 # ---------------------------------------------------------------------------
 # parser
 
-def _add_options(parser: argparse.ArgumentParser, names: Sequence[str]) -> None:
-    helps = {
-        "input": "thread log to read (JSONL, or CSV with --format csv)",
-        "ratings": "ratings log to read (JSONL)",
-        "lexicon": "concept lexicon TSV (surface, concept id, language)",
-        "stopwords": "stopword list, one token per line",
-        "out": "output directory (created if missing)",
-        "config": "JSON file supplying defaults for any option",
-        "format": "thread log format: jsonl or csv",
-        "window": "window length: week, month, or days:N",
-        "alpha": "damping per layer: one value or three comma-separated",
-        "beta": "exponent coupling the walk to the previous layer",
-        "gamma": "exponent coupling teleportation to the previous layer",
-        "layer_order": "comma-separated layer evaluation order",
-        "tol": "convergence threshold on the L1 step change",
-        "max_iter": "maximum iterations per layer",
-        "min_freq": "minimum n-gram frequency for topic vertices",
-        "theta_v": "cosine threshold for merging topics within a window",
-        "theta_h": "cosine threshold for chaining topics across windows",
-        "top_k": "head size for concentration stats (default: decile)",
-        "role": "comma-separated role filter",
-        "seed": "random seed",
-        "jobs": "worker threads for per-window stages",
-        "window_index": "window to operate on (0-based)",
-        "stream": "topic stream id to export a network for",
-        "n_users": "synthetic corpus: number of users",
-        "n_threads": "synthetic corpus: number of threads",
-        "comments_mean": "synthetic corpus: mean comments per thread",
-        "gender_prior_w": "synthetic corpus: share of women among users",
-        "homophily_p_ww": "synthetic corpus: p(reply target is a woman | "
-                          "replier is a woman)",
-        "uplift": "synthetic corpus: women's thread-authoring uplift",
-        "manager_latency_factor": "synthetic corpus: reply latency scale "
-                                  "for manager threads",
-        "reply_latency_mean_s": "synthetic corpus: mean reply latency "
-                                "in seconds",
-        "like_rate": "synthetic corpus: p(message receives a like)",
-        "dislike_rate": "synthetic corpus: p(message receives a dislike)",
-        "span_days": "synthetic corpus: days covered by the corpus",
-    }
-    for name in names:
-        flag = "--" + name.replace("_", "-")
-        parser.add_argument(flag, default=None, help=helps[name])
-
-
 _SYNTH_OPTS = ("seed", "n_users", "n_threads", "comments_mean",
                "gender_prior_w", "homophily_p_ww", "uplift",
                "manager_latency_factor", "reply_latency_mean_s",
@@ -629,7 +572,7 @@ _SYNTH_OPTS = ("seed", "n_users", "n_threads", "comments_mean",
 _INPUT_OPTS = ("input", "ratings", "format")
 _RANK_OPTS = ("alpha", "beta", "gamma", "layer_order", "tol", "max_iter")
 _TOPIC_OPTS = ("lexicon", "stopwords", "min_freq", "theta_v", "theta_h")
-_COMMON = ("out", "config")
+_COMMON = ("out",)
 
 COMMAND_OPTIONS = {
     "synth": _COMMON + _SYNTH_OPTS,
@@ -645,10 +588,9 @@ COMMAND_OPTIONS = {
 }
 
 # the semantic options a command records in its manifest: everything it
-# accepts except paths, the config file and the worker count, so identical
-# inputs yield identical manifests.
-_NOT_RECORDED = ("input", "ratings", "lexicon", "stopwords", "out", "config",
-                 "jobs")
+# accepts except paths and the worker count, so identical inputs yield
+# identical manifests.
+_NOT_RECORDED = ("input", "ratings", "lexicon", "stopwords", "out", "jobs")
 MANIFEST_KEYS = {
     command: tuple(name for name in options if name not in _NOT_RECORDED)
     for command, options in COMMAND_OPTIONS.items()
@@ -676,7 +618,11 @@ def build_parser() -> argparse.ArgumentParser:
     subparsers = parser.add_subparsers(dest="command", required=True)
     for command, options in COMMAND_OPTIONS.items():
         sub = subparsers.add_parser(command, help=_SUMMARIES[command])
-        _add_options(sub, options)
+        sub.add_argument("--config",
+                         help="JSON file supplying defaults for any option")
+        for name in options:
+            sub.add_argument("--" + name.replace("_", "-"),
+                             help=SETTINGS[name][2])
     return parser
 
 
@@ -693,10 +639,7 @@ def main(argv: Sequence[str] | None = None) -> int:
         except Exception:
             ctx.discard_partial()
             raise
-    except UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except ValueError as exc:
+    except (UsageError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except (IngestError, ConvergenceError, OSError) as exc:

@@ -29,7 +29,6 @@ from __future__ import annotations
 import csv
 import enum
 import json
-import math
 import re
 from bisect import bisect_right
 from dataclasses import dataclass, replace
@@ -171,15 +170,12 @@ class WindowConfig:
     """Tiling of the corpus time span into analysis windows.
 
     ``length`` is one of "week", "month" or "days"; ``days`` is required
-    for the "days" form.  ``origin`` anchors the grid phase for "week"
-    and "days" windows; when omitted the grid starts at the ISO week
+    for the "days" form.  The grid starts at the calendar month, ISO week
     (Monday 00:00 UTC) or calendar day containing the earliest thread.
-    "month" windows are calendar months and ignore ``origin``.
     """
 
     length: str
     days: int | None = None
-    origin: datetime | None = None
 
     def __post_init__(self) -> None:
         if self.length not in ("week", "month", "days"):
@@ -189,16 +185,14 @@ class WindowConfig:
                 raise ValueError("days windows need days >= 1")
         elif self.days is not None:
             raise ValueError("days only applies to days windows")
-        if self.origin is not None and self.origin.tzinfo is None:
-            raise ValueError("origin must be timezone-aware")
 
     @classmethod
-    def from_string(cls, text: str, origin: datetime | None = None) -> WindowConfig:
+    def from_string(cls, text: str) -> WindowConfig:
         """Parse the CLI form: "week", "month" or "days:N"."""
         if text in ("week", "month"):
-            return cls(length=text, origin=origin)
+            return cls(length=text)
         if text.startswith("days:"):
-            return cls(length="days", days=int(text.split(":", 1)[1]), origin=origin)
+            return cls(length="days", days=int(text.split(":", 1)[1]))
         raise ValueError(f"bad window spec {text!r}; expected week|month|days:N")
 
 
@@ -814,19 +808,8 @@ def _next_month(dt: datetime) -> datetime:
 def _grid_start(first: datetime, cfg: WindowConfig) -> datetime:
     if cfg.length == "month":
         return _month_start(first)
-    if cfg.length == "week":
-        width = timedelta(days=7)
-        anchor = cfg.origin
-        if anchor is None:
-            day = first.astimezone(UTC).replace(hour=0, minute=0, second=0, microsecond=0)
-            anchor = day - timedelta(days=day.weekday())
-    else:
-        width = timedelta(days=cfg.days or 1)
-        anchor = cfg.origin
-        if anchor is None:
-            anchor = first.astimezone(UTC).replace(hour=0, minute=0, second=0, microsecond=0)
-    steps = math.floor((first - anchor) / width)
-    return anchor + steps * width
+    day = first.astimezone(UTC).replace(hour=0, minute=0, second=0, microsecond=0)
+    return day - timedelta(days=day.weekday()) if cfg.length == "week" else day
 
 
 def window_partition(corpus: Corpus, cfg: WindowConfig) -> list[WindowSlice]:

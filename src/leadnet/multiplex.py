@@ -211,18 +211,12 @@ def _collaboration(ev: _Events, n: int) -> Layer:
     return _receiver_normalized(n, src, dst, raw, first_order)
 
 
-def _trust(ev: _Events, n: int):
-    """Rater -> rated-author pairs sorted by (src, dst), their trust
-    scores, and the pairs' first-occurrence order."""
+def _credibility(ev: _Events, n: int) -> Layer:
     keep = (ev.rated >= 0) & (ev.rater != ev.rated)
     src, dst, inverse, first_order = _pairs(n, ev.rater[keep], ev.rated[keep])
     deltas = np.bincount(inverse, weights=ev.value[keep], minlength=src.size)
     counts = np.bincount(inverse, minlength=src.size)
-    return src, dst, 0.5 + 0.5 * (deltas / counts), first_order
-
-
-def _credibility(ev: _Events, n: int) -> Layer:
-    src, dst, trust, first_order = _trust(ev, n)
+    trust = 0.5 + 0.5 * (deltas / counts)
     total = np.bincount(src[first_order], weights=trust[first_order],
                         minlength=n)[src]
     # a rater whose scores are all zero spreads uniformly
@@ -231,38 +225,8 @@ def _credibility(ev: _Events, n: int) -> Layer:
     return Layer.from_arrays(n, src, dst, weight, ORIENT_SENDER)
 
 
-def build_empowerment(slice: WindowSlice, corpus: Corpus) -> Layer:
-    """One indicator per (thread, distinct commenter), author -> commenter,
-    then normalized over each commenter's empowerers."""
-    return _empowerment(_events(slice, corpus), corpus.n_users)
-
-
-def build_collaboration(slice: WindowSlice, corpus: Corpus) -> Layer:
-    """Comment k aims 0.5 + 0.5/k at its recipient (mention or thread
-    author); self-answers are dropped; normalized over each recipient's
-    answerers."""
-    return _collaboration(_events(slice, corpus), corpus.n_users)
-
-
-def trust_score(rater_id: str, ratee_id: str, slice: WindowSlice,
-                corpus: Corpus) -> float | None:
-    """0.5 + 0.5 * mean(delta) over the ratee's messages rated by the
-    rater inside the window; None when the rater never rated the ratee.
-    Values below 0.5 indicate distrust; the range is [0, 1]."""
-    i = corpus.user_index[rater_id]
-    j = corpus.user_index[ratee_id]
-    src, dst, trust, _order = _trust(_events(slice, corpus), corpus.n_users)
-    hit = np.flatnonzero((src == i) & (dst == j))
-    return float(trust[hit[0]]) if hit.size else None
-
-
-def build_credibility(slice: WindowSlice, corpus: Corpus) -> Layer:
-    """Trust scores normalized over each rater's rated authors; a rater
-    whose scores are all zero (disliked everything) spreads uniformly."""
-    return _credibility(_events(slice, corpus), corpus.n_users)
-
-
 def build_tensor(slice: WindowSlice, corpus: Corpus) -> MultiplexTensor:
+    """All three layers of one window, from one walk over it."""
     ev = _events(slice, corpus)
     n = corpus.n_users
     return MultiplexTensor(

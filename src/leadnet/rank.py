@@ -31,6 +31,10 @@ from .multiplex import LAYER_NAMES, Layer, MultiplexTensor, union_adjacency
 AS_IS = "as_is"
 TRANSPOSED = "transposed"
 
+# Replaces exact zeros of the previous layer's vector before
+# exponentiation, so a user can never be permanently frozen out.
+EPSILON_FLOOR = 1e-12
+
 # Rank-flow direction per layer; see the module docstring.
 LAYER_DIRECTION = {
     "empowerment": TRANSPOSED,
@@ -78,8 +82,6 @@ class MprParams:
 
     alpha: per-layer damping, each in (0, 1), ordered like layer_order.
     beta, gamma: chaining exponents, at most 1.
-    epsilon_floor: replaces exact zeros of the previous layer's vector
-    before exponentiation so a user can never be permanently frozen out.
     """
 
     alpha: tuple[float, float, float] = (0.85, 0.85, 0.85)
@@ -88,7 +90,6 @@ class MprParams:
     layer_order: tuple[str, str, str] = LAYER_NAMES
     tol: float = 1e-9
     max_iter: int = 1000
-    epsilon_floor: float = 1e-12
 
     def __post_init__(self) -> None:
         if len(self.alpha) != 3 or not all(0.0 < a < 1.0 for a in self.alpha):
@@ -101,8 +102,6 @@ class MprParams:
             raise ValueError("tol must be positive")
         if self.max_iter < 1:
             raise ValueError("max_iter must be >= 1")
-        if self.epsilon_floor <= 0.0:
-            raise ValueError("epsilon_floor must be positive")
 
 
 class MprResult(NamedTuple):
@@ -180,7 +179,7 @@ def multiplex_pagerank(
         layer = tensor.layer(name)
         alpha = params.alpha[position]
         matrix = _iteration_matrix(layer, LAYER_DIRECTION[name])
-        x = np.where(prev <= 0.0, params.epsilon_floor, prev)
+        x = np.where(prev <= 0.0, EPSILON_FLOOR, prev)
         walk_scale = x ** params.beta
         x_gamma = x ** params.gamma
         teleport = (1.0 - alpha) * x_gamma / x_gamma.sum()

@@ -28,21 +28,21 @@ from .ingest import IngestError, ThreadRecord, WindowSlice
 
 TOKEN = re.compile(r"\w+", re.UNICODE)
 
+# Runs of more concepts than this are chunked into several n-grams.
+MAX_NGRAM = 4
+
 
 @dataclass(frozen=True)
 class TopicConfig:
     min_freq: int = 3
     theta_v: float = 0.5
     theta_h: float = 0.3
-    max_ngram: int = 4
 
     def __post_init__(self) -> None:
         if self.min_freq < 1:
             raise ValueError("min_freq must be >= 1")
         if not 0.0 <= self.theta_v <= 1.0 or not 0.0 <= self.theta_h <= 1.0:
             raise ValueError("theta_v and theta_h must be in [0, 1]")
-        if self.max_ngram < 1:
-            raise ValueError("max_ngram must be >= 1")
 
 
 @dataclass(frozen=True)
@@ -124,19 +124,15 @@ def _read_lines(source: str | Path | IO[str]) -> Iterable[tuple[int, str]]:
             yield lineno, line
 
 
-def extract_concepts(
-    text: str, lexicon: ConceptLexicon, max_ngram: int = 4
-) -> list[str]:
+def extract_concepts(text: str, lexicon: ConceptLexicon) -> list[str]:
     """Concept n-grams occurring in the text, in occurrence order.
 
     Lexicon surfaces are longest-matched over the token stream.  Each
     maximal run of concepts (stopclass tokens may sit between them, any
     other token breaks the run) is emitted joined by "_", including the
     connectors, followed by each member concept alone.  Runs longer than
-    max_ngram concepts are chunked greedily left to right.
+    MAX_NGRAM concepts are chunked greedily left to right.
     """
-    if max_ngram < 1:
-        raise ValueError("max_ngram must be >= 1")
     tokens = tokenize(text)
     stop_tokens = lexicon.stop_tokens
     longest = lexicon.max_surface_len
@@ -171,8 +167,8 @@ def extract_concepts(
 
     grams: list[str] = []
     for run in runs:
-        for at in range(0, len(run), max_ngram):
-            chunk = run[at : at + max_ngram]
+        for at in range(0, len(run), MAX_NGRAM):
+            chunk = run[at : at + MAX_NGRAM]
             if len(chunk) > 1:
                 joined: list[str] = []
                 for pos, (gap_tokens, concept_tokens) in enumerate(chunk):
@@ -185,16 +181,14 @@ def extract_concepts(
     return grams
 
 
-def thread_grams(
-    thread: ThreadRecord, lexicon: ConceptLexicon, max_ngram: int = 4
-) -> list[str]:
+def thread_grams(thread: ThreadRecord, lexicon: ConceptLexicon) -> list[str]:
     """Concept n-grams of a whole thread: title, description and every
     comment, extracted separately so runs never span message boundaries."""
     parts = [thread.title, thread.description]
     parts.extend(c.text for c in thread.comments)
     grams: list[str] = []
     for part in parts:
-        grams.extend(extract_concepts(part, lexicon, max_ngram))
+        grams.extend(extract_concepts(part, lexicon))
     return grams
 
 
@@ -210,7 +204,7 @@ class CooccurrenceGraph:
 def cooccurrence_graph(
     slice: WindowSlice, lexicon: ConceptLexicon, cfg: TopicConfig = TopicConfig()
 ) -> CooccurrenceGraph:
-    per_thread = [thread_grams(t, lexicon, cfg.max_ngram) for t in slice.threads]
+    per_thread = [thread_grams(t, lexicon) for t in slice.threads]
     freq = Counter()
     for grams in per_thread:
         freq.update(grams)
@@ -372,7 +366,6 @@ def topic_network(
     stream: TopicStream,
     slice: WindowSlice,
     lexicon: ConceptLexicon,
-    cfg: TopicConfig = TopicConfig(),
 ) -> WindowSlice:
     """The sub-slice of threads mentioning at least one n-gram of the
     stream's topic in this window."""
@@ -384,7 +377,7 @@ def topic_network(
     members = set(topic.members)
     threads = tuple(
         t for t in slice.threads
-        if members & set(thread_grams(t, lexicon, cfg.max_ngram))
+        if members & set(thread_grams(t, lexicon))
     )
     message_ids = {t.thread_id for t in threads}
     message_ids.update(c.comment_id for t in threads for c in t.comments)

@@ -2,11 +2,15 @@
 
 import csv
 import json
+import os
 from pathlib import Path
 
 import pytest
 
 from leadnet import __version__, cli, ingest
+from leadnet.rank import MprParams
+from leadnet.synth import SyntheticSpec
+from leadnet.topics import TopicConfig
 
 
 def run(*argv):
@@ -501,3 +505,64 @@ class TestRatingsKeepParsedEvents:
         assert len(corpus.ratings) == len(parsed) > 0
         assert all(kept is event
                    for kept, event in zip(corpus.ratings, parsed))
+
+
+class TestOptionWiring:
+    @pytest.fixture(autouse=True)
+    def clean_env(self, monkeypatch):
+        for key in list(os.environ):
+            if key.startswith(cli.ENV_PREFIX):
+                monkeypatch.delenv(key)
+
+    @pytest.fixture
+    def set_option(self, tmp_path, monkeypatch):
+        """Supply one option through the environment or a config file;
+        returns the extra command line arguments that takes."""
+        def supply(source, name, value):
+            if source == "env":
+                monkeypatch.setenv(cli.ENV_PREFIX + name.upper(), value)
+                return []
+            config = tmp_path / "cfg.json"
+            config.write_text(json.dumps({name: value}))
+            return ["--config", config]
+        return supply
+
+    @pytest.mark.parametrize("source, name",
+                             [("env", "n_users"), ("config", "span_days")])
+    def test_options_the_command_does_not_take_are_ignored(
+            self, corpus_dir, tmp_path, set_option, source, name):
+        extra = set_option(source, name, "abc")
+        out = tmp_path / "rank"
+        assert run("rank", *base_args(corpus_dir), "--out", out, *extra) == 0
+        assert (out / "rankings_w000.csv").exists()
+
+    @pytest.mark.parametrize("source, name",
+                             [("env", "max_iter"), ("config", "tol")])
+    def test_bad_value_of_a_taken_option_names_the_flag(
+            self, corpus_dir, tmp_path, capsys, set_option, source, name):
+        extra = set_option(source, name, "abc")
+        assert run("rank", *base_args(corpus_dir), "--out", tmp_path / "x",
+                   *extra) == 2
+        assert f"error: --{name.replace('_', '-')}: expected " \
+            in capsys.readouterr().err
+
+    def test_defaults_are_the_config_dataclass_defaults(self, tmp_path,
+                                                         monkeypatch):
+        cfg = cli.resolve_settings(cli.build_parser().parse_args(["all"]))
+        assert cli._from_options(MprParams, cfg) == MprParams()
+        assert cli._from_options(TopicConfig, cfg) == TopicConfig()
+        specs = []
+        generate = cli.generate
+
+        def recording(spec):
+            specs.append(spec)
+            return generate(spec)
+
+        monkeypatch.setattr(cli, "generate", recording)
+        assert run("synth", "--out", tmp_path / "synth") == 0
+        assert specs == [SyntheticSpec()]
+
+    def test_every_setting_is_taken_by_a_command(self):
+        taken = {name for options in cli.COMMAND_OPTIONS.values()
+                 for name in options}
+        assert taken == set(cli.SETTINGS)

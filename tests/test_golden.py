@@ -1,10 +1,12 @@
-"""Golden digests: every artifact of ``all`` on corpus S, byte for byte.
+"""Golden digests: every artifact of every command on corpus S, byte for byte.
 
 Corpus S is ``synth --n-users 120 --n-threads 500 --seed 42``.  The
-pinned sha256 of each artifact lives in ``golden_S.json``, keyed by
-window mode, so any drift in the bytes the pipeline writes fails here
+pinned sha256 of each artifact of ``all`` lives in ``golden_S.json``,
+keyed by window mode; the artifacts of ``synth`` and of each single-stage
+command live in ``golden_S_commands.json``, keyed by the command line
+that wrote them.  Any drift in the bytes the pipeline writes fails here
 without a second checkout to diff against.  A change that alters output
-on purpose records the new digests in that file and says why.
+on purpose records the new digests in those files and says why.
 """
 
 import hashlib
@@ -15,7 +17,19 @@ import pytest
 
 from leadnet import cli
 
-GOLDEN = json.loads((Path(__file__).parent / "golden_S.json").read_text())
+HERE = Path(__file__).parent
+GOLDEN = json.loads((HERE / "golden_S.json").read_text())
+GOLDEN_COMMANDS = json.loads((HERE / "golden_S_commands.json").read_text())
+
+# command line (beyond --out and the corpus inputs) -> whether it reads
+# the lexicon and stopwords
+COMMAND_LINES = {
+    "ingest --window week": False,
+    "rank": False,
+    "analytics": False,
+    "topics --stream s0000 --window-index 0": True,
+    "export-graph --role manager": False,
+}
 
 
 @pytest.fixture(scope="module")
@@ -26,19 +40,40 @@ def corpus_s(tmp_path_factory):
     return out
 
 
+def corpus_args(corpus_s, with_lexicon=True):
+    pairs = [("--input", "threads.jsonl"), ("--ratings", "ratings.jsonl")]
+    if with_lexicon:
+        pairs += [("--lexicon", "lexicon.tsv"), ("--stopwords", "stopwords.txt")]
+    return [str(a) for flag, name in pairs for a in (flag, corpus_s / name)]
+
+
+def digests(out):
+    return {p.name: hashlib.sha256(p.read_bytes()).hexdigest()
+            for p in sorted(out.iterdir())}
+
+
+def assert_pinned(got, pinned):
+    assert sorted(got) == sorted(pinned)
+    assert [name for name, digest in got.items() if digest != pinned[name]] \
+        == []
+
+
 @pytest.mark.parametrize("window", sorted(GOLDEN))
 def test_all_artifacts_match_pinned_digests(corpus_s, tmp_path, window):
     out = tmp_path / "all"
-    argv = ["all", "--out", out, "--window", window]
-    for flag, name in (("--input", "threads.jsonl"),
-                       ("--ratings", "ratings.jsonl"),
-                       ("--lexicon", "lexicon.tsv"),
-                       ("--stopwords", "stopwords.txt")):
-        argv += [flag, corpus_s / name]
-    assert cli.main([str(a) for a in argv]) == 0
-    digests = {p.name: hashlib.sha256(p.read_bytes()).hexdigest()
-               for p in sorted(out.iterdir())}
-    assert sorted(digests) == sorted(GOLDEN[window])
-    drifted = [name for name, digest in digests.items()
-               if digest != GOLDEN[window][name]]
-    assert drifted == []
+    assert cli.main(["all", "--out", str(out), "--window", window,
+                     *corpus_args(corpus_s)]) == 0
+    assert_pinned(digests(out), GOLDEN[window])
+
+
+def test_synth_artifacts_match_pinned_digests(corpus_s):
+    assert_pinned(digests(corpus_s), GOLDEN_COMMANDS["synth"])
+
+
+@pytest.mark.parametrize("line", sorted(COMMAND_LINES))
+def test_command_artifacts_match_pinned_digests(corpus_s, tmp_path, line):
+    out = tmp_path / "out"
+    command, *flags = line.split()
+    assert cli.main([command, "--out", str(out), *flags,
+                     *corpus_args(corpus_s, COMMAND_LINES[line])]) == 0
+    assert_pinned(digests(out), GOLDEN_COMMANDS[line])

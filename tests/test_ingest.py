@@ -332,14 +332,13 @@ class TestWindows:
             "2014-01-01", "2014-02-01",
         ]
 
-    def test_days_windows_with_origin_phase(self):
-        origin = datetime(2014, 1, 5, tzinfo=UTC)
+    def test_days_grid_starts_on_the_first_day(self):
         corpus = spread_corpus([0, 3])
-        slices = window_partition(
-            corpus, WindowConfig.from_string("days:2", origin=origin))
+        slices = window_partition(corpus, WindowConfig.from_string("days:2"))
         assert [s.start.isoformat()[:10] for s in slices] == [
-            "2014-01-05", "2014-01-07", "2014-01-09",
+            "2014-01-06", "2014-01-08",
         ]
+        assert [len(s.threads) for s in slices] == [1, 1]
 
     def test_ratings_follow_their_target_window(self):
         objs = [
@@ -423,13 +422,12 @@ def boundary_corpus():
 
 
 class TestWindowPartitionAgainstBruteForce:
-    ORIGIN = datetime(2014, 1, 4, 6, tzinfo=UTC)
     CONFIGS = [
         WindowConfig.from_string("week"),
         WindowConfig.from_string("month"),
         WindowConfig.from_string("days:1"),
-        WindowConfig.from_string("days:3", origin=ORIGIN),
-        WindowConfig.from_string("week", origin=ORIGIN),
+        WindowConfig.from_string("days:3"),
+        WindowConfig.from_string("days:7"),
     ]
 
     @pytest.mark.parametrize("cfg", CONFIGS)

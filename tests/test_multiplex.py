@@ -20,13 +20,9 @@ from leadnet.multiplex import (
     ORIENT_RECEIVER,
     ORIENT_SENDER,
     Layer,
-    build_collaboration,
-    build_credibility,
-    build_empowerment,
     build_tensor,
     comment_weight,
     layer_union,
-    trust_score,
 )
 
 
@@ -52,7 +48,7 @@ class TestEmpowerment:
         corpus, window = make_corpus([
             ("t1", "A", [("B", "x"), ("C", "x"), ("B", "again")]),
         ])
-        layer = build_empowerment(window, corpus)
+        layer = build_tensor(window, corpus).empowerment
         at = corpus.user_index
         assert layer.edges == {
             (at["A"], at["B"]): 1.0,
@@ -66,7 +62,7 @@ class TestEmpowerment:
             ("t2", "B", [("C", "x")]),
             ("t3", "B", [("C", "x")]),
         ])
-        layer = build_empowerment(window, corpus)
+        layer = build_tensor(window, corpus).empowerment
         at = corpus.user_index
         assert layer.edges[(at["A"], at["C"])] == pytest.approx(1.0 / 3.0)
         assert layer.edges[(at["B"], at["C"])] == pytest.approx(2.0 / 3.0)
@@ -75,7 +71,7 @@ class TestEmpowerment:
         corpus, window = make_corpus([
             ("t1", "A", [("A", "bump"), ("B", "x")]),
         ])
-        layer = build_empowerment(window, corpus)
+        layer = build_tensor(window, corpus).empowerment
         at = corpus.user_index
         assert set(layer.edges) == {(at["A"], at["B"])}
 
@@ -85,7 +81,7 @@ class TestCollaboration:
         corpus, window = make_corpus([
             ("t1", "A", [("B", "first"), ("C", "second")]),
         ])
-        layer = build_collaboration(window, corpus)
+        layer = build_tensor(window, corpus).collaboration
         at = corpus.user_index
         # raw: B->A 1.0, C->A 0.75; incoming mass at A is 1.75
         assert layer.edges[(at["B"], at["A"])] == 0.5714285714285714
@@ -95,7 +91,7 @@ class TestCollaboration:
         corpus, window = make_corpus([
             ("t1", "A", [("B", "first"), ("C", "@B, agreed")]),
         ])
-        layer = build_collaboration(window, corpus)
+        layer = build_tensor(window, corpus).collaboration
         at = corpus.user_index
         assert layer.edges[(at["C"], at["B"])] == 1.0
         assert layer.edges[(at["B"], at["A"])] == 1.0
@@ -104,7 +100,7 @@ class TestCollaboration:
         corpus, window = make_corpus([
             ("t1", "A", [("B", "@Z hello"), ("C", "@ghost @B ok")]),
         ])
-        layer = build_collaboration(window, corpus)
+        layer = build_tensor(window, corpus).collaboration
         at = corpus.user_index
         assert (at["B"], at["A"]) in layer.edges
         assert (at["C"], at["B"]) in layer.edges
@@ -113,7 +109,7 @@ class TestCollaboration:
         corpus, window = make_corpus([
             ("t1", "A", [("B", "x"), ("B", "@B note to self")]),
         ])
-        layer = build_collaboration(window, corpus)
+        layer = build_tensor(window, corpus).collaboration
         at = corpus.user_index
         assert set(layer.edges) == {(at["B"], at["A"])}
 
@@ -121,7 +117,7 @@ class TestCollaboration:
         corpus, window = make_corpus([
             ("t1", "A", [("A", "bump")]),
         ])
-        layer = build_collaboration(window, corpus)
+        layer = build_tensor(window, corpus).collaboration
         assert layer.edges == {}
 
 
@@ -134,10 +130,9 @@ class TestCredibility:
                 ("R", "t2", 1), ("R", "t1m1", -1),
             ],
         )
-        # R on B saw +1 and -1 across B's messages: mean 0 -> trust 0.5
-        assert trust_score("R", "A", window, corpus) == 1.0
-        assert trust_score("R", "B", window, corpus) == 0.5
-        layer = build_credibility(window, corpus)
+        # R on B saw +1 and -1 across B's messages: mean 0 -> trust 0.5,
+        # against trust 1.0 for A, so A takes twice B's share
+        layer = build_tensor(window, corpus).credibility
         at = corpus.user_index
         assert layer.edges[(at["R"], at["A"])] == pytest.approx(2.0 / 3.0)
         assert layer.edges[(at["R"], at["B"])] == pytest.approx(1.0 / 3.0)
@@ -148,7 +143,7 @@ class TestCredibility:
             [("t1", "A", []), ("t2", "B", [])],
             [("R", "t1", -1), ("R", "t2", -1)],
         )
-        layer = build_credibility(window, corpus)
+        layer = build_tensor(window, corpus).credibility
         at = corpus.user_index
         assert layer.edges[(at["R"], at["A"])] == 0.5
         assert layer.edges[(at["R"], at["B"])] == 0.5
@@ -158,12 +153,14 @@ class TestCredibility:
             [("t1", "A", [])],
             [("A", "t1", 1)],
         )
-        assert build_credibility(window, corpus).edges == {}
-        assert trust_score("A", "A", window, corpus) is None
+        assert build_tensor(window, corpus).credibility.edges == {}
 
     def test_unrated_pair_has_no_score(self):
-        corpus, window = make_corpus([("t1", "A", [("B", "x")])])
-        assert trust_score("B", "A", window, corpus) is None
+        corpus, window = make_corpus([("t1", "A", [("B", "x")])],
+                                     [("R", "t1", 1)])
+        at = corpus.user_index
+        layer = build_tensor(window, corpus).credibility
+        assert layer.edges == {(at["R"], at["A"]): 1.0}
 
 
 class TestOracleParity:
@@ -178,18 +175,18 @@ class TestOracleParity:
 
         expected_e = self.remap(
             oracles.empowerment_weights(thread_events), at)
-        got_e = build_empowerment(window, corpus).edges
+        got_e = build_tensor(window, corpus).empowerment.edges
         assert got_e == pytest.approx(expected_e)
 
         expected_c = self.remap(
             oracles.collaboration_weights(thread_events,
                                           resolve_like_package), at)
-        got_c = build_collaboration(window, corpus).edges
+        got_c = build_tensor(window, corpus).collaboration.edges
         assert got_c == pytest.approx(expected_c)
 
         expected_t = self.remap(
             oracles.credibility_weights(rating_events), at)
-        got_t = build_credibility(window, corpus).edges
+        got_t = build_tensor(window, corpus).credibility.edges
         assert got_t == pytest.approx(expected_t)
 
     @pytest.mark.parametrize("seed", range(10))

@@ -93,7 +93,7 @@ class TestExtraction:
 
     def test_runs_chunk_at_max_ngram(self):
         text = "analisi performance digital marketing data"
-        grams = extract_concepts(text, LEX, max_ngram=4)
+        grams = extract_concepts(text, LEX)
         assert grams == [
             "analisi_performance_digital_marketing",
             "analisi", "performance", "digital", "marketing",
@@ -285,8 +285,7 @@ class TestWindowTopics:
         streams = chain_streams([topics], theta_h=0.3)
         alpha_stream = next(
             s for s in streams if "alpha" in s.entries[0][1].members)
-        filtered = topic_network(alpha_stream, window, self.LEXICON,
-                                 TopicConfig(min_freq=2))
+        filtered = topic_network(alpha_stream, window, self.LEXICON)
         assert [t.thread_id for t in filtered.threads] == ["t0", "t1"]
         assert [r.target_message_id for r in filtered.ratings] == ["t0m1"]
 
