@@ -21,6 +21,7 @@ import re
 from collections import Counter, defaultdict
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import combinations
 from pathlib import Path
 from typing import IO, Iterable, Mapping, Sequence
 
@@ -66,8 +67,13 @@ class ConceptLexicon:
         return frozenset(tokens)
 
     @cached_property
-    def max_surface_len(self) -> int:
-        return max((len(s) for s in self.entries), default=0)
+    def surfaces_by_first(self) -> dict[str, tuple[tuple[str, ...], ...]]:
+        """First token -> the surfaces it starts, longest first."""
+        index: dict[str, list[tuple[str, ...]]] = defaultdict(list)
+        for surface in self.entries:
+            index[surface[0]].append(surface)
+        return {first: tuple(sorted(surfaces, key=len, reverse=True))
+                for first, surfaces in index.items()}
 
 
 def tokenize(text: str) -> list[str]:
@@ -80,8 +86,10 @@ def load_lexicon(
 ) -> ConceptLexicon:
     """Read the TSV lexicon (surface_form<TAB>concept_id<TAB>language) and
     the stopclass file (one token per line, optional <TAB>language).
-    Duplicate surfaces keep the lexicographically smallest concept id.
-    A malformed lexicon line raises IngestError naming its line number."""
+    Surfaces and stopwords are tokenized like message text.  Duplicate
+    surfaces keep the lexicographically smallest concept id.  A malformed
+    lexicon line, or a stopword line that is not exactly one token,
+    raises IngestError naming its line number."""
     entries: dict[tuple[str, ...], str] = {}
     for lineno, line in _read_lines(lexicon_source):
         parts = line.split("\t")
@@ -99,12 +107,14 @@ def load_lexicon(
 
     stopclass: dict[str, set[str]] = defaultdict(set)
     if stopwords_source is not None:
-        for _lineno, line in _read_lines(stopwords_source):
+        for lineno, line in _read_lines(stopwords_source):
             parts = line.split("\t")
-            token = parts[0].strip().lower()
+            tokens = tokenize(parts[0])
+            if len(tokens) != 1:
+                raise IngestError(f"bad stopwords line {lineno} {line!r}:"
+                                  f" expected one token, found {len(tokens)}")
             lang = parts[1].strip() if len(parts) > 1 and parts[1].strip() else "any"
-            if token:
-                stopclass[lang].add(token)
+            stopclass[lang].add(tokens[0])
     return ConceptLexicon(
         entries=entries,
         stopclass={lang: frozenset(tokens) for lang, tokens in stopclass.items()},
@@ -133,63 +143,71 @@ def extract_concepts(text: str, lexicon: ConceptLexicon) -> list[str]:
     connectors, followed by each member concept alone.  Runs longer than
     MAX_NGRAM concepts are chunked greedily left to right.
     """
-    tokens = tokenize(text)
-    stop_tokens = lexicon.stop_tokens
-    longest = lexicon.max_surface_len
-
-    # runs hold (gap_before_concept, concept_tokens) pairs
-    runs: list[list[tuple[list[str], tuple[str, ...]]]] = []
-    current: list[tuple[list[str], tuple[str, ...]]] = []
-    gap: list[str] = []
-    i = 0
-    while i < len(tokens):
-        matched = None
-        for length in range(min(longest, len(tokens) - i), 0, -1):
-            candidate = tuple(tokens[i : i + length])
-            if candidate in lexicon.entries:
-                matched = candidate
-                break
-        if matched is not None:
-            current.append((gap if current else [], matched))
-            gap = []
-            i += len(matched)
-        elif tokens[i] in stop_tokens and current:
-            gap.append(tokens[i])
-            i += 1
-        else:
-            if current:
-                runs.append(current)
-                current = []
-            gap = []
-            i += 1
-    if current:
-        runs.append(current)
-
-    grams: list[str] = []
-    for run in runs:
-        for at in range(0, len(run), MAX_NGRAM):
-            chunk = run[at : at + MAX_NGRAM]
-            if len(chunk) > 1:
-                joined: list[str] = []
-                for pos, (gap_tokens, concept_tokens) in enumerate(chunk):
-                    if pos > 0:
-                        joined.extend(gap_tokens)
-                    joined.extend(concept_tokens)
-                grams.append("_".join(joined))
-            for _gap_tokens, concept_tokens in chunk:
-                grams.append("_".join(concept_tokens))
-    return grams
+    return _concept_grams(tokenize(text), lexicon)
 
 
 def thread_grams(thread: ThreadRecord, lexicon: ConceptLexicon) -> list[str]:
     """Concept n-grams of a whole thread: title, description and every
-    comment, extracted separately so runs never span message boundaries."""
-    parts = [thread.title, thread.description]
-    parts.extend(c.text for c in thread.comments)
+    comment, in one walk with a None between messages, which no surface
+    or stop token equals, so runs never span message boundaries."""
+    tokens: list[str | None] = tokenize(thread.title)
+    tokens.append(None)
+    tokens += tokenize(thread.description)
+    for comment in thread.comments:
+        tokens.append(None)
+        tokens += tokenize(comment.text)
+    return _concept_grams(tokens, lexicon)
+
+
+def _concept_grams(
+    tokens: Sequence[str | None], lexicon: ConceptLexicon
+) -> list[str]:
+    """extract_concepts over a token stream in which None ends a run.
+
+    The chunk being built is kept flat: its tokens, with the connectors
+    between its concepts, and the "_"-joined name of each concept."""
+    by_first = lexicon.surfaces_by_first
+    stop_tokens = lexicon.stop_tokens
     grams: list[str] = []
-    for part in parts:
-        grams.extend(extract_concepts(part, lexicon))
+    chunk: list[str] = []
+    names: list[str] = []
+    gap: list[str] = []
+    skip = 0
+    for i, token in enumerate(tokens):
+        if i < skip:
+            continue  # inside the surface matched last
+        for surface in by_first.get(token, ()):
+            width = len(surface)
+            if width == 1 or tuple(tokens[i : i + width]) == surface:
+                break
+        else:
+            if not names:
+                continue
+            if token in stop_tokens:
+                gap.append(token)
+                continue
+            _emit_chunk(chunk, names, grams)  # any other token ends the run
+            chunk, names, gap = [], [], []
+            continue
+        skip = i + width
+        if len(names) == MAX_NGRAM:
+            _emit_chunk(chunk, names, grams)
+            chunk, names = [], []
+        elif names:
+            chunk += gap
+        gap = []
+        chunk += surface
+        names.append("_".join(surface))
+    _emit_chunk(chunk, names, grams)
     return grams
+
+
+def _emit_chunk(chunk: list[str], names: list[str], grams: list[str]) -> None:
+    """A chunk of several concepts yields its joined tokens, then each
+    concept alone; a chunk of one yields that concept."""
+    if len(names) > 1:
+        grams.append("_".join(chunk))
+    grams.extend(names)
 
 
 @dataclass(frozen=True)
@@ -209,13 +227,13 @@ def cooccurrence_graph(
     for grams in per_thread:
         freq.update(grams)
     kept = {gram for gram, count in freq.items() if count >= cfg.min_freq}
-    adj: dict[str, set[str]] = {gram: set() for gram in kept}
+    pairs: set[tuple[str, str]] = set()
     for grams in per_thread:
-        present = sorted(set(grams) & kept)
-        for a_pos, a in enumerate(present):
-            for b in present[a_pos + 1 :]:
-                adj[a].add(b)
-                adj[b].add(a)
+        pairs.update(combinations(sorted(kept.intersection(grams)), 2))
+    adj: dict[str, set[str]] = {gram: set() for gram in kept}
+    for a, b in pairs:
+        adj[a].add(b)
+        adj[b].add(a)
     return CooccurrenceGraph(
         freq={gram: freq[gram] for gram in sorted(kept)}, adj=adj
     )

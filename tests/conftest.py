@@ -6,8 +6,11 @@ import sys
 from datetime import datetime, timedelta, timezone
 from pathlib import Path
 
+import pytest
+
 sys.path.insert(0, str(Path(__file__).resolve().parent))
 
+from leadnet import cli
 from leadnet.ingest import (
     CommentRecord,
     Corpus,
@@ -22,6 +25,15 @@ from leadnet.ingest import (
 T0 = datetime(2014, 1, 6, tzinfo=timezone.utc)
 
 TRAILING_PUNCT = ".,;:!?)('\"`>]}"
+
+
+@pytest.fixture(scope="session")
+def corpus_s(tmp_path_factory):
+    """Corpus S: ``synth --n-users 120 --n-threads 500 --seed 42``."""
+    out = tmp_path_factory.mktemp("corpus_s")
+    assert cli.main(["synth", "--out", str(out), "--n-users", "120",
+                     "--n-threads", "500", "--seed", "42"]) == 0
+    return out
 
 
 def make_corpus(thread_specs, rating_specs=(), users=None):

@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from leadnet import __version__, cli, ingest
+from leadnet import __version__, cli, ingest, topics
 from leadnet.rank import MprParams
 from leadnet.synth import SyntheticSpec
 from leadnet.topics import TopicConfig
@@ -398,6 +398,85 @@ class TestLexiconErrors:
         assert "error: bad lexicon line 3 'bogus-line-without-tab': " \
                "expected surface<TAB>concept_id" in capsys.readouterr().err
         assert list(out.iterdir()) == []
+
+
+class TestStopwordTokens:
+    """Stopword lines are tokenized like message text: the elided
+    connector "dell'" is the token "dell"."""
+
+    @pytest.fixture(scope="class")
+    def elided(self, tmp_path_factory):
+        root = tmp_path_factory.mktemp("elided")
+        lines = []
+        for t in range(3):
+            user = {"user_id": f"u{t}", "role": "manager", "gender": 1}
+            other = {"user_id": f"u{t + 1}", "role": "consultant",
+                     "gender": 0}
+            lines.append(json.dumps({
+                "thread_id": f"t{t}", "title": "Analisi dell'impatto",
+                "description": "", "tags": [],
+                "published_at": f"2014-01-0{6 + t}T09:00:00Z",
+                "author": user,
+                "comments": [{"comment_id": f"t{t}c1", "text": "grazie",
+                              "created_at": f"2014-01-0{6 + t}T10:00:00Z",
+                              "author": other}]}))
+        (root / "threads.jsonl").write_text("\n".join(lines) + "\n")
+        (root / "ratings.jsonl").write_text("")
+        (root / "lexicon.tsv").write_text(
+            "analisi\tc.analysis\tit\nimpatto\tc.impact\tit\n")
+        return root
+
+    def args(self, root, stopwords):
+        path = root / "stopwords.txt"
+        path.write_text(stopwords)
+        return ["--input", root / "threads.jsonl",
+                "--ratings", root / "ratings.jsonl",
+                "--lexicon", root / "lexicon.tsv", "--stopwords", path,
+                "--window", "week"]
+
+    @pytest.mark.parametrize("command", ["topics", "all"])
+    def test_elided_connector_bridges_a_run(self, elided, tmp_path,
+                                            command):
+        out = tmp_path / "out"
+        assert run(command, "--out", out,
+                   *self.args(elided, "# connectors\ndell'\tit\n")) == 0
+        rows = json.loads((out / "topics.json").read_text())
+        assert [m["ngram"] for row in rows for m in row["members"]] == \
+            ["analisi", "analisi_dell_impatto", "impatto"]
+
+    @pytest.mark.parametrize("command", ["topics", "all"])
+    def test_a_line_of_two_tokens_is_an_input_error(
+            self, elided, tmp_path, capsys, command):
+        out = tmp_path / "out"
+        assert run(command, "--out", out,
+                   *self.args(elided, "di\tit\nof the\ten\n")) == 1
+        assert "error: bad stopwords line 2 'of the\\ten': expected one " \
+               "token, found 2" in capsys.readouterr().err
+        assert list(out.iterdir()) == []
+
+
+class TestTokenizeOnce:
+    def test_all_tokenizes_each_message_once(self, corpus_s, tmp_path,
+                                             monkeypatch):
+        threads, _diags = ingest.parse_thread_log(corpus_s / "threads.jsonl")
+        messages = 2 * len(threads) + sum(len(t.comments) for t in threads)
+        tokenized = []
+        tokenize, load_lexicon = topics.tokenize, cli.load_lexicon
+
+        def counting(text):
+            tokenized.append(text)
+            return tokenize(text)
+
+        def loading(*sources):
+            lexicon = load_lexicon(*sources)
+            tokenized.clear()
+            return lexicon
+
+        monkeypatch.setattr(topics, "tokenize", counting)
+        monkeypatch.setattr(cli, "load_lexicon", loading)
+        assert run("all", *base_args(corpus_s), *lex_args(corpus_s),
+                   "--out", tmp_path / "all", "--window", "week") == 0
+        assert len(tokenized) == messages
 
 
 class TestRecipientResolution:

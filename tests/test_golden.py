@@ -1,12 +1,16 @@
 """Golden digests: every artifact of every command on corpus S, byte for byte.
 
-Corpus S is ``synth --n-users 120 --n-threads 500 --seed 42``.  The
-pinned sha256 of each artifact of ``all`` lives in ``golden_S.json``,
-keyed by window mode; the artifacts of ``synth`` and of each single-stage
-command live in ``golden_S_commands.json``, keyed by the command line
-that wrote them.  Any drift in the bytes the pipeline writes fails here
-without a second checkout to diff against.  A change that alters output
-on purpose records the new digests in those files and says why.
+Corpus S is ``synth --n-users 120 --n-threads 500 --seed 42``, the
+``corpus_s`` fixture of ``conftest.py``.  The pinned sha256 of each
+artifact of ``all`` lives in ``golden_S.json``, keyed by window mode;
+the artifacts of ``synth`` and of each single-stage command live in
+``golden_S_commands.json``, keyed by the command line that wrote them.
+S's own lexicon has one-token surfaces only, so ``topics`` is also
+pinned with ``data/lexicon_multiword.tsv``, whose multiword surfaces
+(two of them holding stopwords) share first tokens with one-token ones.
+Any drift in the bytes the pipeline writes fails here without a second
+checkout to diff against.  A change that alters output on purpose
+records the new digests in those files and says why.
 """
 
 import hashlib
@@ -20,6 +24,7 @@ from leadnet import cli
 HERE = Path(__file__).parent
 GOLDEN = json.loads((HERE / "golden_S.json").read_text())
 GOLDEN_COMMANDS = json.loads((HERE / "golden_S_commands.json").read_text())
+MULTIWORD = HERE / "data" / "lexicon_multiword.tsv"
 
 # command line (beyond --out and the corpus inputs) -> whether it reads
 # the lexicon and stopwords
@@ -32,18 +37,12 @@ COMMAND_LINES = {
 }
 
 
-@pytest.fixture(scope="module")
-def corpus_s(tmp_path_factory):
-    out = tmp_path_factory.mktemp("corpus_s")
-    assert cli.main(["synth", "--out", str(out), "--n-users", "120",
-                     "--n-threads", "500", "--seed", "42"]) == 0
-    return out
-
-
-def corpus_args(corpus_s, with_lexicon=True):
+def corpus_args(corpus_s, with_lexicon=True, lexicon=None):
+    """Input flags for S; an absolute ``lexicon`` path replaces S's own."""
     pairs = [("--input", "threads.jsonl"), ("--ratings", "ratings.jsonl")]
     if with_lexicon:
-        pairs += [("--lexicon", "lexicon.tsv"), ("--stopwords", "stopwords.txt")]
+        pairs += [("--lexicon", lexicon or "lexicon.tsv"),
+                  ("--stopwords", "stopwords.txt")]
     return [str(a) for flag, name in pairs for a in (flag, corpus_s / name)]
 
 
@@ -77,3 +76,12 @@ def test_command_artifacts_match_pinned_digests(corpus_s, tmp_path, line):
     assert cli.main([command, "--out", str(out), *flags,
                      *corpus_args(corpus_s, COMMAND_LINES[line])]) == 0
     assert_pinned(digests(out), GOLDEN_COMMANDS[line])
+
+
+@pytest.mark.parametrize("window", ["week", "days:1"])
+def test_multiword_topics_match_pinned_digests(corpus_s, tmp_path, window):
+    out = tmp_path / "out"
+    assert cli.main(["topics", "--out", str(out), "--window", window,
+                     *corpus_args(corpus_s, lexicon=MULTIWORD)]) == 0
+    assert_pinned(digests(out), GOLDEN_COMMANDS[
+        f"topics --window {window} --lexicon {MULTIWORD.name}"])

@@ -1,14 +1,19 @@
 """Concept extraction, clique topics, merging and stream chaining."""
 
+import collections
+import dataclasses
 import io
 import json
 import random
+import re
 
 import pytest
 
 import oracles
 from conftest import make_corpus
+from leadnet.ingest import IngestError
 from leadnet.topics import (
+    MAX_NGRAM,
     ConceptLexicon,
     Topic,
     TopicConfig,
@@ -65,6 +70,16 @@ class TestLexiconLoading:
         lexicon = load_lexicon(
             io.StringIO("carta\tz.late\tit\ncarta\ta.early\tit\n"), None)
         assert lexicon.entries[("carta",)] == "a.early"
+
+    def test_stopwords_are_tokenized_like_text(self):
+        lexicon = load_lexicon(io.StringIO(""),
+                               io.StringIO("dell'\tit\n THE \n"))
+        assert lexicon.stop_tokens == {"dell", "the"}
+
+    @pytest.mark.parametrize("line", ["of the", "'", "l'acqua"])
+    def test_stopword_line_must_hold_one_token(self, line):
+        with pytest.raises(IngestError, match="bad stopwords line 2"):
+            load_lexicon(io.StringIO(""), io.StringIO(f"di\n{line}\tit\n"))
 
 
 class TestExtraction:
@@ -318,3 +333,238 @@ class TestSerialization:
         ]
         assert by_id["w001.t000"]["stream_id"] == \
             by_id["w000.t000"]["stream_id"]
+
+
+# ---------------------------------------------------------------------------
+# The walker against a reference: extract_concepts, thread_grams and
+# cooccurrence_graph as they were written before the first-token index
+# (each message tokenized and walked on its own, every surface length
+# tried at every token, edges added pair by pair), with their own
+# tokenizer.
+
+REF_TOKEN = re.compile(r"\w+", re.UNICODE)
+
+
+def ref_extract_concepts(text, lexicon):
+    tokens = REF_TOKEN.findall(text.lower())
+    stop_tokens = set().union(*lexicon.stopclass.values())
+    longest = max((len(s) for s in lexicon.entries), default=0)
+    runs = []
+    current = []
+    gap = []
+    i = 0
+    while i < len(tokens):
+        matched = None
+        for length in range(min(longest, len(tokens) - i), 0, -1):
+            candidate = tuple(tokens[i : i + length])
+            if candidate in lexicon.entries:
+                matched = candidate
+                break
+        if matched is not None:
+            current.append((gap if current else [], matched))
+            gap = []
+            i += len(matched)
+        elif tokens[i] in stop_tokens and current:
+            gap.append(tokens[i])
+            i += 1
+        else:
+            if current:
+                runs.append(current)
+                current = []
+            gap = []
+            i += 1
+    if current:
+        runs.append(current)
+    grams = []
+    for run in runs:
+        for at in range(0, len(run), MAX_NGRAM):
+            chunk = run[at : at + MAX_NGRAM]
+            if len(chunk) > 1:
+                joined = []
+                for pos, (gap_tokens, concept_tokens) in enumerate(chunk):
+                    if pos > 0:
+                        joined.extend(gap_tokens)
+                    joined.extend(concept_tokens)
+                grams.append("_".join(joined))
+            for _gap_tokens, concept_tokens in chunk:
+                grams.append("_".join(concept_tokens))
+    return grams
+
+
+def ref_thread_grams(thread, lexicon):
+    parts = [thread.title, thread.description]
+    parts.extend(c.text for c in thread.comments)
+    grams = []
+    for part in parts:
+        grams.extend(ref_extract_concepts(part, lexicon))
+    return grams
+
+
+def ref_cooccurrence_graph(window, lexicon, min_freq):
+    per_thread = [ref_thread_grams(t, lexicon) for t in window.threads]
+    freq = collections.Counter()
+    for grams in per_thread:
+        freq.update(grams)
+    kept = {gram for gram, count in freq.items() if count >= min_freq}
+    adj = {gram: set() for gram in kept}
+    for grams in per_thread:
+        present = sorted(set(grams) & kept)
+        for a_pos, a in enumerate(present):
+            for b in present[a_pos + 1 :]:
+                adj[a].add(b)
+                adj[b].add(a)
+    return {gram: freq[gram] for gram in sorted(kept)}, adj
+
+
+def window_of(messages_per_thread):
+    """A slice whose thread i has messages_per_thread[i] as its title,
+    description and comments, in that order (missing parts are empty)."""
+    _corpus, window = make_corpus([
+        (f"t{i}", "A", [("B", text) for text in messages[2:]])
+        for i, messages in enumerate(messages_per_thread)
+    ])
+    threads = tuple(
+        dataclasses.replace(thread, title=(messages + ["", ""])[0],
+                            description=(messages + ["", ""])[1])
+        for thread, messages in zip(window.threads, messages_per_thread)
+    )
+    return dataclasses.replace(window, threads=threads)
+
+
+def assert_walks_like_reference(window, lexicon, min_freq=1):
+    for thread in window.threads:
+        for text in (thread.title, thread.description,
+                     *(c.text for c in thread.comments)):
+            assert extract_concepts(text, lexicon) == \
+                ref_extract_concepts(text, lexicon), text
+        assert thread_grams(thread, lexicon) == \
+            ref_thread_grams(thread, lexicon)
+    graph = cooccurrence_graph(window, lexicon, TopicConfig(min_freq=min_freq))
+    freq, adj = ref_cooccurrence_graph(window, lexicon, min_freq)
+    assert graph.freq == freq
+    assert list(graph.freq) == list(freq)
+    assert graph.adj == adj
+
+
+def tsv_lexicon(surfaces, stopwords=()):
+    return load_lexicon(
+        io.StringIO("".join(f"{surface}\tc{k}\n"
+                            for k, surface in enumerate(surfaces))),
+        io.StringIO("".join(f"{word}\n" for word in stopwords)))
+
+
+class TestWalkerAgainstReference:
+    # name -> (surfaces, stopwords, messages of each thread)
+    CASES = {
+        "surfaces sharing a first token at several lengths": (
+            ["data", "data lake", "data lake house", "data lake house tour"],
+            [],
+            [["data lake house data lake data", "data lake lake house",
+              "data lake house tour data lake house"]]),
+        "surfaces starting with or holding a stop token": (
+            ["carta", "carta di credito", "of course", "the cloud of things"],
+            ["di", "of", "the"],
+            [["carta di credito of course carta di carta",
+              "the cloud of things of the cloud", "of course of carta"]]),
+        "a stop token that starts a surface": (
+            ["di maio", "carta", "maio"],
+            ["di"],
+            [["carta di maio", "carta di carta di maio di", "di di maio"]]),
+        "runs longer than MAX_NGRAM": (
+            ["a", "b", "c", "d e"],
+            ["of"],
+            [["a b c d e a of b c a b c a b", "a of of b of c d e of a b c"]]),
+        "punctuation, digits and underscores": (
+            ["4g", "a_b", "x9 42", "_"],
+            ["0"],
+            [["4G, a_b! X9-42 (_) 4g 0 a_b", "a_b_c a-b 42 x9 0 42",
+              "4g; x9'42 _ _ 0 _"]]),
+        "a dotted capital I and a Greek final sigma": (
+            ["İstanbul", "ΟΔΟΣ", "οδοσ", "σας"],
+            ["İ"],
+            [["İSTANBUL istanbul i̇stanbul ΟΔΟΣ οδοσ ΣΑΣ",
+              "Οδος οδος İ ΟΔΟΣ İstanbul", "ΟΔΟΣ_Α σας ΣΑΣ."]]),
+        "empty messages": (
+            ["alpha", "beta"],
+            ["of"],
+            [["", "", "", "alpha of beta", " ,. ", ""], [], [""]]),
+        "runs that end one message and start the next": (
+            ["alpha", "beta", "alpha beta"],
+            ["of"],
+            [["alpha", "beta", "alpha of", "of beta", "alpha beta", "beta"],
+             ["beta alpha", "alpha", "", "alpha"]]),
+    }
+
+    @pytest.mark.parametrize("name", sorted(CASES))
+    def test_named_case(self, name):
+        surfaces, stopwords, threads = self.CASES[name]
+        assert_walks_like_reference(window_of(threads),
+                                    tsv_lexicon(surfaces, stopwords))
+
+    def test_surfaces_holding_stop_tokens_join_runs(self):
+        surfaces, stopwords, _threads = \
+            self.CASES["surfaces starting with or holding a stop token"]
+        grams = extract_concepts("carta di credito of course carta di carta",
+                                 tsv_lexicon(surfaces, stopwords))
+        assert grams == ["carta_di_credito_of_course_carta_di_carta",
+                         "carta_di_credito", "of_course", "carta", "carta"]
+
+    def test_runs_never_span_messages(self):
+        surfaces, stopwords, threads = \
+            self.CASES["runs that end one message and start the next"]
+        grams = thread_grams(window_of(threads).threads[1],
+                             tsv_lexicon(surfaces, stopwords))
+        assert grams == ["beta_alpha", "beta", "alpha", "alpha", "alpha"]
+
+    # generated lexicons: tokens as tokenize yields them, and how text
+    # may spell them
+    SPELLINGS = {
+        "alpha": ["alpha", "Alpha", "ALPHA"], "beta": ["beta", "BETA"],
+        "gamma": ["gamma"], "a_b": ["a_b", "A_B"], "x9": ["x9", "X9"],
+        "42": ["42"], "i": ["i", "İ"], "stanbul": ["stanbul"],
+        "οδος": ["οδος", "ΟΔΟΣ"], "σα": ["σα", "ΣΑ"],
+        "di": ["di", "DI"], "of": ["of"], "the": ["the", "The"],
+    }
+    FILLER = ["team", "update", "0", "_", "İstanbul", "dell'alpha"]
+    SEPARATORS = [" ", " ", " ", ", ", ". ", "-", "'", "! ", "\n", " (", ") "]
+
+    def generated_case(self, rng):
+        tokens = sorted(self.SPELLINGS)
+        stops = set(rng.sample(["di", "of", "the"], rng.randrange(4)))
+        if rng.random() < 0.4:
+            stops.add(rng.choice(tokens))
+        surfaces = set()
+        for first in rng.sample(tokens, rng.randrange(2, 6)):
+            tail = [first]
+            for _ in range(rng.randrange(1, 5)):
+                if rng.random() < 0.7:
+                    surfaces.add(tuple(tail))
+                tail.append(rng.choice(tokens))
+        lexicon = ConceptLexicon(
+            entries={s: f"c{k}" for k, s in enumerate(sorted(surfaces))},
+            stopclass={"x": frozenset(stops)} if stops else {},
+        )
+
+        def message():
+            if rng.random() < 0.15:
+                return rng.choice(["", " ", "?!"])
+            words = []
+            for _ in range(rng.randrange(1, 14)):
+                if rng.random() < 0.12:
+                    words.append(rng.choice(self.FILLER))
+                else:
+                    words.append(rng.choice(self.SPELLINGS[rng.choice(tokens)]))
+            return "".join(word + rng.choice(self.SEPARATORS)
+                           for word in words)
+
+        threads = [[message() for _ in range(rng.randrange(7))]
+                   for _ in range(rng.randrange(1, 6))]
+        return window_of(threads), lexicon
+
+    @pytest.mark.parametrize("seed", range(50))
+    def test_generated_lexicons(self, seed):
+        rng = random.Random(9200 + seed)
+        for _case in range(5):
+            window, lexicon = self.generated_case(rng)
+            assert_walks_like_reference(window, lexicon,
+                                        min_freq=rng.randrange(1, 4))
