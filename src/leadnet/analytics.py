@@ -9,10 +9,12 @@ from __future__ import annotations
 
 from collections import defaultdict
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable
+
+from scipy import sparse
 
 from .ingest import Corpus, Gender, Role, WindowSlice
-from .multiplex import MultiplexTensor, layer_union
+from .multiplex import MultiplexTensor, union_adjacency
 from .rank import RankVector
 
 
@@ -224,11 +226,8 @@ def role_subgraph(
         names = ", ".join(sorted(r.value for r in wanted)) or "(none)"
         warnings.append(f"role filter [{names}] matches no users; empty subgraph")
     keep = set(nodes)
-    neighbors = layer_union(tensor)
-    edges = sorted(
-        (i, j)
-        for i in nodes
-        for j in neighbors[i]
-        if j in keep and i < j
-    )
+    upper = sparse.triu(union_adjacency(tensor), k=1).tocoo()
+    edges = sorted((i, j) for i, j in zip(upper.row.tolist(),
+                                          upper.col.tolist())
+                   if i in keep and j in keep)
     return Subgraph(nodes=nodes, edges=tuple(edges)), warnings

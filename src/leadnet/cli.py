@@ -99,6 +99,13 @@ def _int(value: object) -> int:
         raise UsageError(f"expected an integer, got {value!r}") from exc
 
 
+def _positive_int(value: object) -> int:
+    number = _int(value)
+    if number < 1:
+        raise UsageError(f"expected an integer >= 1, got {value!r}")
+    return number
+
+
 def _float(value: object) -> float:
     try:
         return float(str(value))
@@ -188,11 +195,11 @@ SETTINGS: dict[str, tuple[Callable[[object], object], object, str]] = {
                 "cosine threshold for merging topics within a window"),
     "theta_h": (_float, TopicConfig.theta_h,
                 "cosine threshold for chaining topics across windows"),
-    "top_k": (_int, None,
+    "top_k": (_positive_int, None,
               "head size for concentration stats (default: decile)"),
     "role": (_roles, None, "comma-separated role filter"),
     "seed": (_int, SyntheticSpec.seed, "random seed"),
-    "jobs": (_int, 1, "worker threads for per-window stages"),
+    "jobs": (_positive_int, 1, "worker threads for per-window stages"),
     "window_index": (_int, None, "window to operate on (0-based)"),
     "stream": (str, None, "topic stream id to export a network for"),
     "n_users": (_int, SyntheticSpec.n_users,
@@ -239,9 +246,31 @@ def _load_config_file(path: str | None) -> dict:
     return data
 
 
+def _flag(name: str) -> str:
+    return "--" + name.replace("_", "-")
+
+
+def _from_options(cls: type, resolved: dict):
+    """A config dataclass whose every field is the option of that name;
+    a value the class rejects is a usage error naming its option."""
+    names = [field.name for field in dataclasses.fields(cls)]
+    for name in names:
+        try:
+            cls(**{name: resolved[name]})
+        except ValueError as exc:
+            raise UsageError(f"{_flag(name)}: {exc}") from exc
+    return cls(**{name: resolved[name] for name in names})
+
+
+# resolved-settings key -> the config dataclass built there from its options
+_CONFIGS = {"mpr_params": MprParams, "topic_config": TopicConfig}
+
+
 def resolve_settings(args: argparse.Namespace) -> dict:
-    """Resolve the options the command takes; environment variables and
-    config entries for the other options are ignored."""
+    """Resolve the options the command takes, and build the config
+    dataclasses whose options it takes, so that every bad value fails
+    before any input is read.  Environment variables and config entries
+    for the other options are ignored."""
     file_values = _load_config_file(
         args.config or os.environ.get(ENV_PREFIX + "CONFIG"))
     resolved = {}
@@ -258,15 +287,17 @@ def resolve_settings(args: argparse.Namespace) -> dict:
             try:
                 resolved[name] = caster(value)
             except UsageError as exc:
-                raise UsageError(
-                    f"--{name.replace('_', '-')}: {exc}") from exc
+                raise UsageError(f"{_flag(name)}: {exc}") from exc
+    for key, cls in _CONFIGS.items():
+        if dataclasses.fields(cls)[0].name in resolved:
+            resolved[key] = _from_options(cls, resolved)
     return resolved
 
 
 def _require(cfg: dict, name: str) -> str:
     value = cfg.get(name)
     if value is None:
-        raise UsageError(f"--{name.replace('_', '-')} is required")
+        raise UsageError(f"{_flag(name)} is required")
     return value
 
 
@@ -349,12 +380,6 @@ def _slices(corpus: Corpus, cfg: dict) -> list[WindowSlice]:
     return window_partition(corpus, WindowConfig.from_string(cfg["window"]))
 
 
-def _from_options(cls: type, cfg: dict):
-    """A config dataclass whose every field is the option of that name."""
-    return cls(**{field.name: cfg[field.name]
-                  for field in dataclasses.fields(cls)})
-
-
 def _map_windows(fn: Callable, slices: Sequence[WindowSlice], jobs: int) -> list:
     if jobs <= 1 or len(slices) <= 1:
         return [fn(s) for s in slices]
@@ -430,12 +455,11 @@ def _ranked_windows(cfg: dict, with_brokerage: bool):
     corpus, diags = _load_corpus(cfg)
     _print_diags(diags)
     slices = _slices(corpus, cfg)
-    params = _from_options(MprParams, cfg)
 
     def work(window_slice):
         tensor = build_tensor(window_slice, corpus)
         try:
-            result = multiplex_pagerank(tensor, params)
+            result = multiplex_pagerank(tensor, cfg["mpr_params"])
         except ConvergenceError as exc:
             where = (f"window {window_slice.index} "
                      f"({format_timestamp(window_slice.start)})")
@@ -459,7 +483,7 @@ def cmd_rank(cfg: dict, ctx: RunContext) -> None:
 
 def _topic_streams(slices, cfg):
     lexicon = load_lexicon(_require(cfg, "lexicon"), cfg["stopwords"])
-    topic_cfg = _from_options(TopicConfig, cfg)
+    topic_cfg = cfg["topic_config"]
     per_window = _map_windows(
         lambda s: topics_in_window(s, lexicon, topic_cfg), slices, cfg["jobs"],
     )
@@ -467,6 +491,8 @@ def _topic_streams(slices, cfg):
 
 
 def cmd_topics(cfg: dict, ctx: RunContext) -> None:
+    if cfg["stream"] is not None and cfg["window_index"] is None:
+        raise UsageError("--stream needs --window-index")
     corpus, diags = _load_corpus(cfg)
     _print_diags(diags)
     slices = _slices(corpus, cfg)
@@ -474,8 +500,6 @@ def cmd_topics(cfg: dict, ctx: RunContext) -> None:
     write_topics_json(streams, ctx.path("topics.json"))
     if cfg["stream"] is None:
         return
-    if cfg["window_index"] is None:
-        raise UsageError("--stream needs --window-index")
     index = cfg["window_index"]
     if not 0 <= index < len(slices):
         raise UsageError(
@@ -621,8 +645,7 @@ def build_parser() -> argparse.ArgumentParser:
         sub.add_argument("--config",
                          help="JSON file supplying defaults for any option")
         for name in options:
-            sub.add_argument("--" + name.replace("_", "-"),
-                             help=SETTINGS[name][2])
+            sub.add_argument(_flag(name), help=SETTINGS[name][2])
     return parser
 
 

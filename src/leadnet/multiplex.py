@@ -44,29 +44,13 @@ class Layer:
 
     The edges are held as three read-only arrays sorted by (src, dst):
     ``src``, ``dst`` and ``weight`` (a weight may be 0).  ``matrix`` is
-    the same graph as an n x n CSR matrix, weight[src, dst], and
-    ``edges`` as a read-only {(src, dst): weight} mapping; both are
-    derived on first use.  ``Layer(n, edges, orientation)`` builds a
-    layer from such a mapping.
+    the same graph as an n x n CSR matrix, weight[src, dst], ``flow`` the
+    matrix rank moves by, and ``edges`` a read-only {(src, dst): weight}
+    mapping; all three are derived on first use.
     """
 
-    def __init__(self, n: int, edges: Mapping[tuple[int, int], float],
-                 orientation: str):
-        keys = sorted(edges)
-        self._init(n, np.array([i for i, _j in keys], dtype=np.int64),
-                   np.array([j for _i, j in keys], dtype=np.int64),
-                   np.array([edges[key] for key in keys], dtype=float),
-                   orientation)
-
-    @classmethod
-    def from_arrays(cls, n: int, src: np.ndarray, dst: np.ndarray,
-                    weight: np.ndarray, orientation: str) -> Layer:
-        """A layer over edge arrays already sorted by (src, dst)."""
-        layer = cls.__new__(cls)
-        layer._init(n, src, dst, weight, orientation)
-        return layer
-
-    def _init(self, n, src, dst, weight, orientation) -> None:
+    def __init__(self, n: int, src: np.ndarray, dst: np.ndarray,
+                 weight: np.ndarray, orientation: str):
         if n < 1:
             raise ValueError("layer needs n >= 1")
         if orientation not in (ORIENT_RECEIVER, ORIENT_SENDER):
@@ -83,6 +67,16 @@ class Layer:
                                                             minlength=self.n))))
         return sparse.csr_matrix((self.weight, self.dst, indptr),
                                  shape=(self.n, self.n))
+
+    @cached_property
+    def flow(self) -> sparse.csr_matrix:
+        """M[gainer, giver] = edge weight, where the giver is the endpoint
+        the layer is normalized over: rank flows against the edges of a
+        receiver-normalized layer, crediting their sources, and along
+        the edges of a sender-normalized one, crediting their targets."""
+        if self.orientation == ORIENT_RECEIVER:
+            return self.matrix
+        return self.matrix.T.tocsr()
 
     @cached_property
     def edges(self) -> Mapping[tuple[int, int], float]:
@@ -187,8 +181,7 @@ def _receiver_normalized(n: int, src, dst, raw, first_order) -> Layer:
     that total in first-occurrence order."""
     incoming = np.bincount(dst[first_order], weights=raw[first_order],
                            minlength=n)
-    return Layer.from_arrays(n, src, dst, raw / incoming[dst],
-                             ORIENT_RECEIVER)
+    return Layer(n, src, dst, raw / incoming[dst], ORIENT_RECEIVER)
 
 
 def _empowerment(ev: _Events, n: int) -> Layer:
@@ -222,7 +215,7 @@ def _credibility(ev: _Events, n: int) -> Layer:
     # a rater whose scores are all zero spreads uniformly
     uniform = 1.0 / np.bincount(src, minlength=n)[src]
     weight = np.divide(trust, total, out=uniform, where=total > 0)
-    return Layer.from_arrays(n, src, dst, weight, ORIENT_SENDER)
+    return Layer(n, src, dst, weight, ORIENT_SENDER)
 
 
 def build_tensor(slice: WindowSlice, corpus: Corpus) -> MultiplexTensor:
@@ -248,11 +241,3 @@ def union_adjacency(tensor: MultiplexTensor) -> sparse.csr_matrix:
         shape=(tensor.n, tensor.n)).tocsr()
     adjacency.data[:] = 1.0
     return adjacency
-
-
-def layer_union(tensor: MultiplexTensor) -> list[set[int]]:
-    """Undirected union of the three layers' edge supports, as neighbor
-    sets indexed like the corpus users."""
-    adjacency = union_adjacency(tensor)
-    indptr, indices = adjacency.indptr, adjacency.indices.tolist()
-    return [set(indices[indptr[v]:indptr[v + 1]]) for v in range(tensor.n)]

@@ -1,14 +1,15 @@
 """Leadership ranking: PageRank per layer, chained across layers, and an
 ego-network brokerage score.
 
-Rank mass moves between users along layer edges.  Which way it moves
-depends on the layer's meaning:
+Rank mass moves between users along layer edges, in the direction the
+layer's orientation sets (``Layer.flow``): the endpoint a layer is
+normalized over gives its rank away.
 
-* empowerment and collaboration credit the *source* of an edge (authors
-  who got comments, commenters who answered), so rank flows against the
-  stored edges ("transposed" direction);
-* credibility credits the *target* (authors who received trust), so rank
-  flows along the stored edges ("as_is" direction).
+* empowerment and collaboration are receiver-normalized and credit the
+  *source* of an edge (authors who got comments, commenters who
+  answered), so rank flows against the stored edges;
+* credibility is sender-normalized and credits the *target* (authors
+  who received trust), so rank flows along the stored edges.
 
 Either way the update multiplies by a matrix whose columns sum to 1
 wherever the contributing user is connected, every iterate is
@@ -21,26 +22,16 @@ vector; with beta = gamma = 0 every layer reduces to plain PageRank.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import NamedTuple, Sequence
+from typing import NamedTuple
 
 import numpy as np
 from scipy import sparse
 
-from .multiplex import LAYER_NAMES, Layer, MultiplexTensor, union_adjacency
-
-AS_IS = "as_is"
-TRANSPOSED = "transposed"
+from .multiplex import LAYER_NAMES, MultiplexTensor, union_adjacency
 
 # Replaces exact zeros of the previous layer's vector before
 # exponentiation, so a user can never be permanently frozen out.
 EPSILON_FLOOR = 1e-12
-
-# Rank-flow direction per layer; see the module docstring.
-LAYER_DIRECTION = {
-    "empowerment": TRANSPOSED,
-    "collaboration": TRANSPOSED,
-    "credibility": AS_IS,
-}
 
 
 class ConvergenceError(Exception):
@@ -111,14 +102,6 @@ class MprResult(NamedTuple):
     leadership: RankVector
 
 
-def _iteration_matrix(layer: Layer, direction: str) -> sparse.csr_matrix:
-    """Matrix M with M[gainer, giver] = edge weight for the requested
-    rank-flow direction over the stored edges."""
-    if direction not in (AS_IS, TRANSPOSED):
-        raise ValueError(f"unknown direction {direction!r}")
-    return layer.matrix if direction == TRANSPOSED else layer.matrix.T.tocsr()
-
-
 def _power_iterate(
     matrix: sparse.csr_matrix,
     n: int,
@@ -145,26 +128,6 @@ def _power_iterate(
     raise ConvergenceError(label, residual, r)
 
 
-def pagerank(
-    layer: Layer,
-    direction: str,
-    alpha: float = 0.85,
-    tol: float = 1e-9,
-    max_iter: int = 1000,
-    label: str = "pagerank",
-) -> RankVector:
-    """Damped power iteration on one layer; see the module docstring for
-    what each direction means.  Raises ConvergenceError (carrying the
-    last iterate and residual) when max_iter is exhausted."""
-    if not 0.0 < alpha < 1.0:
-        raise ValueError("alpha must be in (0, 1)")
-    matrix = _iteration_matrix(layer, direction)
-    scores = _power_iterate(matrix, layer.n, alpha, tol, max_iter, label,
-                            walk_scale=np.ones(layer.n),
-                            teleport=np.full(layer.n, (1.0 - alpha) / layer.n))
-    return RankVector(scores=scores, label=label)
-
-
 def multiplex_pagerank(
     tensor: MultiplexTensor, params: MprParams = MprParams()
 ) -> MprResult:
@@ -176,16 +139,14 @@ def multiplex_pagerank(
     vectors: dict[str, np.ndarray] = {}
     prev = np.ones(tensor.n)
     for position, name in enumerate(params.layer_order):
-        layer = tensor.layer(name)
         alpha = params.alpha[position]
-        matrix = _iteration_matrix(layer, LAYER_DIRECTION[name])
         x = np.where(prev <= 0.0, EPSILON_FLOOR, prev)
         walk_scale = x ** params.beta
         x_gamma = x ** params.gamma
         teleport = (1.0 - alpha) * x_gamma / x_gamma.sum()
         scores = _power_iterate(
-            matrix, tensor.n, alpha, params.tol, params.max_iter, name,
-            walk_scale=walk_scale, teleport=teleport,
+            tensor.layer(name).flow, tensor.n, alpha, params.tol,
+            params.max_iter, name, walk_scale=walk_scale, teleport=teleport,
         )
         vectors[name] = scores
         prev = scores
@@ -197,36 +158,19 @@ def multiplex_pagerank(
     )
 
 
-def brokerage(
-    graph: MultiplexTensor | Sequence[set[int]], label: str = "brokerage"
-) -> RankVector:
+def brokerage(tensor: MultiplexTensor) -> RankVector:
     """How often a user bridges otherwise unconnected neighbors.
 
-    On the undirected union of the layer edge supports (or on the given
-    neighbor sets, symmetric and loop-free), a user scores one point per
-    unordered neighbor pair with no direct edge: C(d, 2) minus the
-    triangles through the user, counted as in Azad, Buluç and Gilbert
-    (IPDPSW 2015) from (A @ A) * A.  Scores are normalized to a
+    On the undirected union of the layer edge supports a user scores one
+    point per unordered neighbor pair with no direct edge: C(d, 2) minus
+    the triangles through the user, counted as in Azad, Buluç and
+    Gilbert (IPDPSW 2015) from (A @ A) * A.  Scores are normalized to a
     probability vector (uniform when nobody brokers)."""
-    if isinstance(graph, MultiplexTensor):
-        adjacency = union_adjacency(graph)
-    else:
-        if len(graph) < 1:
-            raise ValueError("graph must have at least one node")
-        adjacency = _adjacency(graph)
-    n = adjacency.shape[0]
+    adjacency = union_adjacency(tensor)
     degree = np.diff(adjacency.indptr)
     closed = np.asarray((adjacency @ adjacency).multiply(adjacency)
                         .sum(axis=1)).ravel().astype(np.int64) // 2
     raw = (degree * (degree - 1) // 2 - closed).astype(float)
     total = raw.sum()
-    scores = raw / total if total > 0 else np.full(n, 1.0 / n)
-    return RankVector(scores=scores, label=label)
-
-
-def _adjacency(neighbors: Sequence[set[int]]) -> sparse.csr_matrix:
-    n = len(neighbors)
-    rows = np.repeat(np.arange(n), [len(ns) for ns in neighbors])
-    cols = np.fromiter((j for ns in neighbors for j in ns), dtype=np.int64,
-                       count=rows.size)
-    return sparse.csr_matrix((np.ones(rows.size), (rows, cols)), shape=(n, n))
+    scores = raw / total if total > 0 else np.full(tensor.n, 1.0 / tensor.n)
+    return RankVector(scores=scores, label="brokerage")

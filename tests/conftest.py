@@ -6,6 +6,7 @@ import sys
 from datetime import datetime, timedelta, timezone
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 sys.path.insert(0, str(Path(__file__).resolve().parent))
@@ -20,6 +21,12 @@ from leadnet.ingest import (
     ThreadRecord,
     UserRef,
     whole_span_slice,
+)
+from leadnet.multiplex import (
+    ORIENT_RECEIVER,
+    ORIENT_SENDER,
+    Layer,
+    MultiplexTensor,
 )
 
 T0 = datetime(2014, 1, 6, tzinfo=timezone.utc)
@@ -85,6 +92,40 @@ def make_corpus(thread_specs, rating_specs=(), users=None):
         ratings=ratings,
     )
     return corpus, whole_span_slice(corpus)
+
+
+def make_layer(n, edges, orientation):
+    """A layer from a {(src, dst): weight} mapping."""
+    keys = sorted(edges)
+    return Layer(n, np.array([i for i, _j in keys], dtype=np.int64),
+                 np.array([j for _i, j in keys], dtype=np.int64),
+                 np.array([edges[key] for key in keys], dtype=float),
+                 orientation)
+
+
+def neighbor_tensor(neighbors):
+    """A tensor whose layer union is the given neighbor sets (symmetric
+    and loop-free): every pair is an empowerment edge of weight 1 and the
+    other two layers are empty."""
+    n = len(neighbors)
+    edges = {(i, j): 1.0 for i, ns in enumerate(neighbors) for j in ns}
+    return MultiplexTensor(
+        n=n,
+        empowerment=make_layer(n, edges, ORIENT_RECEIVER),
+        collaboration=make_layer(n, {}, ORIENT_RECEIVER),
+        credibility=make_layer(n, {}, ORIENT_SENDER),
+    )
+
+
+def union_sets(tensor):
+    """The layers' undirected edge support as neighbor sets, read off
+    the stored edges."""
+    neighbors = [set() for _ in range(tensor.n)]
+    for _name, layer in tensor.layers():
+        for i, j in layer.edges:
+            neighbors[i].add(j)
+            neighbors[j].add(i)
+    return neighbors
 
 
 def random_corpus(rng, n_users=8, n_threads=6, max_comments=6,

@@ -14,7 +14,7 @@ import pytest
 
 import oracles
 from conftest import make_corpus
-from test_rank import FLOW, random_layer, random_tensor
+from test_rank import FLOW, random_layer, random_tensor, solo_pagerank
 from leadnet import cli
 from leadnet.analytics import active_user_indices, homophily, top_mass
 from leadnet.ingest import (
@@ -23,13 +23,7 @@ from leadnet.ingest import (
     window_partition,
 )
 from leadnet.multiplex import ORIENT_RECEIVER, ORIENT_SENDER, build_tensor
-from leadnet.rank import (
-    LAYER_DIRECTION,
-    MprParams,
-    brokerage,
-    multiplex_pagerank,
-    pagerank,
-)
+from leadnet.rank import MprParams, brokerage, multiplex_pagerank
 from leadnet.synth import SyntheticSpec, builtin_lexicon, generate, pool_of_ngram
 from leadnet.topics import TopicConfig, bron_kerbosch, chain_streams, topics_in_window
 
@@ -87,10 +81,10 @@ def test_02_monoplex_reduction(gate):
             tensor = random_tensor(rng, n)
             chained = multiplex_pagerank(tensor, params)
             for position, name in enumerate(params.layer_order):
-                solo = pagerank(tensor.layer(name), LAYER_DIRECTION[name],
-                                alpha=params.alpha[position], tol=1e-12)
-                gap = np.max(np.abs(getattr(chained, name).scores
-                                    - solo.scores))
+                solo, _flow = solo_pagerank(tensor.layer(name),
+                                            alpha=params.alpha[position],
+                                            tol=1e-12)
+                gap = np.max(np.abs(getattr(chained, name).scores - solo))
                 assert gap < 1e-8
         assert time.perf_counter() - began < 10.0
 
@@ -102,13 +96,11 @@ def test_03_pagerank_against_dense_oracle(gate):
         for _case in range(100):
             n = rng.randrange(2, 51)
             orientation = rng.choice([ORIENT_RECEIVER, ORIENT_SENDER])
-            direction = rng.choice(list(FLOW))
             alpha = rng.uniform(0.5, 0.95)
             layer = random_layer(rng, n, orientation)
-            got = pagerank(layer, direction, alpha=alpha, tol=1e-13,
-                           max_iter=100000).scores
-            want = oracles.dense_pagerank(n, layer.edges, FLOW[direction],
-                                          alpha)
+            got, flow = solo_pagerank(layer, alpha=alpha, tol=1e-13,
+                                      max_iter=100000)
+            want = oracles.dense_pagerank(n, layer.edges, flow, alpha)
             assert np.max(np.abs(got - want)) <= 1e-9
 
 
@@ -130,7 +122,7 @@ def test_04_chained_ranking_against_dense_oracle(gate):
             want = oracles.dense_multiplex_pagerank(
                 n,
                 [tensor.layer(name).edges for name in order],
-                [FLOW[LAYER_DIRECTION[name]] for name in order],
+                [FLOW[name] for name in order],
                 alphas, beta, gamma, tol=1e-14,
             )
             for name, expected in zip(order, want):

@@ -1,17 +1,21 @@
 """Homophily, top-rank composition, reply latency and role subgraphs."""
 
+import random
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
-from conftest import make_corpus
+from conftest import make_corpus, random_corpus, union_sets
 from leadnet.analytics import (
+    Subgraph,
     active_user_indices,
     homophily,
     response_stats,
     role_subgraph,
     top_mass,
 )
-from leadnet.ingest import Gender, Role, UserRef
+from leadnet.ingest import KNOWN_ROLES, Gender, Role, UserRef
 from leadnet.multiplex import build_tensor
 from leadnet.rank import RankVector
 
@@ -263,3 +267,30 @@ class TestRoleSubgraph:
         idx = corpus.user_index
         assert (idx["c"], idx["d"]) in sub.edges
         assert (idx["a"], idx["c"]) in sub.edges
+
+
+def neighbor_set_role_subgraph(tensor, corpus, roles):
+    """The role subgraph read off neighbor sets built from the stored
+    edges: a reference that shares no code with the sparse union."""
+    neighbors = union_sets(tensor)
+    nodes = tuple(i for i, ref in enumerate(corpus.users) if ref.role in roles)
+    keep = set(nodes)
+    edges = sorted((i, j) for i in nodes for j in neighbors[i]
+                   if j in keep and i < j)
+    return Subgraph(nodes=nodes, edges=tuple(edges))
+
+
+class TestRoleSubgraphMatchesNeighborSets:
+    @pytest.mark.parametrize("seed", range(15))
+    def test_random_windows_and_role_sets(self, seed):
+        rng = random.Random(9700 + seed)
+        corpus, window, _t, _r = random_corpus(rng, n_users=12, n_threads=10)
+        tensor = build_tensor(window, corpus)
+        roles = sorted(KNOWN_ROLES, key=lambda role: role.value)
+        corpus = replace(corpus, users=tuple(
+            replace(ref, role=rng.choice(roles)) for ref in corpus.users))
+        for wanted in ([rng.choice(roles)], rng.sample(roles, 2),
+                       rng.sample(roles, 4), roles):
+            sub, _warnings = role_subgraph(tensor, corpus, wanted)
+            assert sub == neighbor_set_role_subgraph(tensor, corpus,
+                                                     set(wanted))

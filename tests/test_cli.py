@@ -625,6 +625,20 @@ class TestOptionWiring:
         assert f"error: --{name.replace('_', '-')}: expected " \
             in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command, flag, value", [
+        ("all", "--tol", "0"), ("all", "--alpha", "1.5"),
+        ("all", "--theta-v", "2"), ("all", "--min-freq", "0"),
+        ("all", "--top-k", "0"), ("all", "--jobs", "0"),
+        ("rank", "--jobs", "-3"), ("topics", "--stream", "s0000"),
+    ])
+    def test_bad_value_exits_two_before_reading_input(
+            self, tmp_path, capsys, command, flag, value):
+        out = tmp_path / "out"
+        assert run(command, "--input", tmp_path / "missing.jsonl",
+                   "--out", out, f"{flag}={value}") == 2
+        assert f"error: {flag}" in capsys.readouterr().err
+        assert not out.exists() or not any(out.iterdir())
+
     def test_defaults_are_the_config_dataclass_defaults(self, tmp_path,
                                                          monkeypatch):
         cfg = cli.resolve_settings(cli.build_parser().parse_args(["all"]))

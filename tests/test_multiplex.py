@@ -8,7 +8,13 @@ from datetime import timedelta
 import pytest
 
 import oracles
-from conftest import T0, make_corpus, random_corpus, resolve_like_package
+from conftest import (
+    T0,
+    make_corpus,
+    make_layer,
+    random_corpus,
+    resolve_like_package,
+)
 from leadnet.ingest import (
     WindowConfig,
     WindowSlice,
@@ -19,10 +25,9 @@ from leadnet.ingest import (
 from leadnet.multiplex import (
     ORIENT_RECEIVER,
     ORIENT_SENDER,
-    Layer,
     build_tensor,
     comment_weight,
-    layer_union,
+    union_adjacency,
 )
 
 
@@ -252,10 +257,11 @@ class TestLayerUnion:
         )
         tensor = build_tensor(window, corpus)
         at = corpus.user_index
-        neighbors = layer_union(tensor)
-        assert neighbors[at["A"]] == {at["B"], at["C"]}
-        assert neighbors[at["B"]] == {at["A"]}
-        assert neighbors[at["C"]] == {at["A"]}
+        a, b, c = at["A"], at["B"], at["C"]
+        adjacency = union_adjacency(tensor).tocoo()
+        assert set(zip(adjacency.row.tolist(), adjacency.col.tolist())) \
+            == {(a, b), (b, a), (a, c), (c, a)}
+        assert adjacency.data.tolist() == [1.0] * 4
 
 
 # ---------------------------------------------------------------------------
@@ -423,13 +429,13 @@ class TestArraysMatchDicts:
         assert_layers_match_dicts(empty, corpus)
         tensor = build_tensor(empty, corpus)
         assert all(layer.edges == {} for _name, layer in tensor.layers())
-        assert layer_union(tensor) == [set()] * corpus.n_users
+        assert union_adjacency(tensor).nnz == 0
 
 
 class TestLayerFromMapping:
     def test_mapping_round_trips_and_is_read_only(self):
-        layer = Layer(n=3, edges={(2, 0): 0.25, (0, 1): 0.0, (0, 2): 1.0},
-                      orientation=ORIENT_SENDER)
+        layer = make_layer(3, {(2, 0): 0.25, (0, 1): 0.0, (0, 2): 1.0},
+                           ORIENT_SENDER)
         assert list(layer.edges.items()) == [((0, 1), 0.0), ((0, 2), 1.0),
                                              ((2, 0), 0.25)]
         assert layer.matrix.toarray().tolist() == [[0.0, 0.0, 1.0],

@@ -7,30 +7,47 @@ import pytest
 from scipy import sparse
 
 import oracles
-from conftest import random_corpus
+from conftest import make_layer, neighbor_tensor, random_corpus, union_sets
 from leadnet.multiplex import (
+    LAYER_NAMES,
     ORIENT_RECEIVER,
     ORIENT_SENDER,
     Layer,
     MultiplexTensor,
     build_tensor,
-    layer_union,
+    union_adjacency,
 )
-from leadnet import rank
 from leadnet.rank import (
-    AS_IS,
-    LAYER_DIRECTION,
-    TRANSPOSED,
     ConvergenceError,
     MprParams,
     MprResult,
     RankVector,
     brokerage,
     multiplex_pagerank,
-    pagerank,
 )
 
-FLOW = {TRANSPOSED: "against", AS_IS: "along"}
+# How rank flows over each layer, kept apart from the package: against
+# the stored edges (crediting their sources) or along them.
+FLOW = {"empowerment": "against", "collaboration": "against",
+        "credibility": "along"}
+# the layer a hand-made layer of each orientation is ranked as
+SLOT = {ORIENT_RECEIVER: "empowerment", ORIENT_SENDER: "credibility"}
+
+
+def solo_pagerank(layer, alpha=0.85, tol=1e-9, max_iter=1000):
+    """Plain PageRank of one layer through the chained ranking with
+    beta = gamma = 0: the layer goes first, in the slot its orientation
+    names, and the two empty layers after it converge at once.  Returns
+    the scores and the flow the oracle should use."""
+    name = SLOT[layer.orientation]
+    layers = {other: make_layer(layer.n, {}, ORIENT_RECEIVER)
+              for other in LAYER_NAMES}
+    layers[name] = layer
+    order = (name,) + tuple(other for other in LAYER_NAMES if other != name)
+    params = MprParams(alpha=(alpha,) * 3, beta=0.0, gamma=0.0,
+                       layer_order=order, tol=tol, max_iter=max_iter)
+    result = multiplex_pagerank(MultiplexTensor(n=layer.n, **layers), params)
+    return getattr(result, name).scores, FLOW[name]
 
 
 def random_layer(rng, n, orientation=ORIENT_RECEIVER, p=0.35):
@@ -47,7 +64,7 @@ def random_layer(rng, n, orientation=ORIENT_RECEIVER, p=0.35):
             key = (other, anchor) if orientation == ORIENT_RECEIVER \
                 else (anchor, other)
             edges[key] = weight / total
-    return Layer(n=n, edges=edges, orientation=orientation)
+    return make_layer(n, edges, orientation)
 
 
 def random_tensor(rng, n):
@@ -94,24 +111,22 @@ class TestParamValidation:
 
 class TestPagerank:
     def test_symmetric_cycle_is_uniform(self):
-        layer = Layer(n=2, edges={(0, 1): 1.0, (1, 0): 1.0},
-                      orientation=ORIENT_RECEIVER)
-        for direction in (TRANSPOSED, AS_IS):
-            vector = pagerank(layer, direction)
-            assert vector.scores == pytest.approx([0.5, 0.5], abs=1e-9)
+        for orientation in (ORIENT_RECEIVER, ORIENT_SENDER):
+            layer = make_layer(2, {(0, 1): 1.0, (1, 0): 1.0}, orientation)
+            scores, _flow = solo_pagerank(layer)
+            assert scores == pytest.approx([0.5, 0.5], abs=1e-9)
 
     def test_empty_layer_gives_uniform(self):
-        layer = Layer(n=4, edges={}, orientation=ORIENT_RECEIVER)
-        vector = pagerank(layer, TRANSPOSED)
-        assert vector.scores == pytest.approx([0.25] * 4)
+        scores, _flow = solo_pagerank(make_layer(4, {}, ORIENT_RECEIVER))
+        assert scores == pytest.approx([0.25] * 4)
 
     def test_direction_changes_the_beneficiary(self):
-        # one stored edge 0 -> 1
-        layer = Layer(n=2, edges={(0, 1): 1.0}, orientation=ORIENT_RECEIVER)
-        against = pagerank(layer, TRANSPOSED).scores    # rank gathers at 0
-        along = pagerank(layer, AS_IS).scores           # rank gathers at 1
-        assert against[0] > against[1]
-        assert along[1] > along[0]
+        # one stored edge 0 -> 1; the normalized endpoint gives rank away
+        edge = {(0, 1): 1.0}
+        against, _ = solo_pagerank(make_layer(2, edge, ORIENT_RECEIVER))
+        along, _ = solo_pagerank(make_layer(2, edge, ORIENT_SENDER))
+        assert against[0] > against[1]                  # rank gathers at 0
+        assert along[1] > along[0]                      # rank gathers at 1
         assert against[0] == pytest.approx(along[1])
 
     @pytest.mark.parametrize("seed", range(25))
@@ -119,18 +134,17 @@ class TestPagerank:
         rng = random.Random(8000 + seed)
         n = rng.randrange(2, 26)
         orientation = rng.choice([ORIENT_RECEIVER, ORIENT_SENDER])
-        direction = rng.choice([TRANSPOSED, AS_IS])
         alpha = rng.uniform(0.5, 0.95)
         layer = random_layer(rng, n, orientation)
-        got = pagerank(layer, direction, alpha=alpha, tol=1e-13,
-                       max_iter=100000).scores
-        want = oracles.dense_pagerank(n, layer.edges, FLOW[direction], alpha)
+        got, flow = solo_pagerank(layer, alpha=alpha, tol=1e-13,
+                                  max_iter=100000)
+        want = oracles.dense_pagerank(n, layer.edges, flow, alpha)
         assert np.max(np.abs(got - want)) < 1e-9
 
     def test_non_convergence_raises_with_state(self):
-        layer = Layer(n=2, edges={(0, 1): 1.0}, orientation=ORIENT_RECEIVER)
+        layer = make_layer(2, {(0, 1): 1.0}, ORIENT_RECEIVER)
         with pytest.raises(ConvergenceError) as info:
-            pagerank(layer, TRANSPOSED, max_iter=1, label="empowerment")
+            solo_pagerank(layer, max_iter=1)
         assert info.value.label == "empowerment"
         assert info.value.residual > 0
         assert info.value.last_iterate.shape == (2,)
@@ -145,10 +159,11 @@ class TestChainedRanking:
         params = MprParams(beta=0.0, gamma=0.0, tol=1e-12)
         result = multiplex_pagerank(tensor, params)
         for position, name in enumerate(params.layer_order):
-            solo = pagerank(tensor.layer(name), LAYER_DIRECTION[name],
-                            alpha=params.alpha[position], tol=1e-12)
+            solo, _flow = solo_pagerank(tensor.layer(name),
+                                        alpha=params.alpha[position],
+                                        tol=1e-12)
             got = getattr(result, name).scores
-            assert np.max(np.abs(got - solo.scores)) < 1e-10
+            assert np.max(np.abs(got - solo)) < 1e-10
 
     @pytest.mark.parametrize("seed", range(12))
     def test_matches_dense_reference(self, seed):
@@ -166,7 +181,7 @@ class TestChainedRanking:
         want = oracles.dense_multiplex_pagerank(
             n,
             [tensor.layer(name).edges for name in order],
-            [FLOW[LAYER_DIRECTION[name]] for name in order],
+            [FLOW[name] for name in order],
             alphas, beta, gamma, tol=1e-14,
         )
         for name, expected in zip(order, want):
@@ -199,23 +214,24 @@ class TestBrokerage:
         return [set(range(1, n))] + [{0} for _ in range(1, n)]
 
     def test_star_center_takes_all(self):
-        scores = brokerage(self.star(4)).scores
+        scores = brokerage(neighbor_tensor(self.star(4))).scores
         assert scores == pytest.approx([1.0, 0.0, 0.0, 0.0])
 
     def test_triangle_has_no_brokers(self):
-        neighbors = [{1, 2}, {0, 2}, {0, 1}]
-        assert brokerage(neighbors).scores == pytest.approx([1 / 3] * 3)
+        tensor = neighbor_tensor([{1, 2}, {0, 2}, {0, 1}])
+        assert brokerage(tensor).scores == pytest.approx([1 / 3] * 3)
 
     def test_path_middle_bridges_one_pair(self):
-        neighbors = [{1}, {0, 2}, {1}]
-        assert brokerage(neighbors).scores == pytest.approx([0.0, 1.0, 0.0])
+        tensor = neighbor_tensor([{1}, {0, 2}, {1}])
+        assert brokerage(tensor).scores == pytest.approx([0.0, 1.0, 0.0])
 
     def test_accepts_a_tensor(self):
+        # three layers score like their union held in one layer
         rng = random.Random(79)
         corpus, window, _t, _r = random_corpus(rng)
         tensor = build_tensor(window, corpus)
         via_tensor = brokerage(tensor).scores
-        via_union = brokerage(layer_union(tensor)).scores
+        via_union = brokerage(neighbor_tensor(union_sets(tensor))).scores
         assert np.array_equal(via_tensor, via_union)
 
     @pytest.mark.parametrize("seed", range(20))
@@ -228,7 +244,7 @@ class TestBrokerage:
                 if rng.random() < 0.4:
                     neighbors[i].add(j)
                     neighbors[j].add(i)
-        got = brokerage(neighbors).scores
+        got = brokerage(neighbor_tensor(neighbors)).scores
         want = oracles.brute_force_brokerage(neighbors)
         assert np.max(np.abs(got - want)) < 1e-12
 
@@ -258,7 +274,7 @@ class TestBrokerageTriangles:
     def test_matches_brute_force_with_isolated_and_leaf_nodes(self, seed):
         rng = random.Random(8500 + seed)
         neighbors = graph_with_leaves(rng, rng.randrange(1, 16))
-        got = brokerage(neighbors).scores
+        got = brokerage(neighbor_tensor(neighbors)).scores
         assert np.array_equal(got, oracles.brute_force_brokerage(neighbors))
 
     @pytest.mark.parametrize("seed", range(10))
@@ -267,26 +283,26 @@ class TestBrokerageTriangles:
         corpus, window, _t, _r = random_corpus(rng, n_users=12,
                                                n_threads=10)
         tensor = build_tensor(window, corpus)
-        neighbors = [set() for _ in range(tensor.n)]
-        for _name, layer in tensor.layers():
-            for i, j in layer.edges:
-                neighbors[i].add(j)
-                neighbors[j].add(i)
-        assert layer_union(tensor) == neighbors
+        neighbors = union_sets(tensor)
+        adjacency = union_adjacency(tensor)
+        assert [set(adjacency.indices[adjacency.indptr[v]:
+                                      adjacency.indptr[v + 1]].tolist())
+                for v in range(tensor.n)] == neighbors
         assert np.array_equal(brokerage(tensor).scores,
                               oracles.brute_force_brokerage(neighbors))
 
     def test_empty_graph_is_rejected(self):
         with pytest.raises(ValueError):
-            brokerage([])
+            brokerage(neighbor_tensor([]))
 
 
-def mapping_iteration_matrix(layer, direction):
-    """The rank matrix built from ``layer.edges`` through COO."""
+def mapping_flow_matrix(layer, flow):
+    """The rank matrix M[gainer, giver] built from ``layer.edges``
+    through COO."""
     rows, cols, vals = [], [], []
     for (i, j), w in layer.edges.items():
-        rows.append(i if direction == TRANSPOSED else j)
-        cols.append(j if direction == TRANSPOSED else i)
+        rows.append(i if flow == "against" else j)
+        cols.append(j if flow == "against" else i)
         vals.append(w)
     return sparse.csr_matrix((vals, (rows, cols)), shape=(layer.n, layer.n))
 
@@ -300,8 +316,10 @@ class TestStoredMatrices:
         tensor = build_tensor(window, corpus)
         params = MprParams(tol=1e-12)
         got = multiplex_pagerank(tensor, params)
-        monkeypatch.setattr(rank, "_iteration_matrix",
-                            mapping_iteration_matrix)
+        name_of = {id(layer): name for name, layer in tensor.layers()}
+        monkeypatch.setattr(Layer, "flow", property(
+            lambda layer: mapping_flow_matrix(layer,
+                                              FLOW[name_of[id(layer)]])))
         want = multiplex_pagerank(tensor, params)
         for name in MprResult._fields:
             assert np.array_equal(getattr(got, name).scores,
