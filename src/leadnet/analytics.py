@@ -11,6 +11,7 @@ from collections import defaultdict
 from dataclasses import dataclass
 from typing import Iterable
 
+import numpy as np
 from scipy import sparse
 
 from .ingest import Corpus, Gender, Role, WindowSlice
@@ -132,10 +133,9 @@ def top_mass(
         raise ValueError("k must be >= 1")
     clamped = wanted > len(indices)
     effective = min(wanted, len(indices))
-    order = sorted(
-        indices, key=lambda i: (-rank.scores[i], corpus.users[i].user_id)
-    )
-    top = order[:effective]
+    # users are indexed in user_id order, so ties break by index
+    idx = np.asarray(indices)
+    top = idx[np.lexsort((idx, -rank.scores[idx]))[:effective]].tolist()
     women_top = sum(1 for i in top if corpus.users[i].gender is Gender.female)
     women_active = sum(
         1 for i in indices if corpus.users[i].gender is Gender.female

@@ -24,11 +24,13 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import gc
 import hashlib
 import json
 import os
 import sys
 from concurrent.futures import ThreadPoolExecutor
+from contextlib import contextmanager
 from pathlib import Path
 from typing import Callable, Sequence
 
@@ -305,11 +307,14 @@ def _require(cfg: dict, name: str) -> str:
 # run context and manifest
 
 class RunContext:
-    """Tracks artifacts under the output directory; a failed run removes
-    whatever it had already written."""
+    """Tracks artifacts under the output directory, which it creates if
+    missing; a failed run removes whatever it had already written, and the
+    directory too when the run created it and left it empty."""
 
     def __init__(self, out_dir: Path):
         self.out_dir = out_dir
+        self.created = not out_dir.exists()
+        out_dir.mkdir(parents=True, exist_ok=True)
         self.artifacts: list[str] = []
 
     def path(self, name: str) -> Path:
@@ -322,6 +327,8 @@ class RunContext:
             target = self.out_dir / name
             if target.exists():
                 target.unlink()
+        if self.created and not any(self.out_dir.iterdir()):
+            self.out_dir.rmdir()
 
 
 def _sha256(path: str) -> str:
@@ -363,7 +370,29 @@ def write_manifest(ctx: RunContext, command: str, cfg: dict) -> None:
 # ---------------------------------------------------------------------------
 # shared pipeline pieces
 
+@contextmanager
+def _collector_paused():
+    """No automatic collection inside the block, which allocates many
+    long-lived objects and no reference cycles; the caller's collector
+    state is restored after it.  On success every object then tracked is
+    frozen, so later collections skip it, until the caller calls
+    ``gc.unfreeze()`` (``main`` does on exit).  A full collection runs
+    first, so no garbage made before the block is frozen."""
+    enabled = gc.isenabled()
+    gc.collect()
+    gc.disable()
+    try:
+        yield
+        gc.freeze()
+    finally:
+        if enabled:
+            gc.enable()
+
+
+@_collector_paused()
 def _load_corpus(cfg: dict) -> tuple[Corpus, list[str]]:
+    """The corpus and its diagnostics, left frozen by the collector pause:
+    a caller other than ``main`` calls ``gc.unfreeze()`` when done."""
     threads, diags = parse_thread_log(_require(cfg, "input"),
                                       format=cfg["format"])
     ratings = []
@@ -481,6 +510,14 @@ def cmd_rank(cfg: dict, ctx: RunContext) -> None:
     _write_window_rankings(ctx, corpus, slices, ranked)
 
 
+def _window_at(slices: Sequence[WindowSlice], index: int) -> WindowSlice:
+    if not 0 <= index < len(slices):
+        raise UsageError(
+            f"window index {index} out of range (have {len(slices)} windows)"
+        )
+    return slices[index]
+
+
 def _topic_streams(slices, cfg):
     lexicon = load_lexicon(_require(cfg, "lexicon"), cfg["stopwords"])
     topic_cfg = cfg["topic_config"]
@@ -500,20 +537,16 @@ def cmd_topics(cfg: dict, ctx: RunContext) -> None:
     write_topics_json(streams, ctx.path("topics.json"))
     if cfg["stream"] is None:
         return
-    index = cfg["window_index"]
-    if not 0 <= index < len(slices):
-        raise UsageError(
-            f"window index {index} out of range (have {len(slices)} windows)"
-        )
+    window = _window_at(slices, cfg["window_index"])
     wanted = [s for s in streams if s.stream_id == cfg["stream"]]
     if not wanted:
         raise UsageError(f"no stream named {cfg['stream']!r}")
     try:
-        filtered = topic_network(wanted[0], slices[index], lexicon)
+        filtered = topic_network(wanted[0], window, lexicon)
     except ValueError as exc:
         raise UsageError(str(exc)) from exc
     tensor = build_tensor(filtered, corpus)
-    name = f"stream_{cfg['stream']}_w{index:03d}_edges.csv"
+    name = f"stream_{cfg['stream']}_w{window.index:03d}_edges.csv"
     write_edges_csv(ctx.path(name), tensor, corpus)
 
 
@@ -545,13 +578,7 @@ def cmd_export_graph(cfg: dict, ctx: RunContext) -> None:
     if cfg["window_index"] is None:
         window_slice = whole_span_slice(corpus)
     else:
-        slices = _slices(corpus, cfg)
-        index = cfg["window_index"]
-        if not 0 <= index < len(slices):
-            raise UsageError(
-                f"window index {index} out of range (have {len(slices)} windows)"
-            )
-        window_slice = slices[index]
+        window_slice = _window_at(_slices(corpus, cfg), cfg["window_index"])
     tensor = build_tensor(window_slice, corpus)
     write_edges_csv(ctx.path("edges.csv"), tensor, corpus)
     write_graph_dot(ctx.path("graph.dot"), tensor, corpus)
@@ -653,9 +680,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         cfg = resolve_settings(args)
-        out_dir = Path(_require(cfg, "out"))
-        out_dir.mkdir(parents=True, exist_ok=True)
-        ctx = RunContext(out_dir)
+        ctx = RunContext(Path(_require(cfg, "out")))
         try:
             COMMANDS[args.command](cfg, ctx)
             write_manifest(ctx, args.command, cfg)
@@ -668,6 +693,8 @@ def main(argv: Sequence[str] | None = None) -> int:
     except (IngestError, ConvergenceError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    finally:
+        gc.unfreeze()
     return 0
 
 

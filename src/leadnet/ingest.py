@@ -669,12 +669,15 @@ def parse_ratings(
 def _merge_attrs(
     attrs: dict[str, tuple[Role, Gender]], first: dict[str, UserRef],
     ref: UserRef, diags: list[str],
-) -> None:
+) -> bool:
     """Field-wise merge: the first known role/gender for a user_id wins;
     later conflicting known values are reported and ignored.  ``first``
-    keeps the first ref seen for each user_id."""
+    keeps the first ref seen for each user_id.  True when the merge wrote
+    no diagnostic: every known field of ``ref`` is then the kept one, so
+    merging ``ref`` again would change nothing."""
     first.setdefault(ref.user_id, ref)
     role, gender = attrs.get(ref.user_id, (Role.unknown, Gender.unknown))
+    clean = True
     if ref.role is not Role.unknown:
         if role is Role.unknown:
             role = ref.role
@@ -683,6 +686,7 @@ def _merge_attrs(
                 f"conflicting role for {ref.user_id}: keeping {role.value},"
                 f" saw {ref.role.value}"
             )
+            clean = False
     if ref.gender is not Gender.unknown:
         if gender is Gender.unknown:
             gender = ref.gender
@@ -691,7 +695,43 @@ def _merge_attrs(
                 f"conflicting gender for {ref.user_id}: keeping {gender.value},"
                 f" saw {ref.gender.value}"
             )
+            clean = False
     attrs[ref.user_id] = (role, gender)
+    return clean
+
+
+def _record_refs(threads: Iterable[ThreadRecord],
+                 ratings: Iterable[RatingEvent]) -> Iterable[UserRef]:
+    """Every ref in record order: each thread's author, then its
+    commenters, then every rater."""
+    for thread in threads:
+        yield thread.author
+        for comment in thread.comments:
+            yield comment.author
+    for event in ratings:
+        yield event.rater
+
+
+def _canonical_refs(threads: list[ThreadRecord], ratings: list[RatingEvent],
+                    diags: list[str]) -> dict[str, UserRef]:
+    """user_id -> canonical UserRef: the first ref seen for the user when
+    it already holds the merged role and gender, else a new one.  A ref
+    object is merged again only where its earlier merges reported a
+    conflict, so each conflict is reported at every occurrence.  The
+    merge state is dropped on return, before the corpus is assembled."""
+    attrs: dict[str, tuple[Role, Gender]] = {}
+    first: dict[str, UserRef] = {}
+    merged: set[int] = set()  # ids of refs merged without a diagnostic
+    for ref in _record_refs(threads, ratings):
+        if id(ref) not in merged and _merge_attrs(attrs, first, ref, diags):
+            merged.add(id(ref))
+    canonical = {}
+    for user_id, (role, gender) in attrs.items():
+        ref = first[user_id]
+        if ref.role is not role or ref.gender is not gender:
+            ref = UserRef(user_id=user_id, role=role, gender=gender)
+        canonical[user_id] = ref
+    return canonical
 
 
 def _with_canonical_refs(thread: ThreadRecord,
@@ -715,9 +755,8 @@ def build_corpus(
 ) -> tuple[Corpus, list[str]]:
     """Assemble validated records into a Corpus.
 
-    Every author and rater is mapped to a single canonical UserRef: the
-    first ref seen for the user when it already holds the merged role and
-    gender, else a new one.  A record whose refs are all canonical is kept
+    Every author and rater is mapped to a single canonical UserRef (see
+    ``_canonical_refs``).  A record whose refs are all canonical is kept
     as it is; only records holding a replaced ref are rebuilt.  Ratings
     whose target is not a known message are dropped with a diagnostic.
     Zero valid threads is fatal.
@@ -728,21 +767,7 @@ def build_corpus(
         raise CorpusError("no valid threads; cannot build corpus")
 
     diags: list[str] = []
-    attrs: dict[str, tuple[Role, Gender]] = {}
-    first: dict[str, UserRef] = {}
-    for thread in threads:
-        _merge_attrs(attrs, first, thread.author, diags)
-        for comment in thread.comments:
-            _merge_attrs(attrs, first, comment.author, diags)
-    for event in ratings:
-        _merge_attrs(attrs, first, event.rater, diags)
-
-    canonical = {}
-    for user_id, (role, gender) in attrs.items():
-        ref = first[user_id]
-        if ref.role is not role or ref.gender is not gender:
-            ref = UserRef(user_id=user_id, role=role, gender=gender)
-        canonical[user_id] = ref
+    canonical = _canonical_refs(threads, ratings, diags)
     users = tuple(canonical[user_id] for user_id in sorted(canonical))
     user_index = {ref.user_id: i for i, ref in enumerate(users)}
 

@@ -294,3 +294,40 @@ class TestRoleSubgraphMatchesNeighborSets:
             sub, _warnings = role_subgraph(tensor, corpus, wanted)
             assert sub == neighbor_set_role_subgraph(tensor, corpus,
                                                      set(wanted))
+
+
+def sorted_top_mass(rank, corpus, active, k):
+    """top_mass as it ranked with a Python sort keyed by (-score,
+    user_id), the reference for its lexsort."""
+    indices = sorted(active)
+    effective = min(k, len(indices))
+    order = sorted(
+        indices, key=lambda i: (-rank.scores[i], corpus.users[i].user_id))
+    women = [corpus.users[i].gender is Gender.female for i in indices]
+    women_top = sum(corpus.users[i].gender is Gender.female
+                    for i in order[:effective])
+    return (effective, len(indices), women_top / effective,
+            sum(women) / len(indices), k > len(indices))
+
+
+class TestTopMassMatchesSortedOrder:
+    @pytest.mark.parametrize("seed", range(40))
+    def test_tied_scores_and_random_active_sets(self, seed):
+        rng = random.Random(4100 + seed)
+        corpus, _window, _t, _r = random_corpus(rng, n_users=rng.randint(1, 15),
+                                                n_threads=3)
+        genders = list(Gender)
+        corpus = replace(corpus, users=tuple(
+            replace(ref, gender=rng.choice(genders)) for ref in corpus.users))
+        # few distinct scores, zeros among them, so most users tie
+        raw = np.array([rng.choice([0.0, 1.0, 1.0, 2.0, 3.0])
+                        for _ in corpus.users])
+        raw[rng.randrange(raw.size)] += 1.0
+        rank = RankVector(scores=raw / raw.sum(), label="leadership")
+        for _ in range(5):
+            active = set(rng.sample(range(corpus.n_users),
+                                    rng.randint(1, corpus.n_users)))
+            k = rng.randint(1, corpus.n_users + 2)
+            entry = top_mass(rank, corpus, active, k)
+            assert (entry.k, entry.n_active, entry.mass_w, entry.prior_w,
+                    entry.clamped) == sorted_top_mass(rank, corpus, active, k)

@@ -1,8 +1,10 @@
 """End-to-end command line runs, in process, against temp directories."""
 
 import csv
+import gc
 import json
 import os
+import weakref
 from pathlib import Path
 
 import pytest
@@ -95,7 +97,7 @@ class TestIngest:
                    "--out", out)
         assert code == 1
         assert "error:" in capsys.readouterr().err
-        assert not list(out.iterdir())
+        assert not out.exists()
 
     def test_input_flag_is_required(self, corpus_dir, tmp_path, capsys):
         assert run("ingest", "--out", tmp_path / "x") == 2
@@ -190,7 +192,7 @@ class TestRank:
                    "--window", "week", "--max-iter", 1)
         assert code == 1
         assert "error:" in capsys.readouterr().err
-        assert not list(out.iterdir())
+        assert not out.exists()
 
 
 class TestTopics:
@@ -356,7 +358,7 @@ class TestConvergenceFailure:
         err = capsys.readouterr().err
         assert f"error: window 0 ({start}): empowerment ranking did not " \
                "converge: residual " in err
-        assert list(out.iterdir()) == []
+        assert not out.exists()
 
 
 def lex_args(corpus_dir):
@@ -397,7 +399,7 @@ class TestLexiconErrors:
                    "--out", out, "--window", "week") == 1
         assert "error: bad lexicon line 3 'bogus-line-without-tab': " \
                "expected surface<TAB>concept_id" in capsys.readouterr().err
-        assert list(out.iterdir()) == []
+        assert not out.exists()
 
 
 class TestStopwordTokens:
@@ -452,7 +454,7 @@ class TestStopwordTokens:
                    *self.args(elided, "di\tit\nof the\ten\n")) == 1
         assert "error: bad stopwords line 2 'of the\\ten': expected one " \
                "token, found 2" in capsys.readouterr().err
-        assert list(out.iterdir()) == []
+        assert not out.exists()
 
 
 class TestTokenizeOnce:
@@ -563,7 +565,7 @@ class TestFailingDailyRun:
                    "--out", out, "--window", "days:1", "--max-iter", 1) == 1
         assert "error: window 0 (" in capsys.readouterr().err
         assert len(resolved) == first_day
-        assert list(out.iterdir()) == []
+        assert not out.exists()
 
 
 class TestRatingsKeepParsedEvents:
@@ -581,6 +583,7 @@ class TestRatingsKeepParsedEvents:
         corpus, _diags = cli._load_corpus({
             "input": corpus_dir / "threads.jsonl", "format": "jsonl",
             "ratings": corpus_dir / "ratings.jsonl"})
+        gc.unfreeze()  # the load freezes the heap; main would unfreeze it
         assert len(corpus.ratings) == len(parsed) > 0
         assert all(kept is event
                    for kept, event in zip(corpus.ratings, parsed))
@@ -637,7 +640,7 @@ class TestOptionWiring:
         assert run(command, "--input", tmp_path / "missing.jsonl",
                    "--out", out, f"{flag}={value}") == 2
         assert f"error: {flag}" in capsys.readouterr().err
-        assert not out.exists() or not any(out.iterdir())
+        assert not out.exists()
 
     def test_defaults_are_the_config_dataclass_defaults(self, tmp_path,
                                                          monkeypatch):
@@ -659,3 +662,140 @@ class TestOptionWiring:
         taken = {name for options in cli.COMMAND_OPTIONS.values()
                  for name in options}
         assert taken == set(cli.SETTINGS)
+
+
+class TestOutputDirectory:
+    def test_window_index_out_of_range_leaves_no_directory(
+            self, corpus_dir, tmp_path, capsys):
+        out = tmp_path / "x"
+        assert run("export-graph", *base_args(corpus_dir), "--out", out,
+                   "--window", "week", "--window-index", 99) == 2
+        assert "out of range" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_stream_without_input_leaves_no_directory(self, tmp_path,
+                                                      capsys):
+        out = tmp_path / "x"
+        assert run("topics", "--stream", "s0", "--input",
+                   tmp_path / "nonexistent.jsonl", "--out", out) == 2
+        assert "--stream needs --window-index" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_a_directory_the_run_did_not_create_is_kept(
+            self, corpus_dir, tmp_path):
+        empty, used = tmp_path / "empty", tmp_path / "used"
+        empty.mkdir()
+        used.mkdir()
+        (used / "notes.txt").write_text("mine\n")
+        for out in (empty, used):
+            assert run("export-graph", *base_args(corpus_dir), "--out", out,
+                       "--window", "week", "--window-index", 99) == 2
+        assert list(empty.iterdir()) == []
+        assert [p.name for p in used.iterdir()] == ["notes.txt"]
+
+
+class TestCollectorState:
+    @pytest.fixture(params=[True, False], ids=["enabled", "disabled"])
+    def prior(self, request):
+        was = gc.isenabled()
+        (gc.enable if request.param else gc.disable)()
+        yield request.param
+        (gc.enable if was else gc.disable)()
+
+    @pytest.mark.parametrize("case", ["ok", "unreadable", "bad-flag",
+                                      "bad-index"])
+    def test_enabled_state_restored_and_nothing_frozen(
+            self, corpus_s, tmp_path, prior, case):
+        inputs = [*base_args(corpus_s), *lex_args(corpus_s)]
+        argv, code = {
+            "ok": (["all", *inputs, "--window", "week"], 0),
+            "unreadable": (["all", "--input", tmp_path / "nope.jsonl"], 1),
+            "bad-flag": (["all", *inputs, "--tol", "abc"], 2),
+            # found after the corpus is loaded and frozen
+            "bad-index": (["export-graph", *base_args(corpus_s),
+                           "--window-index", 99], 2),
+        }[case]
+        assert run(*argv, "--out", tmp_path / "out") == code
+        assert gc.isenabled() is prior
+        assert gc.get_freeze_count() == 0
+
+    def test_old_garbage_is_collected_not_frozen(self, corpus_s):
+        class Node:
+            pass
+
+        cycle = Node()
+        cycle.self = cycle
+        gc.collect()  # the cycle survives into the oldest generation
+        alive = weakref.ref(cycle)
+        del cycle
+        try:
+            cli._load_corpus({"input": corpus_s / "threads.jsonl",
+                              "format": "jsonl", "ratings": None})
+        finally:
+            gc.unfreeze()
+        assert alive() is None
+
+    def test_no_collection_starts_while_the_corpus_loads(
+            self, corpus_s, tmp_path, monkeypatch):
+        loading, started = [False], []
+        parse_thread_log, build_corpus = cli.parse_thread_log, cli.build_corpus
+
+        def parsing(*args, **kwargs):
+            loading[0] = True  # the first call inside the load
+            return parse_thread_log(*args, **kwargs)
+
+        def building(*args):
+            try:
+                return build_corpus(*args)
+            finally:
+                loading[0] = False  # the last call inside the load
+
+        def guard(phase, info):
+            if phase == "start" and loading[0]:
+                started.append(info["generation"])
+
+        monkeypatch.setattr(cli, "parse_thread_log", parsing)
+        monkeypatch.setattr(cli, "build_corpus", building)
+        gc.callbacks.append(guard)
+        try:
+            assert run("all", *base_args(corpus_s), *lex_args(corpus_s),
+                       "--out", tmp_path / "all", "--window", "week") == 0
+            assert started == []
+            # the guard does see collections in the same load when the
+            # collector runs
+            assert gc.isenabled()
+            loading[0] = True
+            ingest.build_corpus(ingest.parse_thread_log(
+                corpus_s / "threads.jsonl")[0])
+            assert started
+        finally:
+            gc.callbacks.remove(guard)
+
+
+class TestConflictDiagnostics:
+    def test_ingest_reports_every_conflicting_occurrence_in_order(
+            self, tmp_path):
+        def thread(thread_id, day, author, *commenters):
+            return {"thread_id": thread_id,
+                    "published_at": f"2014-01-0{day}T09:00:00Z",
+                    "author": author,
+                    "comments": [{"comment_id": f"{thread_id}c{k}",
+                                  "created_at": f"2014-01-0{day}T10:0{k}:00Z",
+                                  "author": who}
+                                 for k, who in enumerate(commenters)]}
+
+        b = {"user_id": "b", "role": "manager", "gender": 1}
+        b_director = {"user_id": "b", "role": "director", "gender": 1}
+        b_male = {"user_id": "b", "gender": 0}
+        log = tmp_path / "threads.jsonl"
+        log.write_text("".join(json.dumps(obj) + "\n" for obj in (
+            thread("t1", 6, b, b_director, b),
+            thread("t2", 7, b_director, b_male, b_director),
+            thread("t3", 8, {"user_id": "a"}, b_male, b),
+        )))
+        out = tmp_path / "out"
+        assert run("ingest", "--input", log, "--out", out) == 0
+        role = "conflicting role for b: keeping manager, saw director"
+        gender = "conflicting gender for b: keeping 1, saw 0"
+        assert (out / "diagnostics.txt").read_text().splitlines() == [
+            role, role, gender, role, gender]
