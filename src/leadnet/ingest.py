@@ -15,8 +15,10 @@ Canonical input is JSON Lines.  ``threads.jsonl`` holds one thread per line:
     {"rater_id": "b80a4fcb", "target_id": "c00001x01", "value": 1}
 
 Gender is encoded 0 (male), 1 (female) or "unknown"; roles are strings
-normalized against a fixed set.  A flat CSV importer is also provided,
-see ``parse_thread_log``.  All timestamps are UTC, second precision.
+normalized against a fixed set.  A flat CSV form of the thread log is
+also read, through the same record decoders; ``_parse_threads_csv``
+documents its columns and rules.  All timestamps are UTC, second
+precision.
 
 Parsers do not raise on a bad record: the record is skipped and a
 human-readable diagnostic naming the line number and cause is returned
@@ -64,9 +66,6 @@ class Role(enum.Enum):
     partner = "partner"
     external = "external"
     unknown = "unknown"
-
-
-KNOWN_ROLES = frozenset(r for r in Role if r is not Role.unknown)
 
 
 @dataclass(frozen=True)
@@ -249,10 +248,6 @@ def decode_gender(value: object) -> Gender | None:
     return None
 
 
-def encode_gender(gender: Gender) -> int | str:
-    return gender.value
-
-
 def decode_role(value: object) -> Role | None:
     if value is None or value == "":
         return Role.unknown
@@ -365,47 +360,53 @@ def _finish_comments(
     )
 
 
+def _check_corrupt(total: int, malformed: int) -> None:
+    """The input-wide rule: more than half of the records malformed is fatal."""
+    if total and malformed * 2 > total:
+        raise CorruptInputError(f"corrupt input: {malformed} of {total} records malformed")
+
+
+def _jsonl_objects(stream: IO[str], diags: list[str]) -> Iterable[tuple[int, dict | None]]:
+    """(line number, object) for each non-blank line of a JSON Lines
+    stream; the object is None, with its diagnostic written, when the
+    line is not a JSON object."""
+    for lineno, line in enumerate(stream, start=1):
+        if not line.strip():
+            continue
+        try:
+            obj = json.loads(line)
+        except (json.JSONDecodeError, RecursionError):  # the latter: nested too deep
+            diags.append(f"invalid JSON at line {lineno}")
+            yield lineno, None
+            continue
+        if not isinstance(obj, dict):
+            diags.append(f"record is not an object at line {lineno}")
+            obj = None
+        yield lineno, obj
+
+
 def _parse_threads_jsonl(stream: IO[str]) -> tuple[list[ThreadRecord], list[str]]:
     threads: list[ThreadRecord] = []
     diags: list[str] = []
     known: dict[tuple, UserRef] = {}
     seen_threads: set[str] = set()
     total = 0
-    malformed = 0
-
-    for lineno, line in enumerate(stream, start=1):
-        if not line.strip():
-            continue
+    for lineno, obj in _jsonl_objects(stream, diags):
         total += 1
-        try:
-            obj = json.loads(line)
-        except json.JSONDecodeError:
-            diags.append(f"invalid JSON at line {lineno}")
-            malformed += 1
-            continue
-        record = _decode_thread_obj(obj, lineno, diags, known)
+        record = None if obj is None else _decode_thread_obj(obj, lineno, diags, known)
         if record is None:
-            malformed += 1
             continue
         if record.thread_id in seen_threads:
             diags.append(f"duplicate thread_id {record.thread_id} at line {lineno}; skipped")
-            malformed += 1
             continue
         seen_threads.add(record.thread_id)
         threads.append(record)
-
-    if total and malformed * 2 > total:
-        raise CorruptInputError(
-            f"corrupt input: {malformed} of {total} records malformed"
-        )
+    _check_corrupt(total, total - len(threads))
     return threads, diags
 
 
-def _decode_thread_obj(obj: object, lineno: int, diags: list[str],
+def _decode_thread_obj(obj: dict, lineno: int, diags: list[str],
                        known: dict[tuple, UserRef]) -> ThreadRecord | None:
-    if not isinstance(obj, dict):
-        diags.append(f"record is not an object at line {lineno}")
-        return None
     thread_id = obj.get("thread_id")
     if not thread_id or not isinstance(thread_id, str):
         diags.append(f"missing thread_id at line {lineno}")
@@ -436,27 +437,8 @@ def _decode_thread_obj(obj: object, lineno: int, diags: list[str],
     if not isinstance(comments, list):
         diags.append(f"invalid comments at line {lineno}")
         return None
-    raw_comments: list[tuple[str, str, datetime, UserRef, int]] = []
-    for idx, c in enumerate(comments):
-        where = f" (comment {idx})"
-        if not isinstance(c, dict) or not c.get("comment_id"):
-            diags.append(f"missing comment_id at line {lineno}{where}; comment skipped")
-            continue
-        where = f" (comment {c['comment_id']})"
-        c_author = _decode_user(c.get("author"), lineno, diags, where, known)
-        if c_author is None:
-            continue
-        try:
-            created_at = parse_timestamp(c.get("created_at"))
-        except (ValueError, TypeError):
-            diags.append(f"invalid created_at at line {lineno}{where}; comment skipped")
-            continue
-        text = c.get("text", "")
-        if not isinstance(text, str):
-            diags.append(f"invalid text at line {lineno}{where}; comment skipped")
-            continue
-        raw_comments.append((c["comment_id"], text, created_at, c_author, lineno))
-
+    decoded = (_decode_comment(c, idx, lineno, diags, known, "; comment skipped")
+               for idx, c in enumerate(comments))
     return ThreadRecord(
         thread_id=thread_id,
         title=title,
@@ -464,8 +446,35 @@ def _decode_thread_obj(obj: object, lineno: int, diags: list[str],
         published_at=published_at,
         tags=tuple(tags),
         author=author,
-        comments=_finish_comments(thread_id, published_at, raw_comments, diags),
+        comments=_finish_comments(thread_id, published_at,
+                                  [c for c in decoded if c is not None], diags),
     )
+
+
+def _decode_comment(c: object, idx: int, lineno: int, diags: list[str],
+                    known: dict[tuple, UserRef], skipped: str,
+                    ) -> tuple[str, str, datetime, UserRef, int] | None:
+    """Comment ``idx`` of the record at ``lineno`` as the tuple
+    ``_finish_comments`` takes, or None when it is unusable.  ``skipped``
+    ends the diagnostics of the comment's own fields."""
+    comment_id = c.get("comment_id") if isinstance(c, dict) else None
+    if not comment_id or not isinstance(comment_id, str):
+        diags.append(f"missing comment_id at line {lineno} (comment {idx}){skipped}")
+        return None
+    where = f" (comment {comment_id})"
+    author = _decode_user(c.get("author"), lineno, diags, where, known)
+    if author is None:
+        return None
+    try:
+        created_at = parse_timestamp(c.get("created_at"))
+    except (ValueError, TypeError):
+        diags.append(f"invalid created_at at line {lineno}{where}{skipped}")
+        return None
+    text = c.get("text", "")
+    if not isinstance(text, str):
+        diags.append(f"invalid text at line {lineno}{where}{skipped}")
+        return None
+    return comment_id, text, created_at, author, lineno
 
 
 CSV_COLUMNS = [
@@ -476,113 +485,88 @@ CSV_COLUMNS = [
 ]
 
 
-def _csv_user(user_id: object, role: object, gender_text: object,
-              lineno: int, diags: list[str], where: str,
-              known: dict[tuple, UserRef]) -> UserRef | None:
-    gender: object = gender_text
-    if isinstance(gender_text, str):
-        g = gender_text.strip()
-        gender = int(g) if g in ("0", "1") else (g or None)
-    return _decode_user({"user_id": user_id, "role": role or None, "gender": gender},
-                        lineno, diags, where, known)
+def _csv_user(row: dict[str, str], prefix: str) -> dict:
+    """The author object of a CSV row's ``{prefix}_id``, ``_role`` and
+    ``_gender`` cells: a "0" or "1" gender cell is that number, and an
+    empty role or gender cell is an absent value."""
+    gender = row[f"{prefix}_gender"].strip()
+    return {"user_id": row[f"{prefix}_id"].strip(),
+            "role": row[f"{prefix}_role"] or None,
+            "gender": int(gender) if gender in ("0", "1") else (gender or None)}
+
+
+def _csv_rows(stream: IO[str]) -> Iterable[tuple[int, dict[str, str]]]:
+    """(line number, row) for each row of a CSV log whose header names
+    every one of ``CSV_COLUMNS``.  Cells missing from a short row read
+    as empty.  A row the ``csv`` module cannot read, such as one with a
+    cell over its field size limit, is fatal and names its first line."""
+    reader = csv.DictReader(stream, restval="")
+    try:
+        missing = [c for c in CSV_COLUMNS if c not in (reader.fieldnames or [])]
+        if missing:
+            raise CorruptInputError(f"corrupt input: CSV header missing {', '.join(missing)}")
+        for row in reader:
+            yield reader.line_num, row
+    except csv.Error as exc:
+        raise CorruptInputError(
+            f"corrupt input: {exc} at line {reader.line_num + 1}") from None
 
 
 def _parse_threads_csv(stream: IO[str]) -> tuple[list[ThreadRecord], list[str]]:
-    """Flat CSV importer.
+    """Flat CSV importer: the columns of ``CSV_COLUMNS``, in any order.
 
     One row per thread (comment columns empty) and one row per comment
-    (comment columns filled, thread columns repeated).  Multiple tags are
-    separated by "|" inside the tags cell.  Thread rows must precede
-    their comment rows.
+    (comment columns filled, thread columns repeated or empty).  Thread
+    and comment cells are decoded as the JSONL fields they stand for,
+    with thread_id, comment_id, user ids, genders and each tag stripped
+    of whitespace; gender cells read "0", "1", "unknown" or empty.
+    Multiple tags are separated by "|" inside the tags cell.  A thread's
+    row must precede its comment rows; a second row for a thread, or a
+    comment row for a thread not yet seen, is malformed.  Every
+    diagnostic names its own row's line, comment diagnostics carry no
+    "; comment skipped", and each unusable comment row counts as a
+    malformed record.
     """
     diags: list[str] = []
     known: dict[tuple, UserRef] = {}
-    reader = csv.DictReader(stream)
-    missing = [c for c in CSV_COLUMNS if c not in (reader.fieldnames or [])]
-    if missing:
-        raise CorruptInputError(f"corrupt input: CSV header missing {', '.join(missing)}")
-
     total = 0
     malformed = 0
-    order: list[str] = []
-    heads: dict[str, dict] = {}
-    pending: dict[str, list[tuple[str, str, datetime, UserRef, int]]] = {}
-
-    for row in reader:
-        lineno = reader.line_num
+    heads: dict[str, tuple[ThreadRecord, list]] = {}
+    for lineno, row in _csv_rows(stream):
         total += 1
-        thread_id = (row.get("thread_id") or "").strip()
+        thread_id = row["thread_id"].strip()
+        comment_id = row["comment_id"].strip()
         if not thread_id:
             diags.append(f"missing thread_id at line {lineno}")
-            malformed += 1
-            continue
-        if not (row.get("comment_id") or "").strip():
-            if thread_id in heads:
-                diags.append(f"duplicate thread_id {thread_id} at line {lineno}; skipped")
-                malformed += 1
+        elif not comment_id and thread_id in heads:
+            diags.append(f"duplicate thread_id {thread_id} at line {lineno}; skipped")
+        elif not comment_id:
+            tags = [t.strip() for t in row["tags"].split("|") if t.strip()]
+            head = _decode_thread_obj(
+                {"thread_id": thread_id, "title": row["title"],
+                 "description": row["description"], "tags": tags,
+                 "published_at": row["published_at"], "author": _csv_user(row, "author")},
+                lineno, diags, known)
+            if head is not None:
+                heads[thread_id] = (head, [])
                 continue
-            author = _csv_user(row.get("author_id", "").strip(), row.get("author_role"),
-                               row.get("author_gender"), lineno, diags, "", known)
-            if author is None:
-                malformed += 1
-                continue
-            try:
-                published_at = parse_timestamp(row.get("published_at", ""))
-            except (ValueError, TypeError):
-                diags.append(f"invalid published_at at line {lineno}")
-                malformed += 1
-                continue
-            tags = tuple(t.strip() for t in (row.get("tags") or "").split("|") if t.strip())
-            heads[thread_id] = {
-                "published_at": published_at,
-                "title": row.get("title") or "",
-                "description": row.get("description") or "",
-                "tags": tags,
-                "author": author,
-            }
-            pending[thread_id] = []
-            order.append(thread_id)
+        elif thread_id not in heads:
+            diags.append(f"comment for unknown thread {thread_id} at line {lineno}; skipped")
         else:
-            comment_id = row["comment_id"].strip()
-            where = f" (comment {comment_id})"
-            if thread_id not in heads:
-                diags.append(f"comment for unknown thread {thread_id} at line {lineno}; skipped")
-                malformed += 1
+            pending = heads[thread_id][1]
+            comment = _decode_comment(
+                {"comment_id": comment_id, "text": row["comment_text"],
+                 "created_at": row["comment_created_at"],
+                 "author": _csv_user(row, "comment_author")},
+                len(pending), lineno, diags, known, "")
+            if comment is not None:
+                pending.append(comment)
                 continue
-            author = _csv_user(row.get("comment_author_id", "").strip(),
-                               row.get("comment_author_role"),
-                               row.get("comment_author_gender"), lineno, diags, where,
-                               known)
-            if author is None:
-                malformed += 1
-                continue
-            try:
-                created_at = parse_timestamp(row.get("comment_created_at", ""))
-            except (ValueError, TypeError):
-                diags.append(f"invalid created_at at line {lineno}{where}")
-                malformed += 1
-                continue
-            pending[thread_id].append(
-                (comment_id, row.get("comment_text") or "", created_at, author, lineno)
-            )
-
-    if total and malformed * 2 > total:
-        raise CorruptInputError(f"corrupt input: {malformed} of {total} records malformed")
-
-    threads = []
-    for thread_id in order:
-        head = heads[thread_id]
-        threads.append(ThreadRecord(
-            thread_id=thread_id,
-            title=head["title"],
-            description=head["description"],
-            published_at=head["published_at"],
-            tags=head["tags"],
-            author=head["author"],
-            comments=_finish_comments(thread_id, head["published_at"],
-                                      pending[thread_id], diags),
-        ))
-    return threads, diags
+        malformed += 1
+    _check_corrupt(total, malformed)
+    return [replace(head, comments=_finish_comments(
+                thread_id, head.published_at, pending, diags))
+            for thread_id, (head, pending) in heads.items()], diags
 
 
 # ---------------------------------------------------------------------------
@@ -615,18 +599,9 @@ def parse_ratings(
         malformed = 0
         events: dict[tuple[str, str], RatingEvent] = {}
         raters: dict[str, UserRef] = dict(refs or {})
-        for lineno, line in enumerate(stream, start=1):
-            if not line.strip():
-                continue
+        for lineno, obj in _jsonl_objects(stream, diags):
             total += 1
-            try:
-                obj = json.loads(line)
-            except json.JSONDecodeError:
-                diags.append(f"invalid JSON at line {lineno}")
-                malformed += 1
-                continue
-            if not isinstance(obj, dict):
-                diags.append(f"record is not an object at line {lineno}")
+            if obj is None:
                 malformed += 1
                 continue
             rater_id = obj.get("rater_id")
@@ -655,8 +630,7 @@ def parse_ratings(
                 target_message_id=target_id,
                 value=value,
             )
-        if total and malformed * 2 > total:
-            raise CorruptInputError(f"corrupt input: {malformed} of {total} records malformed")
+        _check_corrupt(total, malformed)
         return list(events.values()), diags
     finally:
         if owned:
@@ -804,19 +778,6 @@ def build_corpus(
     return corpus, diags
 
 
-def message_author_map(threads: Iterable[ThreadRecord]) -> dict[str, UserRef]:
-    """Map every message id (thread or comment) to its author.
-
-    On duplicate ids the first occurrence wins, matching build_corpus.
-    """
-    authors: dict[str, UserRef] = {}
-    for thread in threads:
-        authors.setdefault(thread.thread_id, thread.author)
-        for comment in thread.comments:
-            authors.setdefault(comment.comment_id, comment.author)
-    return authors
-
-
 # ---------------------------------------------------------------------------
 # windowing
 
@@ -891,7 +852,7 @@ def whole_span_slice(corpus: Corpus) -> WindowSlice:
 
 def user_to_dict(ref: UserRef) -> dict:
     return {"user_id": ref.user_id, "role": ref.role.value,
-            "gender": encode_gender(ref.gender)}
+            "gender": ref.gender.value}
 
 
 def thread_to_dict(thread: ThreadRecord) -> dict:

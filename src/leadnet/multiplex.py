@@ -130,8 +130,8 @@ class _Events(NamedTuple):
 
 def _events(slice: WindowSlice, corpus: Corpus) -> _Events:
     """Walk the window once.  A message id held twice resolves to its
-    first occurrence in the window, as ``ingest.message_author_map``
-    does."""
+    first occurrence in the window, as rating targets do in
+    ``ingest.build_corpus``."""
     index = corpus.user_index
     position: list[int] = []
     author: list[int] = []

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import csv
 import sys
 from datetime import datetime, timedelta, timezone
 from pathlib import Path
@@ -13,6 +14,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parent))
 
 from leadnet import cli
 from leadnet.ingest import (
+    CSV_COLUMNS,
     CommentRecord,
     Corpus,
     Gender,
@@ -20,6 +22,7 @@ from leadnet.ingest import (
     Role,
     ThreadRecord,
     UserRef,
+    format_timestamp,
     whole_span_slice,
 )
 from leadnet.multiplex import (
@@ -190,3 +193,34 @@ def resolve_like_package(text, author, prior):
                 break
             candidate = stripped
     return author
+
+
+def message_author_map(threads):
+    """Map every message id (thread or comment) to its author; on
+    duplicate ids the first occurrence wins, matching build_corpus."""
+    authors = {}
+    for thread in threads:
+        authors.setdefault(thread.thread_id, thread.author)
+        for comment in thread.comments:
+            authors.setdefault(comment.comment_id, comment.author)
+    return authors
+
+
+def write_threads_csv(threads, path):
+    """Write ``threads`` as a flat CSV log in ``CSV_COLUMNS`` order: each
+    thread's row with empty comment cells, then one row per comment with
+    empty thread cells."""
+    def user(ref):
+        return [ref.user_id, ref.role.value, ref.gender.value]
+
+    with open(path, "w", encoding="utf-8", newline="") as out:
+        writer = csv.writer(out)
+        writer.writerow(CSV_COLUMNS)
+        for t in threads:
+            writer.writerow([t.thread_id, t.title, t.description,
+                             format_timestamp(t.published_at), "|".join(t.tags),
+                             *user(t.author), "", "", "", "", "", ""])
+            for c in t.comments:
+                writer.writerow([t.thread_id, "", "", "", "", "", "", "",
+                                 c.comment_id, c.text,
+                                 format_timestamp(c.created_at), *user(c.author)])

@@ -15,7 +15,7 @@ from leadnet.analytics import (
     role_subgraph,
     top_mass,
 )
-from leadnet.ingest import KNOWN_ROLES, Gender, Role, UserRef
+from leadnet.ingest import Gender, Role, UserRef
 from leadnet.multiplex import build_tensor
 from leadnet.rank import RankVector
 
@@ -286,7 +286,8 @@ class TestRoleSubgraphMatchesNeighborSets:
         rng = random.Random(9700 + seed)
         corpus, window, _t, _r = random_corpus(rng, n_users=12, n_threads=10)
         tensor = build_tensor(window, corpus)
-        roles = sorted(KNOWN_ROLES, key=lambda role: role.value)
+        roles = sorted((r for r in Role if r is not Role.unknown),
+                       key=lambda role: role.value)
         corpus = replace(corpus, users=tuple(
             replace(ref, role=rng.choice(roles)) for ref in corpus.users))
         for wanted in ([rng.choice(roles)], rng.sample(roles, 2),

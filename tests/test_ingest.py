@@ -7,7 +7,13 @@ from datetime import datetime, timedelta, timezone
 
 import pytest
 
-from conftest import make_corpus, random_corpus, resolve_like_package
+from conftest import (
+    make_corpus,
+    message_author_map,
+    random_corpus,
+    resolve_like_package,
+)
+from leadnet import cli
 from leadnet.analytics import homophily
 from leadnet.ingest import (
     CSV_COLUMNS,
@@ -25,7 +31,6 @@ from leadnet.ingest import (
     _next_month,
     build_corpus,
     format_timestamp,
-    message_author_map,
     parse_ratings,
     parse_thread_log,
     parse_timestamp,
@@ -135,6 +140,20 @@ class TestThreadParsing:
         assert [c.comment_id for c in threads[0].comments] == ["c2"]
         assert any("invalid created_at" in d for d in diags)
 
+    @pytest.mark.parametrize("comment_id", [5, True, 1.5, ["c2"], {"id": "c2"}])
+    def test_non_string_comment_id_skips_the_comment(self, comment_id, tmp_path):
+        obj = thread_obj(comments=[("c1", "b", "2014-01-06T10:00:00Z"),
+                                   ("c2", "c", "2014-01-06T10:00:00Z")])
+        obj["comments"][1]["comment_id"] = comment_id
+        threads, diags = parse_thread_log(jsonl(obj))
+        assert [c.comment_id for c in threads[0].comments] == ["c1"]
+        assert diags == ["missing comment_id at line 1 (comment 1); comment skipped"]
+        log = tmp_path / "threads.jsonl"
+        log.write_text(jsonl(obj).getvalue())
+        out = tmp_path / "out"
+        assert cli.main(["ingest", "--input", str(log), "--out", str(out)]) == 0
+        assert (out / "diagnostics.txt").read_text() == diags[0] + "\n"
+
     def test_missing_thread_id_is_malformed(self):
         obj = thread_obj()
         del obj["thread_id"]
@@ -156,6 +175,19 @@ class TestThreadParsing:
         ))
         assert [t.thread_id for t in threads] == ["t1", "t2", "t3"]
         assert any("duplicate thread_id" in d for d in diags)
+
+
+@pytest.mark.parametrize("parse, record", [
+    (parse_thread_log, lambda i: thread_obj(thread_id=f"t{i}")),
+    (parse_ratings, lambda i: {"rater_id": "a", "target_id": f"m{i}", "value": 1}),
+])
+def test_json_lines_reader_diagnostics(parse, record):
+    # blank, broken, two non-objects, and nesting past the recursion limit
+    lines = ["", "{broken", "[1]", "null", "[" * 100_000 + "]" * 100_000]
+    text = "\n".join(json.dumps(record(i)) for i in range(5)) + "\n"
+    _records, diags = parse(io.StringIO("\n".join(lines) + "\n" + text))
+    assert diags == ["invalid JSON at line 2", "record is not an object at line 3",
+                     "record is not an object at line 4", "invalid JSON at line 5"]
 
 
 class TestCsvImport:

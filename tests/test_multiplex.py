@@ -12,13 +12,13 @@ from conftest import (
     T0,
     make_corpus,
     make_layer,
+    message_author_map,
     random_corpus,
     resolve_like_package,
 )
 from leadnet.ingest import (
     WindowConfig,
     WindowSlice,
-    message_author_map,
     whole_span_slice,
     window_partition,
 )

@@ -4,7 +4,8 @@ from datetime import datetime, timezone
 
 import pytest
 
-from leadnet.ingest import Gender, message_author_map
+from conftest import message_author_map
+from leadnet.ingest import Gender
 from leadnet.topics import load_lexicon
 from leadnet.synth import (
     POOLS,
