@@ -1,22 +1,43 @@
 """Gender and role analytics over windows and rank vectors.
 
-Unknown gender or role never contributes to a rate's numerator or
-denominator; rates whose denominator is empty are reported as None
-rather than raising.
+Per-window figures read the window's event rows, the ones its layers
+are built from (``multiplex.window_events``), and each user's gender and
+role code (``user_codes``).  Unknown gender or role never contributes to
+a rate's numerator or denominator; rates whose denominator is empty are
+reported as None rather than raising.
 """
 
 from __future__ import annotations
 
-from collections import defaultdict
 from dataclasses import dataclass
 from typing import Iterable
 
 import numpy as np
 from scipy import sparse
 
-from .ingest import Corpus, Gender, Role, WindowSlice
-from .multiplex import MultiplexTensor, union_adjacency
+from .ingest import Corpus, Role
+from .multiplex import MultiplexTensor, WindowEvents, union_adjacency
 from .rank import RankVector
+
+# A user's gender code indexes GENDER_GROUPS and their role code
+# ROLE_GROUPS; -1 is unknown.  Both are sorted, as grouped rows are.
+GENDER_GROUPS = ("female", "male")
+ROLE_GROUPS = tuple(sorted(role.value for role in Role if role is not Role.unknown))
+FEMALE = GENDER_GROUPS.index("female")
+
+
+def user_codes(corpus: Corpus) -> tuple[np.ndarray, np.ndarray]:
+    """Each user's gender code and role code, in user index order."""
+    def codes(names, groups):
+        return np.array([groups.index(name) if name in groups else -1
+                         for name in names], dtype=np.int64)
+    return (codes([u.gender.name for u in corpus.users], GENDER_GROUPS),
+            codes([u.role.value for u in corpus.users], ROLE_GROUPS))
+
+
+def _tally(codes: np.ndarray, n: int) -> list[int]:
+    """How many rows hold each code 0..n-1; -1 (unknown) is not counted."""
+    return np.bincount(codes + 1, minlength=n + 1)[1:].tolist()
 
 
 @dataclass(frozen=True)
@@ -29,7 +50,6 @@ class HomophilyEntry:
     among threads with a gender-known author.
     """
 
-    window: int
     p_ww: float | None
     p_mm: float | None
     prior_w: float | None
@@ -47,42 +67,23 @@ def _rate(num: int, den: int) -> float | None:
     return num / den if den else None
 
 
-def homophily(slice: WindowSlice) -> HomophilyEntry:
-    """Who answers whom, by gender; recipients are the threads'
-    ``recipients``, the record the collaboration layer reads too."""
-    ww = w_all = mm = m_all = 0
-    threads_w = threads_m = 0
-    for thread in slice.threads:
-        if thread.author.gender is Gender.female:
-            threads_w += 1
-        elif thread.author.gender is Gender.male:
-            threads_m += 1
-        for comment, recipient in zip(thread.comments, thread.recipients):
-            author_gender = comment.author.gender
-            if author_gender is Gender.unknown \
-                    or recipient.gender is Gender.unknown:
-                continue
-            if author_gender is Gender.female:
-                w_all += 1
-                if recipient.gender is Gender.female:
-                    ww += 1
-            else:
-                m_all += 1
-                if recipient.gender is Gender.male:
-                    mm += 1
+def homophily(events: WindowEvents, gender: np.ndarray) -> HomophilyEntry:
+    """Who answers whom, by gender, over the window's comment rows; the
+    recipient is the one the collaboration layer reads.  A comment counts
+    only when both its commenter's and its recipient's genders are known."""
+    by, to = gender[events.commenter], gender[events.recipient]
+    # pair code 2 * commenter + recipient, where female is 0 and male 1
+    ww, wm, mw, mm = _tally(np.where((by >= 0) & (to >= 0), 2 * by + to, -1), 4)
+    threads_w, threads_m = _tally(gender[events.thread_author], 2)
     threads_known = threads_w + threads_m
     return HomophilyEntry(
-        window=slice.index,
-        p_ww=_rate(ww, w_all),
-        p_mm=_rate(mm, m_all),
+        p_ww=_rate(ww, ww + wm),
+        p_mm=_rate(mm, mw + mm),
         prior_w=_rate(threads_w, threads_known),
         prior_m=_rate(threads_m, threads_known),
-        ww_comments=ww,
-        w_comments=w_all,
-        mm_comments=mm,
-        m_comments=m_all,
-        threads_w=threads_w,
-        threads_m=threads_m,
+        ww_comments=ww, w_comments=ww + wm,
+        mm_comments=mm, m_comments=mw + mm,
+        threads_w=threads_w, threads_m=threads_m,
         threads_known=threads_known,
     )
 
@@ -105,48 +106,38 @@ class TopMassEntry:
     clamped: bool
 
 
-def active_user_indices(slice: WindowSlice, corpus: Corpus) -> set[int]:
-    """Users appearing in the window as thread author, commenter or rater."""
-    active: set[int] = set()
-    for thread in slice.threads:
-        active.add(corpus.user_index[thread.author.user_id])
-        for comment in thread.comments:
-            active.add(corpus.user_index[comment.author.user_id])
-    for event in slice.ratings:
-        active.add(corpus.user_index[event.rater.user_id])
-    return active
+def active_user_indices(events: WindowEvents) -> np.ndarray:
+    """The users of the window, sorted: its thread authors, its
+    commenters, and the raters of the ratings attached to it."""
+    return np.unique(np.concatenate((events.thread_author, events.commenter,
+                                     events.rater)))
 
 
-def top_mass(
-    rank: RankVector,
-    corpus: Corpus,
-    active: Iterable[int] | None = None,
-    k: int | None = None,
-) -> TopMassEntry:
-    """mass_w = women among the top-k / k.  k defaults to the top decile
-    of the active users (at least 1) and is clamped to their count."""
-    indices = sorted(active) if active is not None else list(range(corpus.n_users))
-    if not indices:
+def top_mass(rank: RankVector, gender: np.ndarray,
+             active: Iterable[int] | None = None,
+             k: int | None = None) -> TopMassEntry:
+    """mass_w = women among the top-k / k, over ``gender`` codes.  k
+    defaults to the top decile of the active users (at least 1) and is
+    clamped to their count."""
+    idx = np.arange(gender.size) if active is None \
+        else np.unique(np.fromiter(active, dtype=np.int64))
+    if not idx.size:
         raise ValueError("no active users to rank")
-    wanted = k if k is not None else max(1, len(indices) // 10)
+    wanted = k if k is not None else max(1, idx.size // 10)
     if wanted < 1:
         raise ValueError("k must be >= 1")
-    clamped = wanted > len(indices)
-    effective = min(wanted, len(indices))
+    effective = min(wanted, idx.size)
     # users are indexed in user_id order, so ties break by index
-    idx = np.asarray(indices)
-    top = idx[np.lexsort((idx, -rank.scores[idx]))[:effective]].tolist()
-    women_top = sum(1 for i in top if corpus.users[i].gender is Gender.female)
-    women_active = sum(
-        1 for i in indices if corpus.users[i].gender is Gender.female
-    )
+    top = idx[np.lexsort((idx, -rank.scores[idx]))[:effective]]
+    women_top, women_active = (int(np.count_nonzero(gender[i] == FEMALE))
+                               for i in (top, idx))
     return TopMassEntry(
         label=rank.label,
         k=effective,
-        n_active=len(indices),
+        n_active=idx.size,
         mass_w=women_top / effective,
-        prior_w=women_active / len(indices),
-        clamped=clamped,
+        prior_w=women_active / idx.size,
+        clamped=wanted > idx.size,
     )
 
 
@@ -166,41 +157,24 @@ class ResponseGroupStats:
 
 
 def response_stats(
-    slice: WindowSlice, group_by: str = "author_role"
+    events: WindowEvents, codes: np.ndarray, groups: tuple[str, ...],
 ) -> list[ResponseGroupStats]:
-    """Group threads by author role or author gender; threads with an
-    unknown group value are left out."""
-    if group_by not in ("author_role", "author_gender"):
-        raise ValueError(f"unknown grouping {group_by!r}")
-    latencies: dict[str, list[float]] = defaultdict(list)
-    comments: dict[str, int] = defaultdict(int)
-    threads: dict[str, int] = defaultdict(int)
-    for thread in slice.threads:
-        if group_by == "author_role":
-            if thread.author.role is Role.unknown:
-                continue
-            group = thread.author.role.value
-        else:
-            if thread.author.gender is Gender.unknown:
-                continue
-            group = thread.author.gender.name
-        threads[group] += 1
-        comments[group] += len(thread.comments)
-        if thread.comments:
-            first = thread.comments[0].created_at
-            latencies[group].append((first - thread.published_at).total_seconds())
-    return [
-        ResponseGroupStats(
-            group=group,
-            mean_latency_s=(
-                sum(latencies[group]) / len(latencies[group])
-                if latencies[group] else None
-            ),
-            comment_count=comments[group],
-            thread_count=threads[group],
-        )
-        for group in sorted(threads)
-    ]
+    """Group the window's threads by their author's code, which indexes
+    ``groups`` (``user_codes`` gives the gender and role codes); threads
+    whose author's code is -1 (unknown) are left out.  Latencies are
+    summed in thread order."""
+    group = codes[events.thread_author]
+    threads = _tally(group, len(groups))
+    comments = _tally(group[events.position], len(groups))
+    replied = np.where(np.isnan(events.first_reply_s), -1, group)
+    n_replied = _tally(replied, len(groups))
+    # a thread without comments adds its NaN to bin 0, which is dropped
+    latency = np.bincount(replied + 1, weights=events.first_reply_s,
+                          minlength=len(groups) + 1)[1:].tolist()
+    return [ResponseGroupStats(group=name, comment_count=comments[g],
+                               mean_latency_s=_rate(latency[g], n_replied[g]),
+                               thread_count=threads[g])
+            for g, name in enumerate(groups) if threads[g]]
 
 
 @dataclass(frozen=True)

@@ -36,11 +36,14 @@ from typing import Callable, Sequence
 
 from . import __version__
 from .analytics import (
+    GENDER_GROUPS,
+    ROLE_GROUPS,
     active_user_indices,
     homophily,
     response_stats,
     role_subgraph,
     top_mass,
+    user_codes,
 )
 from .export import (
     analytics_rows,
@@ -67,7 +70,7 @@ from .ingest import (
     write_ratings_jsonl,
     write_threads_jsonl,
 )
-from .multiplex import LAYER_NAMES, build_tensor
+from .multiplex import LAYER_NAMES, build_tensor, events_tensor, window_events
 from .rank import ConvergenceError, MprParams, brokerage, multiplex_pagerank
 from .synth import (
     SyntheticSpec,
@@ -238,7 +241,7 @@ def _load_config_file(path: str | None) -> dict:
     try:
         with open(path, "r", encoding="utf-8") as handle:
             data = json.load(handle)
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
         raise UsageError(f"config file {path}: invalid JSON ({exc})") from exc
     if not isinstance(data, dict):
         raise UsageError(f"config file {path}: expected a JSON object")
@@ -252,20 +255,32 @@ def _flag(name: str) -> str:
     return "--" + name.replace("_", "-")
 
 
+# config dataclass field -> its option, where the two names differ
+_OPTION_OF = {"women_activity_uplift": "uplift"}
+
+
 def _from_options(cls: type, resolved: dict):
-    """A config dataclass whose every field is the option of that name;
-    a value the class rejects is a usage error naming its option."""
-    names = [field.name for field in dataclasses.fields(cls)]
-    for name in names:
+    """A config dataclass built from the resolved options of its fields;
+    a field with no option keeps its default.  A value the class rejects
+    on its own is a usage error naming its option, and so is a
+    combination it rejects."""
+    options = {f.name: _OPTION_OF.get(f.name, f.name) for f in dataclasses.fields(cls)}
+    values = {field: resolved[option] for field, option in options.items()
+              if option in resolved}
+    for field, value in values.items():
         try:
-            cls(**{name: resolved[name]})
+            cls(**{field: value})
         except ValueError as exc:
-            raise UsageError(f"{_flag(name)}: {exc}") from exc
-    return cls(**{name: resolved[name] for name in names})
+            raise UsageError(f"{_flag(options[field])}: {exc}") from exc
+    try:
+        return cls(**values)
+    except ValueError as exc:
+        raise UsageError(str(exc)) from exc
 
 
 # resolved-settings key -> the config dataclass built there from its options
-_CONFIGS = {"mpr_params": MprParams, "topic_config": TopicConfig}
+_CONFIGS = {"mpr_params": MprParams, "topic_config": TopicConfig,
+            "synth_spec": SyntheticSpec}
 
 
 def resolve_settings(args: argparse.Namespace) -> dict:
@@ -406,7 +421,10 @@ def _load_corpus(cfg: dict) -> tuple[Corpus, list[str]]:
 
 
 def _slices(corpus: Corpus, cfg: dict) -> list[WindowSlice]:
-    return window_partition(corpus, WindowConfig.from_string(cfg["window"]))
+    try:
+        return window_partition(corpus, WindowConfig.from_string(cfg["window"]))
+    except OverflowError:
+        raise UsageError(f"--window: {cfg['window']} windows run past the year 9999") from None
 
 
 def _map_windows(fn: Callable, slices: Sequence[WindowSlice], jobs: int) -> list:
@@ -424,13 +442,8 @@ def _print_diags(diags: Sequence[str]) -> None:
 # ---------------------------------------------------------------------------
 # commands
 
-# synth option -> SyntheticSpec field, where the two names differ
-_SPEC_FIELDS = {"uplift": "women_activity_uplift"}
-
-
 def cmd_synth(cfg: dict, ctx: RunContext) -> None:
-    spec = SyntheticSpec(**{_SPEC_FIELDS.get(name, name): cfg[name]
-                            for name in _SYNTH_OPTS})
+    spec = cfg["synth_spec"]
     corpus = generate(spec)
     write_threads_jsonl(corpus.threads, ctx.path("threads.jsonl"))
     write_ratings_jsonl(corpus.ratings, ctx.path("ratings.jsonl"))
@@ -475,18 +488,31 @@ def cmd_ingest(cfg: dict, ctx: RunContext) -> None:
             handle.write(line + "\n")
 
 
-def _ranked_windows(cfg: dict, with_brokerage: bool):
-    """Load and tile the corpus, then rank each window once and, when
-    ``with_brokerage``, score its brokerage (else None).  Every window is
-    ranked before any artifact is written, so a window that fails to
-    converge costs no writer work; its tensor is dropped as soon as it is
-    ranked."""
+def _window_analytics(window_slice, events, leadership, codes, top_k):
+    """One window's ``analytics.csv`` rows, read off its event rows."""
+    gender, role = codes
+    active = active_user_indices(events)
+    return analytics_rows(
+        format_timestamp(window_slice.start), homophily(events, gender),
+        top_mass(leadership, gender, active, top_k) if active.size else None,
+        response_stats(events, role, ROLE_GROUPS),
+        response_stats(events, gender, GENDER_GROUPS))
+
+
+def _ranked_windows(cfg: dict, with_brokerage: bool, with_analytics: bool):
+    """Load and tile the corpus, then walk and rank each window once; from
+    the same walk, score its brokerage when ``with_brokerage`` and make its
+    analytics rows when ``with_analytics`` (else None).  No artifact is
+    written before every window is ranked, so a window that fails to
+    converge costs no writer work; its events and tensor are then dropped."""
     corpus, diags = _load_corpus(cfg)
     _print_diags(diags)
     slices = _slices(corpus, cfg)
+    codes = user_codes(corpus) if with_analytics else None
 
     def work(window_slice):
-        tensor = build_tensor(window_slice, corpus)
+        events = window_events(window_slice, corpus)
+        tensor = events_tensor(events, corpus.n_users)
         try:
             result = multiplex_pagerank(tensor, cfg["mpr_params"])
         except ConvergenceError as exc:
@@ -494,19 +520,22 @@ def _ranked_windows(cfg: dict, with_brokerage: bool):
                      f"({format_timestamp(window_slice.start)})")
             raise ConvergenceError(exc.label, exc.residual, exc.last_iterate,
                                    window=where) from None
-        return result, brokerage(tensor) if with_brokerage else None
+        return (result, brokerage(tensor) if with_brokerage else None,
+                _window_analytics(window_slice, events, result.leadership,
+                                  codes, cfg["top_k"]) if with_analytics else None)
 
     return corpus, slices, _map_windows(work, slices, cfg["jobs"])
 
 
 def _write_window_rankings(ctx, corpus, slices, ranked):
-    for window_slice, (result, broker) in zip(slices, ranked):
+    for window_slice, (result, broker, _rows) in zip(slices, ranked):
         name = f"rankings_w{window_slice.index:03d}.csv"
         write_rankings_csv(ctx.path(name), corpus, result, broker)
 
 
 def cmd_rank(cfg: dict, ctx: RunContext) -> None:
-    corpus, slices, ranked = _ranked_windows(cfg, with_brokerage=True)
+    corpus, slices, ranked = _ranked_windows(cfg, with_brokerage=True,
+                                             with_analytics=False)
     _write_window_rankings(ctx, corpus, slices, ranked)
 
 
@@ -550,26 +579,10 @@ def cmd_topics(cfg: dict, ctx: RunContext) -> None:
     write_edges_csv(ctx.path(name), tensor, corpus)
 
 
-def _analytics_for_windows(corpus, slices, ranked, top_k):
-    rows = []
-    for window_slice, (result, _broker) in zip(slices, ranked):
-        active = active_user_indices(window_slice, corpus)
-        top = top_mass(result.leadership, corpus, active, top_k) \
-            if active else None
-        rows.extend(analytics_rows(
-            format_timestamp(window_slice.start),
-            homophily(window_slice),
-            top,
-            response_stats(window_slice, "author_role"),
-            response_stats(window_slice, "author_gender"),
-        ))
-    return rows
-
-
 def cmd_analytics(cfg: dict, ctx: RunContext) -> None:
-    corpus, slices, ranked = _ranked_windows(cfg, with_brokerage=False)
-    rows = _analytics_for_windows(corpus, slices, ranked, cfg["top_k"])
-    write_analytics_csv(ctx.path("analytics.csv"), rows)
+    ranked = _ranked_windows(cfg, with_brokerage=False, with_analytics=True)[2]
+    write_analytics_csv(ctx.path("analytics.csv"),
+                        [row for *_ranks, rows in ranked for row in rows])
 
 
 def cmd_export_graph(cfg: dict, ctx: RunContext) -> None:
@@ -590,10 +603,11 @@ def cmd_export_graph(cfg: dict, ctx: RunContext) -> None:
 
 
 def cmd_all(cfg: dict, ctx: RunContext) -> None:
-    corpus, slices, ranked = _ranked_windows(cfg, with_brokerage=True)
+    corpus, slices, ranked = _ranked_windows(cfg, with_brokerage=True,
+                                             with_analytics=True)
     _write_window_rankings(ctx, corpus, slices, ranked)
-    rows = _analytics_for_windows(corpus, slices, ranked, cfg["top_k"])
-    write_analytics_csv(ctx.path("analytics.csv"), rows)
+    write_analytics_csv(ctx.path("analytics.csv"),
+                        [row for *_ranks, rows in ranked for row in rows])
     if cfg["lexicon"] is not None:
         streams, _lexicon = _topic_streams(slices, cfg)
         write_topics_json(streams, ctx.path("topics.json"))
@@ -687,7 +701,7 @@ def main(argv: Sequence[str] | None = None) -> int:
         except Exception:
             ctx.discard_partial()
             raise
-    except (UsageError, ValueError) as exc:
+    except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except (IngestError, ConvergenceError, OSError) as exc:

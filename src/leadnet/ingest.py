@@ -33,11 +33,12 @@ import enum
 import json
 import re
 from bisect import bisect_right
+from contextlib import contextmanager
 from dataclasses import dataclass, replace
 from datetime import datetime, timedelta, timezone
 from functools import cached_property
 from pathlib import Path
-from typing import IO, Iterable, Mapping
+from typing import IO, Iterable, Iterator, Mapping
 
 
 class IngestError(Exception):
@@ -301,10 +302,23 @@ def _decode_user(obj: object, lineno: int, diags: list[str], where: str,
 # ---------------------------------------------------------------------------
 # thread log parsing
 
-def _open_maybe(source: str | Path | IO[str]) -> tuple[IO[str], bool]:
-    if isinstance(source, (str, Path)):
-        return open(source, "r", encoding="utf-8"), True
-    return source, False
+@contextmanager
+def open_text(source: str | Path | IO[str], newline: str | None = None) -> Iterator[IO[str]]:
+    """``source`` as a text stream, opened as UTF-8 and closed after when
+    it is a path.  A path that does not decode raises CorruptInputError
+    naming its first line that does not, which is found by reading the
+    file again, so a good file costs nothing more."""
+    if not isinstance(source, (str, Path)):
+        yield source
+        return
+    with open(source, "r", encoding="utf-8", newline=newline) as stream:
+        try:
+            yield stream
+        except UnicodeDecodeError:
+            lines = Path(source).read_bytes().splitlines()
+            lineno = next(n for n, line in enumerate(lines, start=1)
+                          if line.decode("utf-8", "ignore").encode() != line)
+            raise CorruptInputError(f"{source}: not valid UTF-8 at line {lineno}") from None
 
 
 def parse_thread_log(
@@ -314,18 +328,15 @@ def parse_thread_log(
 
     Malformed records are skipped with a diagnostic naming the line and
     cause.  Raises CorruptInputError when more than 50% of the records
-    are malformed, and propagates I/O errors from unreadable sources.
+    are malformed or a path is not valid UTF-8, and propagates I/O errors
+    from unreadable sources.  A CSV path keeps line ends in quoted cells.
     """
-    stream, owned = _open_maybe(source)
-    try:
+    if format not in ("jsonl", "csv"):
+        raise ValueError(f"unknown thread log format {format!r}")
+    with open_text(source, newline="" if format == "csv" else None) as stream:
         if format == "jsonl":
             return _parse_threads_jsonl(stream)
-        if format == "csv":
-            return _parse_threads_csv(stream)
-        raise ValueError(f"unknown thread log format {format!r}")
-    finally:
-        if owned:
-            stream.close()
+        return _parse_threads_csv(stream)
 
 
 def _finish_comments(
@@ -592,8 +603,7 @@ def parse_ratings(
     rater named in ``refs`` (such as ``author_refs`` of the thread log)
     gets that ref, so ``build_corpus`` can keep the event as it is; any
     other rater gets a ref of unknown role and gender."""
-    stream, owned = _open_maybe(source)
-    try:
+    with open_text(source) as stream:
         diags: list[str] = []
         total = 0
         malformed = 0
@@ -632,9 +642,6 @@ def parse_ratings(
             )
         _check_corrupt(total, malformed)
         return list(events.values()), diags
-    finally:
-        if owned:
-            stream.close()
 
 
 # ---------------------------------------------------------------------------

@@ -13,10 +13,12 @@ Layers share the corpus user indexing and differ in what an edge means:
 
 Self-loops never appear in any layer.
 
-A tensor is built from one walk over the window's threads and ratings
-into integer event arrays; each layer is then a group-by over those rows.
-Every floating-point sum adds its terms in the order the window lists
-them, so the weights are bit-identical to accumulating them in dicts.
+A window is walked once, by ``window_events``, into integer event rows:
+one per thread (its author and first-reply latency), one per comment and
+one per rating.  Each layer is a group-by over those rows, and the
+per-window analytics read the same rows.  Every floating-point sum adds
+its terms in the order the window lists them, so the weights are
+bit-identical to accumulating them in dicts.
 """
 
 from __future__ import annotations
@@ -109,17 +111,19 @@ def comment_weight(k: int | np.ndarray) -> float | np.ndarray:
     return 0.5 + 0.5 / k
 
 
-class _Events(NamedTuple):
+class WindowEvents(NamedTuple):
     """One window as integer rows over the corpus user index.
 
-    Per comment, in thread then comment order: the thread's position in
-    the window, the thread author, the commenter, the user it answers and
-    its order k.  Per rating, in window order: the rater, the author of
-    the rated message (-1 when no message of the window has its id) and
-    the value."""
+    Per thread, in window order: its author and the seconds from its
+    publication to its first comment (NaN without comments).  Per
+    comment, in thread then comment order: the thread's position in the
+    window, the commenter, the user it answers and its order k.  Per
+    rating, in window order: the rater, the author of the rated message
+    (-1 when no message of the window has its id) and the value."""
 
+    thread_author: np.ndarray
+    first_reply_s: np.ndarray
     position: np.ndarray
-    author: np.ndarray
     commenter: np.ndarray
     recipient: np.ndarray
     order_k: np.ndarray
@@ -128,25 +132,25 @@ class _Events(NamedTuple):
     value: np.ndarray
 
 
-def _events(slice: WindowSlice, corpus: Corpus) -> _Events:
+def window_events(slice: WindowSlice, corpus: Corpus) -> WindowEvents:
     """Walk the window once.  A message id held twice resolves to its
     first occurrence in the window, as rating targets do in
     ``ingest.build_corpus``."""
     index = corpus.user_index
-    position: list[int] = []
-    author: list[int] = []
-    commenter: list[int] = []
-    recipient: list[int] = []
-    order_k: list[int] = []
-    message_ids: list[str] = []
-    message_authors: list[int] = []
+    thread_author, first_reply_s = [], []
+    position, commenter, recipient, order_k = [], [], [], []
+    message_ids, message_authors = [], []
     for p, thread in enumerate(slice.threads):
         a = index[thread.author.user_id]
+        thread_author.append(a)
         message_ids.append(thread.thread_id)
         message_authors.append(a)
         comments = thread.comments
         if not comments:
+            first_reply_s.append(np.nan)
             continue
+        first_reply_s.append(
+            (comments[0].created_at - thread.published_at).total_seconds())
         by = [index[c.author.user_id] for c in comments]
         message_ids += [c.comment_id for c in comments]
         message_authors += by
@@ -154,13 +158,13 @@ def _events(slice: WindowSlice, corpus: Corpus) -> _Events:
         order_k += [c.order_k for c in comments]
         recipient += [index[r.user_id] for r in thread.recipients]
         position += [p] * len(by)
-        author += [a] * len(by)
     # built backwards so that the first occurrence of an id is kept
     message_author = dict(zip(reversed(message_ids), reversed(message_authors)))
     ratings = slice.ratings
-    return _Events(
+    return WindowEvents(
+        np.array(thread_author, dtype=np.int64), np.array(first_reply_s),
         *(np.array(column, dtype=np.int64) for column in (
-            position, author, commenter, recipient, order_k,
+            position, commenter, recipient, order_k,
             [index[e.rater.user_id] for e in ratings],
             [message_author.get(e.target_message_id, -1) for e in ratings],
             [e.value for e in ratings])),
@@ -184,18 +188,19 @@ def _receiver_normalized(n: int, src, dst, raw, first_order) -> Layer:
     return Layer(n, src, dst, raw / incoming[dst], ORIENT_RECEIVER)
 
 
-def _empowerment(ev: _Events, n: int) -> Layer:
-    others = np.flatnonzero(ev.commenter != ev.author)
+def _empowerment(ev: WindowEvents, n: int) -> Layer:
+    author = ev.thread_author[ev.position]
+    others = np.flatnonzero(ev.commenter != author)
     # one row per (thread, commenter), its first comment, in row order
     first = others[np.sort(np.unique(
         ev.position[others] * n + ev.commenter[others], return_index=True)[1])]
-    src, dst, inverse, first_order = _pairs(n, ev.author[first],
+    src, dst, inverse, first_order = _pairs(n, author[first],
                                             ev.commenter[first])
     raw = np.bincount(inverse, minlength=src.size).astype(float)
     return _receiver_normalized(n, src, dst, raw, first_order)
 
 
-def _collaboration(ev: _Events, n: int) -> Layer:
+def _collaboration(ev: WindowEvents, n: int) -> Layer:
     keep = ev.commenter != ev.recipient
     src, dst, inverse, first_order = _pairs(n, ev.commenter[keep],
                                             ev.recipient[keep])
@@ -204,7 +209,7 @@ def _collaboration(ev: _Events, n: int) -> Layer:
     return _receiver_normalized(n, src, dst, raw, first_order)
 
 
-def _credibility(ev: _Events, n: int) -> Layer:
+def _credibility(ev: WindowEvents, n: int) -> Layer:
     keep = (ev.rated >= 0) & (ev.rater != ev.rated)
     src, dst, inverse, first_order = _pairs(n, ev.rater[keep], ev.rated[keep])
     deltas = np.bincount(inverse, weights=ev.value[keep], minlength=src.size)
@@ -218,16 +223,19 @@ def _credibility(ev: _Events, n: int) -> Layer:
     return Layer(n, src, dst, weight, ORIENT_SENDER)
 
 
-def build_tensor(slice: WindowSlice, corpus: Corpus) -> MultiplexTensor:
-    """All three layers of one window, from one walk over it."""
-    ev = _events(slice, corpus)
-    n = corpus.n_users
+def events_tensor(ev: WindowEvents, n: int) -> MultiplexTensor:
+    """All three layers of a window's events over ``n`` users."""
     return MultiplexTensor(
         n=n,
         empowerment=_empowerment(ev, n),
         collaboration=_collaboration(ev, n),
         credibility=_credibility(ev, n),
     )
+
+
+def build_tensor(slice: WindowSlice, corpus: Corpus) -> MultiplexTensor:
+    """All three layers of one window, from one walk over it."""
+    return events_tensor(window_events(slice, corpus), corpus.n_users)
 
 
 def union_adjacency(tensor: MultiplexTensor) -> sparse.csr_matrix:

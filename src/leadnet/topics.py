@@ -25,7 +25,7 @@ from itertools import combinations
 from pathlib import Path
 from typing import IO, Iterable, Mapping, Sequence
 
-from .ingest import IngestError, ThreadRecord, WindowSlice
+from .ingest import IngestError, ThreadRecord, WindowSlice, open_text
 
 TOKEN = re.compile(r"\w+", re.UNICODE)
 
@@ -124,11 +124,8 @@ def load_lexicon(
 def _read_lines(source: str | Path | IO[str]) -> Iterable[tuple[int, str]]:
     """(line number, line) for every line that is neither blank nor a
     "#" comment."""
-    if isinstance(source, (str, Path)):
-        with open(source, "r", encoding="utf-8") as stream:
-            lines = stream.read().splitlines()
-    else:
-        lines = source.read().splitlines()
+    with open_text(source) as stream:
+        lines = stream.read().splitlines()
     for lineno, line in enumerate(lines, start=1):
         if line.strip() and not line.lstrip().startswith("#"):
             yield lineno, line

@@ -16,13 +16,13 @@ import oracles
 from conftest import make_corpus
 from test_rank import FLOW, random_layer, random_tensor, solo_pagerank
 from leadnet import cli
-from leadnet.analytics import active_user_indices, homophily, top_mass
+from leadnet.analytics import active_user_indices, homophily, top_mass, user_codes
 from leadnet.ingest import (
     WindowConfig,
     whole_span_slice,
     window_partition,
 )
-from leadnet.multiplex import ORIENT_RECEIVER, ORIENT_SENDER, build_tensor
+from leadnet.multiplex import ORIENT_RECEIVER, ORIENT_SENDER, build_tensor, window_events
 from leadnet.rank import MprParams, brokerage, multiplex_pagerank
 from leadnet.synth import SyntheticSpec, builtin_lexicon, generate, pool_of_ngram
 from leadnet.topics import TopicConfig, bron_kerbosch, chain_streams, topics_in_window
@@ -157,7 +157,8 @@ def test_06_homophily_recovery(gate):
             corpus = generate(spec)
             comments = sum(len(t.comments) for t in corpus.threads)
             assert 9000 <= comments <= 11000
-            entry = homophily(whole_span_slice(corpus))
+            entry = homophily(window_events(whole_span_slice(corpus), corpus),
+                              user_codes(corpus)[0])
             assert abs(entry.p_ww - 0.48) <= 0.02, (seed, entry.p_ww)
             assert abs(entry.prior_w - 0.24) <= 0.01, (seed, entry.prior_w)
 
@@ -169,8 +170,8 @@ def _top_decile_mass(uplift, seed):
     window = whole_span_slice(corpus)
     tensor = build_tensor(window, corpus)
     result = multiplex_pagerank(tensor, MprParams())
-    active = active_user_indices(window, corpus)
-    return top_mass(result.leadership, corpus, active).mass_w
+    active = active_user_indices(window_events(window, corpus))
+    return top_mass(result.leadership, user_codes(corpus)[0], active).mass_w
 
 
 def test_07_leadership_uplift_property(gate):
@@ -245,7 +246,7 @@ def test_10_degenerate_inputs(gate):
         tensor = build_tensor(empty, corpus)
         result = multiplex_pagerank(tensor, MprParams())
         assert result.leadership.scores == pytest.approx([0.5, 0.5])
-        entry = homophily(empty)
+        entry = homophily(window_events(empty, corpus), user_codes(corpus)[0])
         assert entry.p_ww is None and entry.prior_w is None
         assert topics_in_window(empty, builtin_lexicon(), TopicConfig()) == []
 

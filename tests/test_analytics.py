@@ -8,20 +8,38 @@ import pytest
 
 from conftest import make_corpus, random_corpus, union_sets
 from leadnet.analytics import (
+    GENDER_GROUPS,
+    ROLE_GROUPS,
     Subgraph,
     active_user_indices,
     homophily,
     response_stats,
     role_subgraph,
     top_mass,
+    user_codes,
 )
 from leadnet.ingest import Gender, Role, UserRef
-from leadnet.multiplex import build_tensor
+from leadnet.multiplex import build_tensor, window_events
 from leadnet.rank import RankVector
 
 
 def user(uid, role=Role.consultant, gender=Gender.unknown):
     return UserRef(user_id=uid, role=role, gender=gender)
+
+
+def gender_of(corpus):
+    return user_codes(corpus)[0]
+
+
+def window_homophily(corpus, window):
+    return homophily(window_events(window, corpus), gender_of(corpus))
+
+
+def window_response_stats(corpus, window, group_by):
+    gender, role = user_codes(corpus)
+    codes, groups = {"author_role": (role, ROLE_GROUPS),
+                     "author_gender": (gender, GENDER_GROUPS)}[group_by]
+    return response_stats(window_events(window, corpus), codes, groups)
 
 
 WOMEN_AND_MEN = {
@@ -34,14 +52,14 @@ WOMEN_AND_MEN = {
 
 class TestHomophily:
     def test_rates_follow_comment_recipients(self):
-        _corpus, window = make_corpus(
+        corpus, window = make_corpus(
             [
                 ("t0", "W1", [("W2", "hi"), ("M1", "hello")]),
                 ("t1", "M1", [("W2", "ciao"), ("M2", "salve")]),
             ],
             users=WOMEN_AND_MEN,
         )
-        entry = homophily(window)
+        entry = window_homophily(corpus, window)
         assert entry.p_ww == pytest.approx(0.5)   # W2->W1 yes, W2->M1 no
         assert entry.p_mm == pytest.approx(0.5)   # M1->W1 no, M2->M1 yes
         assert entry.w_comments == 2 and entry.ww_comments == 1
@@ -51,11 +69,11 @@ class TestHomophily:
         assert entry.threads_known == 2
 
     def test_mentions_redirect_the_recipient(self):
-        _corpus, window = make_corpus(
+        corpus, window = make_corpus(
             [("t0", "M1", [("W1", "ciao"), ("W2", "@W1 concordo")])],
             users=WOMEN_AND_MEN,
         )
-        entry = homophily(window)
+        entry = window_homophily(corpus, window)
         # W1 answered the man; W2 answered W1 through the mention.
         assert entry.p_ww == pytest.approx(0.5)
         assert entry.ww_comments == 1 and entry.w_comments == 2
@@ -63,7 +81,7 @@ class TestHomophily:
     def test_unknown_gender_drops_from_both_sides(self):
         users = dict(WOMEN_AND_MEN)
         users["X"] = user("X")
-        _corpus, window = make_corpus(
+        corpus, window = make_corpus(
             [
                 ("t0", "X", [("W1", "a")]),     # unknown recipient
                 ("t1", "W1", [("X", "b")]),     # unknown commenter
@@ -71,7 +89,7 @@ class TestHomophily:
             ],
             users=users,
         )
-        entry = homophily(window)
+        entry = window_homophily(corpus, window)
         assert entry.w_comments == 1 and entry.ww_comments == 1
         assert entry.p_ww == pytest.approx(1.0)
         # thread by X does not enter the authorship prior
@@ -79,15 +97,15 @@ class TestHomophily:
         assert entry.prior_w == pytest.approx(1.0)
 
     def test_empty_denominators_become_none(self):
-        _corpus, window = make_corpus(
+        corpus, window = make_corpus(
             [("t0", "W1", [("W2", "a")])], users=WOMEN_AND_MEN)
-        entry = homophily(window)
+        entry = window_homophily(corpus, window)
         assert entry.p_mm is None and entry.m_comments == 0
         assert entry.p_ww == pytest.approx(1.0)
 
     def test_no_gendered_threads_gives_none_priors(self):
-        _corpus, window = make_corpus([("t0", "X", [])])
-        entry = homophily(window)
+        corpus, window = make_corpus([("t0", "X", [])])
+        entry = window_homophily(corpus, window)
         assert entry.prior_w is None and entry.prior_m is None
         assert entry.p_ww is None and entry.p_mm is None
 
@@ -114,47 +132,49 @@ class TestTopMass:
     def test_counts_women_in_the_top_k(self):
         corpus, _window = self.corpus()
         rank = self.rank([5.0, 4.0, 3.0, 2.0, 1.0])   # a, b, c, d, e
-        entry = top_mass(rank, corpus, k=2)
+        entry = top_mass(rank, gender_of(corpus), k=2)
         assert entry.mass_w == pytest.approx(0.5)     # {a, b}
-        assert top_mass(rank, corpus, k=3).mass_w == pytest.approx(2 / 3)
+        assert top_mass(rank, gender_of(corpus), k=3).mass_w == \
+            pytest.approx(2 / 3)
 
     def test_score_ties_break_by_user_id(self):
         corpus, _window = self.corpus()
         rank = self.rank([1.0, 1.0, 1.0, 1.0, 1.0])
-        entry = top_mass(rank, corpus, k=2)
+        entry = top_mass(rank, gender_of(corpus), k=2)
         assert entry.mass_w == pytest.approx(0.5)     # {a, b} alphabetical
 
     def test_unknown_gender_takes_a_slot_without_counting(self):
         corpus, _window = self.corpus()
         rank = self.rank([1.0, 1.0, 1.0, 1.0, 100.0])  # e on top
-        entry = top_mass(rank, corpus, k=1)
+        entry = top_mass(rank, gender_of(corpus), k=1)
         assert entry.mass_w == 0.0
 
     def test_full_depth_equals_the_prior(self):
         corpus, _window = self.corpus()
         rank = self.rank([3.0, 1.0, 4.0, 1.0, 5.0])
-        entry = top_mass(rank, corpus, k=corpus.n_users)
+        entry = top_mass(rank, gender_of(corpus), k=corpus.n_users)
         assert entry.mass_w == pytest.approx(entry.prior_w) == \
             pytest.approx(0.4)
 
     def test_default_k_is_the_top_decile_floored_at_one(self):
         corpus, _window = self.corpus()
         rank = self.rank([5.0, 4.0, 3.0, 2.0, 1.0])
-        entry = top_mass(rank, corpus)
+        entry = top_mass(rank, gender_of(corpus))
         assert entry.k == 1 and entry.n_active == 5
         assert entry.mass_w == pytest.approx(1.0)
 
     def test_oversized_k_clamps_and_flags(self):
         corpus, _window = self.corpus()
         rank = self.rank([1.0] * 5)
-        entry = top_mass(rank, corpus, k=12)
+        entry = top_mass(rank, gender_of(corpus), k=12)
         assert entry.k == 5 and entry.clamped
 
     def test_active_subset_restricts_the_ranking(self):
         corpus, _window = self.corpus()
         rank = self.rank([5.0, 4.0, 3.0, 2.0, 1.0])
         idx = corpus.user_index
-        entry = top_mass(rank, corpus, active={idx["c"], idx["d"]}, k=1)
+        entry = top_mass(rank, gender_of(corpus), active={idx["c"], idx["d"]},
+                         k=1)
         assert entry.n_active == 2
         assert entry.mass_w == pytest.approx(1.0)     # c outranks d
         assert entry.prior_w == pytest.approx(0.5)
@@ -163,9 +183,9 @@ class TestTopMass:
         corpus, _window = self.corpus()
         rank = self.rank([1.0] * 5)
         with pytest.raises(ValueError):
-            top_mass(rank, corpus, active=set())
+            top_mass(rank, gender_of(corpus), active=set())
         with pytest.raises(ValueError):
-            top_mass(rank, corpus, k=0)
+            top_mass(rank, gender_of(corpus), k=0)
 
 
 class TestActiveUsers:
@@ -175,7 +195,7 @@ class TestActiveUsers:
             [("d", "t0m1", 1)],
             users={"e": user("e")},
         )
-        active = active_user_indices(window, corpus)
+        active = active_user_indices(window_events(window, corpus))
         names = {corpus.users[i].user_id for i in active}
         assert names == {"a", "b", "c", "d"}
 
@@ -198,8 +218,9 @@ class TestResponseStats:
         )
 
     def test_groups_by_role_with_latency_from_first_comment(self):
-        _corpus, window = self.corpus()
-        stats = {s.group: s for s in response_stats(window, "author_role")}
+        corpus, window = self.corpus()
+        stats = {s.group: s for s in
+                 window_response_stats(corpus, window, "author_role")}
         assert sorted(stats) == ["consultant", "manager"]
         assert stats["manager"].mean_latency_s == pytest.approx(60.0)
         assert stats["manager"].comment_count == 2
@@ -210,22 +231,17 @@ class TestResponseStats:
 
     def test_commentless_group_has_none_latency(self):
         users = {"con": user("con", role=Role.consultant)}
-        _corpus, window = make_corpus([("t0", "con", [])], users=users)
-        (only,) = response_stats(window, "author_role")
+        corpus, window = make_corpus([("t0", "con", [])], users=users)
+        (only,) = window_response_stats(corpus, window, "author_role")
         assert only.mean_latency_s is None
         assert only.comment_count == 0 and only.thread_count == 1
 
     def test_groups_by_gender(self):
-        _corpus, window = self.corpus()
-        stats = response_stats(window, "author_gender")
+        corpus, window = self.corpus()
+        stats = window_response_stats(corpus, window, "author_gender")
         assert [s.group for s in stats] == ["female", "male"]
         assert stats[0].thread_count == 1
         assert stats[1].thread_count == 2
-
-    def test_unknown_grouping_is_rejected(self):
-        _corpus, window = self.corpus()
-        with pytest.raises(ValueError):
-            response_stats(window, "author_shoe_size")
 
 
 class TestRoleSubgraph:
@@ -329,6 +345,6 @@ class TestTopMassMatchesSortedOrder:
             active = set(rng.sample(range(corpus.n_users),
                                     rng.randint(1, corpus.n_users)))
             k = rng.randint(1, corpus.n_users + 2)
-            entry = top_mass(rank, corpus, active, k)
+            entry = top_mass(rank, gender_of(corpus), active, k)
             assert (entry.k, entry.n_active, entry.mass_w, entry.prior_w,
                     entry.clamped) == sorted_top_mass(rank, corpus, active, k)

@@ -9,6 +9,7 @@ from pathlib import Path
 
 import pytest
 
+from conftest import write_threads_csv
 from leadnet import __version__, cli, ingest, topics
 from leadnet.rank import MprParams
 from leadnet.synth import SyntheticSpec
@@ -73,6 +74,26 @@ class TestSynth:
         assert run("synth", "--out", tmp_path / "x",
                    "--n-users", "many") == 2
         assert "--n-users" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flag, value", [
+        ("--n-users", 0), ("--n-threads", -1), ("--span-days", 0),
+        ("--uplift", 0), ("--gender-prior-w", 1.5), ("--like-rate", -0.1),
+    ])
+    def test_a_value_the_spec_rejects_names_its_flag(
+            self, tmp_path, capsys, flag, value):
+        out = tmp_path / "x"
+        assert run("synth", "--out", out, flag, value) == 2
+        assert capsys.readouterr().err.startswith(f"error: {flag}: ")
+        assert not out.exists()
+
+    def test_values_rejected_together_are_a_usage_error(self, tmp_path,
+                                                        capsys):
+        out = tmp_path / "x"
+        assert run("synth", "--out", out, "--like-rate", 0.7,
+                   "--dislike-rate", 0.6) == 2
+        assert "error: like_rate + dislike_rate must stay within [0, 1]" \
+            in capsys.readouterr().err
+        assert not out.exists()
 
 
 class TestIngest:
@@ -799,3 +820,67 @@ class TestConflictDiagnostics:
         gender = "conflicting gender for b: keeping 1, saw 0"
         assert (out / "diagnostics.txt").read_text().splitlines() == [
             role, role, gender, role, gender]
+
+
+class TestExitCodes:
+    @pytest.mark.parametrize("window", ["days:99999999999", "days:3000000"])
+    def test_window_past_the_calendar_is_a_usage_error(
+            self, corpus_dir, tmp_path, capsys, window):
+        out = tmp_path / "out"
+        assert run("rank", *base_args(corpus_dir), "--out", out,
+                   "--window", window) == 2
+        assert capsys.readouterr().err == \
+            f"error: --window: {window} windows run past the year 9999\n"
+        assert not out.exists()
+
+    def test_a_value_error_inside_a_command_is_not_a_usage_error(
+            self, corpus_dir, tmp_path, monkeypatch):
+        def failing(*args):
+            raise ValueError("not a usage error")
+
+        monkeypatch.setattr(cli, "window_partition", failing)
+        out = tmp_path / "out"
+        with pytest.raises(ValueError, match="not a usage error"):
+            run("rank", *base_args(corpus_dir), "--out", out)
+        assert not out.exists()
+        assert gc.get_freeze_count() == 0
+
+
+class TestUndecodableInputs:
+    """An input that is not valid UTF-8 fails the run with exit 1, naming
+    the file and its first line that does not decode."""
+
+    @pytest.fixture(scope="class")
+    def inputs(self, corpus_dir, tmp_path_factory):
+        root = tmp_path_factory.mktemp("csv")
+        threads, _diags = ingest.parse_thread_log(corpus_dir / "threads.jsonl")
+        write_threads_csv(threads, root / "threads.csv")
+        return {"input": corpus_dir / "threads.jsonl",
+                "csv": root / "threads.csv",
+                "ratings": corpus_dir / "ratings.jsonl",
+                "lexicon": corpus_dir / "lexicon.tsv",
+                "stopwords": corpus_dir / "stopwords.txt"}
+
+    @pytest.mark.parametrize("name, bad_line", [
+        ("input", 50), ("csv", 2), ("ratings", 3), ("lexicon", 1),
+        ("stopwords", 2),
+    ])
+    def test_names_the_input_and_its_first_bad_line(
+            self, inputs, tmp_path, capsys, name, bad_line):
+        lines = inputs[name].read_bytes().splitlines(keepends=True)
+        assert len(lines) > bad_line
+        lines[bad_line - 1] = b"\xff\xfe" + lines[bad_line - 1]
+        lines[bad_line + 1:bad_line + 2] = [b"\xc3(\n"]
+        broken = tmp_path / inputs[name].name
+        broken.write_bytes(b"".join(lines))
+        paths = {**inputs, name: broken}
+        csv_log, log_format = paths.pop("csv"), "jsonl"
+        if name == "csv":
+            paths["input"], log_format = csv_log, "csv"
+        args = [a for key, path in paths.items() for a in (f"--{key}", path)]
+        out = tmp_path / "out"
+        assert run("all", *args, "--format", log_format, "--out", out,
+                   "--window", "week") == 1
+        assert capsys.readouterr().err.endswith(
+            f"error: {broken}: not valid UTF-8 at line {bad_line}\n")
+        assert not out.exists()

@@ -9,11 +9,14 @@ import pytest
 from conftest import make_corpus
 from leadnet import export
 from leadnet.analytics import (
+    GENDER_GROUPS,
+    ROLE_GROUPS,
     active_user_indices,
     homophily,
     response_stats,
     role_subgraph,
     top_mass,
+    user_codes,
 )
 from leadnet.export import (
     analytics_rows,
@@ -25,7 +28,7 @@ from leadnet.export import (
     write_role_graph_dot,
 )
 from leadnet.ingest import Gender, Role, UserRef
-from leadnet.multiplex import build_tensor
+from leadnet.multiplex import build_tensor, window_events
 from leadnet.rank import MprParams, brokerage, multiplex_pagerank
 
 
@@ -85,14 +88,16 @@ class TestRankingsCsv:
 class TestAnalyticsCsv:
     def test_row_layout_and_none_rendering(self, ranked, tmp_path):
         corpus, window, _tensor, result = ranked
-        top = top_mass(result.leadership, corpus,
-                       active_user_indices(window, corpus), 2)
+        events = window_events(window, corpus)
+        gender, role = user_codes(corpus)
+        top = top_mass(result.leadership, gender,
+                       active_user_indices(events), 2)
         rows = analytics_rows(
             "2014-01-06T00:00:00Z",
-            homophily(window),
+            homophily(events, gender),
             top,
-            response_stats(window, "author_role"),
-            response_stats(window, "author_gender"),
+            response_stats(events, role, ROLE_GROUPS),
+            response_stats(events, gender, GENDER_GROUPS),
         )
         path = tmp_path / "analytics.csv"
         write_analytics_csv(path, rows)
@@ -112,16 +117,18 @@ class TestAnalyticsCsv:
 
     def test_empty_rates_render_as_empty_cells(self, tmp_path):
         corpus, window = make_corpus([("t0", "a", [])])
+        events = window_events(window, corpus)
+        gender, role = user_codes(corpus)
         rows = analytics_rows(
             "2014-01-06T00:00:00Z",
-            homophily(window),
+            homophily(events, gender),
             top_mass(
                 multiplex_pagerank(build_tensor(window, corpus),
                                    MprParams()).leadership,
-                corpus,
+                gender,
             ),
-            response_stats(window, "author_role"),
-            response_stats(window, "author_gender"),
+            response_stats(events, role, ROLE_GROUPS),
+            response_stats(events, gender, GENDER_GROUPS),
         )
         path = tmp_path / "analytics.csv"
         write_analytics_csv(path, rows)

@@ -8,6 +8,10 @@ the artifacts of ``synth`` and of each single-stage command live in
 S's own lexicon has one-token surfaces only, so ``topics`` is also
 pinned with ``data/lexicon_multiword.tsv``, whose multiword surfaces
 (two of them holding stopwords) share first tokens with one-token ones.
+The analytics rules that S never exercises (unknown and conflicting
+genders and roles, threads without comments, a clamped comment, an
+@-mention, an empty week, a message id held in two windows, raters who
+posted nothing) are pinned on ``data/analytics_edges.jsonl``.
 Any drift in the bytes the pipeline writes fails here without a second
 checkout to diff against.  A change that alters output on purpose
 records the new digests in those files and says why.
@@ -25,6 +29,8 @@ HERE = Path(__file__).parent
 GOLDEN = json.loads((HERE / "golden_S.json").read_text())
 GOLDEN_COMMANDS = json.loads((HERE / "golden_S_commands.json").read_text())
 MULTIWORD = HERE / "data" / "lexicon_multiword.tsv"
+EDGES = HERE / "data" / "analytics_edges.jsonl"
+EDGE_RATINGS = HERE / "data" / "analytics_edges_ratings.jsonl"
 
 # command line (beyond --out and the corpus inputs) -> whether it reads
 # the lexicon and stopwords
@@ -85,3 +91,13 @@ def test_multiword_topics_match_pinned_digests(corpus_s, tmp_path, window):
                      *corpus_args(corpus_s, lexicon=MULTIWORD)]) == 0
     assert_pinned(digests(out), GOLDEN_COMMANDS[
         f"topics --window {window} --lexicon {MULTIWORD.name}"])
+
+
+@pytest.mark.parametrize("flags", ["--window week --top-k 2", "--window days:1"])
+def test_edge_case_analytics_match_pinned_digests(tmp_path, flags):
+    out = tmp_path / "out"
+    assert cli.main(["all", "--out", str(out), *flags.split(),
+                     "--input", str(EDGES), "--ratings", str(EDGE_RATINGS)]) == 0
+    got = {name: digest for name, digest in digests(out).items()
+           if name == "analytics.csv" or name.startswith("rankings_w")}
+    assert_pinned(got, GOLDEN_COMMANDS[f"all {flags} --input {EDGES.name}"])

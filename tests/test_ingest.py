@@ -1,5 +1,6 @@
 """Parsing, corpus assembly and window tiling."""
 
+import csv
 import io
 import json
 import random
@@ -14,7 +15,7 @@ from conftest import (
     resolve_like_package,
 )
 from leadnet import cli
-from leadnet.analytics import homophily
+from leadnet.analytics import homophily, user_codes
 from leadnet.ingest import (
     CSV_COLUMNS,
     CommentRecord,
@@ -39,6 +40,7 @@ from leadnet.ingest import (
     write_ratings_jsonl,
     write_threads_jsonl,
 )
+from leadnet.multiplex import window_events
 from leadnet.synth import SyntheticSpec, generate
 
 UTC = timezone.utc
@@ -221,6 +223,30 @@ class TestCsvImport:
         threads, diags = parse_thread_log(csv_text, format="csv")
         assert [t.thread_id for t in threads] == ["t1", "t2"]
         assert any("comment for unknown thread tX" in d for d in diags)
+
+
+class TestCsvLineEnds:
+    """Line ends inside quoted CSV cells are kept as written, whether the
+    log is read from a path or from a stream."""
+
+    def test_path_parses_like_a_stream(self, tmp_path):
+        out = io.StringIO(newline="")
+        writer = csv.writer(out)
+        writer.writerow(CSV_COLUMNS)
+        writer.writerow(["t1", "one\rline", "a\nb", "2014-01-06T09:00:00Z",
+                         "", "a", "", "", "", "", "", "", "", ""])
+        writer.writerow(["t1", "", "", "", "", "", "", "", "c1", "one\r\ntwo",
+                         "2014-01-06T10:00:00Z", "b", "", ""])
+        text = out.getvalue()
+        path = tmp_path / "threads.csv"
+        path.write_bytes(text.encode("utf-8"))
+        from_path = parse_thread_log(path, format="csv")
+        assert from_path == parse_thread_log(io.StringIO(text, newline=""),
+                                             format="csv")
+        (thread,), diags = from_path
+        assert diags == []
+        assert (thread.title, thread.description) == ("one\rline", "a\nb")
+        assert thread.comments[0].text == "one\r\ntwo"
 
 
 class TestRatings:
@@ -838,6 +864,7 @@ class TestRecipients:
         first = corpus.threads[0]
         assert first.recipients[0] is canonical
         assert first.recipients[1] is corpus.users[corpus.user_index["m"]]
-        entry = homophily(whole_span_slice(corpus))
+        entry = homophily(window_events(whole_span_slice(corpus), corpus),
+                          user_codes(corpus)[0])
         assert entry.m_comments == 1 and entry.mm_comments == 0
         assert entry.w_comments == 1 and entry.ww_comments == 0

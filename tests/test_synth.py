@@ -176,12 +176,14 @@ class TestLexiconFiles:
 
 class TestHomophilyKnob:
     def measure(self, uplift):
-        from leadnet.analytics import homophily
+        from leadnet.analytics import homophily, user_codes
         from leadnet.ingest import whole_span_slice
+        from leadnet.multiplex import window_events
         spec = SyntheticSpec(n_users=200, n_threads=4000, comments_mean=0.5,
                              women_activity_uplift=uplift, seed=17)
         corpus = generate(spec)
-        return homophily(whole_span_slice(corpus))
+        return homophily(window_events(whole_span_slice(corpus), corpus),
+                         user_codes(corpus)[0])
 
     def test_recipient_side_rate_matches_the_knob(self):
         entry = self.measure(1.0)
@@ -194,12 +196,15 @@ class TestHomophilyKnob:
 
 class TestLatencyKnob:
     def test_manager_threads_answered_faster(self):
-        from leadnet.analytics import response_stats
+        from leadnet.analytics import ROLE_GROUPS, response_stats, user_codes
         from leadnet.ingest import whole_span_slice
+        from leadnet.multiplex import window_events
         spec = SyntheticSpec(n_users=150, n_threads=3000, seed=23,
                              manager_latency_factor=0.5)
-        window = whole_span_slice(generate(spec))
-        stats = {s.group: s for s in response_stats(window, "author_role")}
+        corpus = generate(spec)
+        events = window_events(whole_span_slice(corpus), corpus)
+        stats = {s.group: s for s in response_stats(
+            events, user_codes(corpus)[1], ROLE_GROUPS)}
         ratio = (stats["manager"].mean_latency_s /
                  stats["consultant"].mean_latency_s)
         assert ratio == pytest.approx(0.5, rel=0.2)
