@@ -13,8 +13,8 @@ from the config dataclass that owns the option (``MprParams``,
 resolves only the options it takes and ignores environment variables and
 config entries for the others.  Every run writes ``manifest.json`` recording
 the tool version, resolved semantic options, input digests and artifact
-names; it deliberately excludes timestamps, paths and worker counts so
-reruns of the same inputs produce byte-identical output trees.
+names; it deliberately excludes timestamps and paths so reruns of the
+same inputs produce byte-identical output trees.
 
 Exit codes: 0 on success, 1 on runtime failures (unreadable or corrupt
 inputs, non-convergence), 2 on bad usage or bad option values.
@@ -27,9 +27,9 @@ import dataclasses
 import gc
 import hashlib
 import json
+import math
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager
 from pathlib import Path
 from typing import Callable, Sequence
@@ -113,9 +113,12 @@ def _positive_int(value: object) -> int:
 
 def _float(value: object) -> float:
     try:
-        return float(str(value))
+        number = float(str(value))
     except ValueError as exc:
         raise UsageError(f"expected a number, got {value!r}") from exc
+    if not math.isfinite(number):
+        raise UsageError(f"expected a finite number, got {value!r}")
+    return number
 
 
 def _window(value: object) -> str:
@@ -204,7 +207,7 @@ SETTINGS: dict[str, tuple[Callable[[object], object], object, str]] = {
               "head size for concentration stats (default: decile)"),
     "role": (_roles, None, "comma-separated role filter"),
     "seed": (_int, SyntheticSpec.seed, "random seed"),
-    "jobs": (_positive_int, 1, "worker threads for per-window stages"),
+    "jobs": (_positive_int, 1, "no effect: windows run serially"),
     "window_index": (_int, None, "window to operate on (0-based)"),
     "stream": (str, None, "topic stream id to export a network for"),
     "n_users": (_int, SyntheticSpec.n_users,
@@ -427,13 +430,6 @@ def _slices(corpus: Corpus, cfg: dict) -> list[WindowSlice]:
         raise UsageError(f"--window: {cfg['window']} windows run past the year 9999") from None
 
 
-def _map_windows(fn: Callable, slices: Sequence[WindowSlice], jobs: int) -> list:
-    if jobs <= 1 or len(slices) <= 1:
-        return [fn(s) for s in slices]
-    with ThreadPoolExecutor(max_workers=jobs) as pool:
-        return list(pool.map(fn, slices))
-
-
 def _print_diags(diags: Sequence[str]) -> None:
     for line in diags:
         print(f"note: {line}", file=sys.stderr)
@@ -524,7 +520,7 @@ def _ranked_windows(cfg: dict, with_brokerage: bool, with_analytics: bool):
                 _window_analytics(window_slice, events, result.leadership,
                                   codes, cfg["top_k"]) if with_analytics else None)
 
-    return corpus, slices, _map_windows(work, slices, cfg["jobs"])
+    return corpus, slices, [work(s) for s in slices]
 
 
 def _write_window_rankings(ctx, corpus, slices, ranked):
@@ -550,9 +546,7 @@ def _window_at(slices: Sequence[WindowSlice], index: int) -> WindowSlice:
 def _topic_streams(slices, cfg):
     lexicon = load_lexicon(_require(cfg, "lexicon"), cfg["stopwords"])
     topic_cfg = cfg["topic_config"]
-    per_window = _map_windows(
-        lambda s: topics_in_window(s, lexicon, topic_cfg), slices, cfg["jobs"],
-    )
+    per_window = [topics_in_window(s, lexicon, topic_cfg) for s in slices]
     return chain_streams(per_window, topic_cfg.theta_h), lexicon
 
 
@@ -653,7 +647,7 @@ COMMAND_OPTIONS = {
 }
 
 # the semantic options a command records in its manifest: everything it
-# accepts except paths and the worker count, so identical inputs yield
+# accepts except paths and the ignored --jobs, so identical inputs yield
 # identical manifests.
 _NOT_RECORDED = ("input", "ratings", "lexicon", "stopwords", "out", "jobs")
 MANIFEST_KEYS = {

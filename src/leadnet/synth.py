@@ -163,12 +163,9 @@ def builtin_lexicon() -> ConceptLexicon:
         for pool in POOLS
         for surface, concept_id, _lang in pool.concepts
     }
-    stopclass: dict[str, set[str]] = {}
-    for token, lang in STOP_TOKENS:
-        stopclass.setdefault(lang, set()).add(token)
     return ConceptLexicon(
         entries=entries,
-        stopclass={lang: frozenset(tokens) for lang, tokens in stopclass.items()},
+        stop_tokens=frozenset(token for token, _lang in STOP_TOKENS),
     )
 
 

@@ -1,10 +1,10 @@
 """Mixed-lingual topic extraction from thread texts.
 
 A hand-maintained lexicon maps surface forms (possibly multiword, any
-language) to concept ids, plus a stopclass of connector tokens such as
-prepositions and determiners.  Extraction lowercases, tokenizes and
-longest-matches the lexicon; adjacent concepts, allowing intervening
-stopclass tokens, join into "_"-separated n-grams, so "analisi delle
+language) to concept ids, plus a set of connector tokens (stop tokens)
+such as prepositions and determiners.  Extraction lowercases, tokenizes
+and longest-matches the lexicon; adjacent concepts, allowing intervening
+stop tokens, join into "_"-separated n-grams, so "analisi delle
 performance" and "digital marketing" each come out as one n-gram.
 
 Per window, n-grams occurring at least min_freq times become vertices of
@@ -49,22 +49,15 @@ class TopicConfig:
 @dataclass(frozen=True)
 class ConceptLexicon:
     """entries: lowercased surface token tuple -> concept id.
-    stopclass: language -> connector tokens (matched as a single union)."""
+    stop_tokens: connector tokens, of every language alike."""
 
     entries: dict[tuple[str, ...], str]
-    stopclass: dict[str, frozenset[str]]
+    stop_tokens: frozenset[str]
 
     def __post_init__(self) -> None:
         for surface in self.entries:
             if not surface or any(not t for t in surface):
                 raise ValueError("lexicon surfaces must be non-empty token tuples")
-
-    @cached_property
-    def stop_tokens(self) -> frozenset[str]:
-        tokens: set[str] = set()
-        for group in self.stopclass.values():
-            tokens |= group
-        return frozenset(tokens)
 
     @cached_property
     def surfaces_by_first(self) -> dict[str, tuple[tuple[str, ...], ...]]:
@@ -85,7 +78,7 @@ def load_lexicon(
     stopwords_source: str | Path | IO[str] | None = None,
 ) -> ConceptLexicon:
     """Read the TSV lexicon (surface_form<TAB>concept_id<TAB>language) and
-    the stopclass file (one token per line, optional <TAB>language).
+    the stopwords file (one token per line; a <TAB>language is ignored).
     Surfaces and stopwords are tokenized like message text.  Duplicate
     surfaces keep the lexicographically smallest concept id.  A malformed
     lexicon line, or a stopword line that is not exactly one token,
@@ -105,37 +98,33 @@ def load_lexicon(
         else:
             entries[surface] = concept_id
 
-    stopclass: dict[str, set[str]] = defaultdict(set)
+    stop_tokens: set[str] = set()
     if stopwords_source is not None:
         for lineno, line in _read_lines(stopwords_source):
-            parts = line.split("\t")
-            tokens = tokenize(parts[0])
+            tokens = tokenize(line.split("\t")[0])
             if len(tokens) != 1:
                 raise IngestError(f"bad stopwords line {lineno} {line!r}:"
                                   f" expected one token, found {len(tokens)}")
-            lang = parts[1].strip() if len(parts) > 1 and parts[1].strip() else "any"
-            stopclass[lang].add(tokens[0])
-    return ConceptLexicon(
-        entries=entries,
-        stopclass={lang: frozenset(tokens) for lang, tokens in stopclass.items()},
-    )
+            stop_tokens.add(tokens[0])
+    return ConceptLexicon(entries=entries, stop_tokens=frozenset(stop_tokens))
 
 
 def _read_lines(source: str | Path | IO[str]) -> Iterable[tuple[int, str]]:
-    """(line number, line) for every line that is neither blank nor a
-    "#" comment."""
+    """(line number, line without its line end) for every line that is
+    neither blank nor a "#" comment.  Only a line end ends a line: a form
+    feed or other Unicode separator stays inside it."""
     with open_text(source) as stream:
-        lines = stream.read().splitlines()
-    for lineno, line in enumerate(lines, start=1):
-        if line.strip() and not line.lstrip().startswith("#"):
-            yield lineno, line
+        for lineno, line in enumerate(stream, start=1):
+            line = line.rstrip("\r\n")
+            if line.strip() and not line.lstrip().startswith("#"):
+                yield lineno, line
 
 
 def extract_concepts(text: str, lexicon: ConceptLexicon) -> list[str]:
     """Concept n-grams occurring in the text, in occurrence order.
 
     Lexicon surfaces are longest-matched over the token stream.  Each
-    maximal run of concepts (stopclass tokens may sit between them, any
+    maximal run of concepts (stop tokens may sit between them, any
     other token breaks the run) is emitted joined by "_", including the
     connectors, followed by each member concept alone.  Runs longer than
     MAX_NGRAM concepts are chunked greedily left to right.

@@ -4,6 +4,7 @@ import csv
 import gc
 import json
 import os
+import threading
 import weakref
 from pathlib import Path
 
@@ -330,6 +331,21 @@ class TestAll:
         threaded = self.artifacts(corpus_dir, tmp_path / "threaded", 4)
         assert serial == threaded
 
+    def test_jobs_starts_no_thread(self, corpus_s, tmp_path, monkeypatch):
+        """--jobs is accepted and has no effect: every window runs on the
+        calling thread."""
+        serial = self.artifacts(corpus_s, tmp_path / "serial", 1)
+        started = []
+        start = threading.Thread.start
+
+        def recording(thread):
+            started.append(thread.name)
+            start(thread)
+
+        monkeypatch.setattr(threading.Thread, "start", recording)
+        assert self.artifacts(corpus_s, tmp_path / "jobs4", 4) == serial
+        assert started == []
+
 
 @pytest.fixture(scope="module")
 def gappy_corpus_dir(tmp_path_factory):
@@ -654,12 +670,21 @@ class TestOptionWiring:
         ("all", "--theta-v", "2"), ("all", "--min-freq", "0"),
         ("all", "--top-k", "0"), ("all", "--jobs", "0"),
         ("rank", "--jobs", "-3"), ("topics", "--stream", "s0000"),
+        ("rank", "--beta", "nan"), ("rank", "--gamma", "nan"),
+        ("rank", "--tol", "nan"), ("rank", "--tol", "inf"),
+        ("rank", "--alpha", "nan"), ("all", "--alpha", "0.85,-inf,0.85"),
+        ("topics", "--theta-h", "nan"),
+        ("synth", "--comments-mean", "nan"), ("synth", "--uplift", "nan"),
+        ("synth", "--manager-latency-factor", "inf"),
+        ("synth", "--reply-latency-mean-s", "inf"),
+        ("synth", "--comments-mean", "inf"), ("synth", "--like-rate", "nan"),
     ])
     def test_bad_value_exits_two_before_reading_input(
             self, tmp_path, capsys, command, flag, value):
         out = tmp_path / "out"
-        assert run(command, "--input", tmp_path / "missing.jsonl",
-                   "--out", out, f"{flag}={value}") == 2
+        inputs = (["--input", tmp_path / "missing.jsonl"]
+                  if "input" in cli.COMMAND_OPTIONS[command] else [])
+        assert run(command, *inputs, "--out", out, f"{flag}={value}") == 2
         assert f"error: {flag}" in capsys.readouterr().err
         assert not out.exists()
 

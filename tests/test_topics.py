@@ -40,8 +40,7 @@ LEX = ConceptLexicon(
         ("data", "lake"): "c.datalake",
         ("data",): "c.data",
     },
-    stopclass={"it": frozenset({"delle", "di", "del"}),
-               "en": frozenset({"the", "of"})},
+    stop_tokens=frozenset({"delle", "di", "del", "the", "of"}),
 )
 
 
@@ -80,6 +79,31 @@ class TestLexiconLoading:
     def test_stopword_line_must_hold_one_token(self, line):
         with pytest.raises(IngestError, match="bad stopwords line 2"):
             load_lexicon(io.StringIO(""), io.StringIO(f"di\n{line}\tit\n"))
+
+    # every character but a line end at which str.splitlines breaks
+    SEPARATORS = ["\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85",
+                  "\u2028", "\u2029"]
+
+    @pytest.mark.parametrize("sep", SEPARATORS,
+                             ids=lambda c: f"U+{ord(c):04X}")
+    def test_separator_stays_inside_a_lexicon_line(self, tmp_path, sep):
+        path = tmp_path / "lexicon.tsv"
+        path.write_text(f"a{sep}b\tc.x\tit\nbroken\n", encoding="utf-8")
+        with pytest.raises(IngestError, match="bad lexicon line 2 'broken'"):
+            load_lexicon(path)
+        path.write_text(f"a{sep}b\tc.x\tit\n", encoding="utf-8")
+        assert load_lexicon(path).entries == {("a", "b"): "c.x"}
+
+    @pytest.mark.parametrize("sep", SEPARATORS,
+                             ids=lambda c: f"U+{ord(c):04X}")
+    def test_separator_stays_inside_a_stopword_line(self, tmp_path, sep):
+        path = tmp_path / "stopwords.txt"
+        path.write_text(f"di{sep}\tit\nde{sep}l\n", encoding="utf-8")
+        message = f"bad stopwords line 2 {f'de{sep}l'!r}: expected one token, found 2"
+        with pytest.raises(IngestError, match=re.escape(message)):
+            load_lexicon(io.StringIO(""), path)
+        path.write_text(f"{sep}di{sep}\tit\nthe\n", encoding="utf-8")
+        assert load_lexicon(io.StringIO(""), path).stop_tokens == {"di", "the"}
 
 
 class TestExtraction:
@@ -259,7 +283,7 @@ class TestWindowTopics:
     LEXICON = ConceptLexicon(
         entries={("alpha",): "a", ("beta",): "b", ("gamma",): "g",
                  ("delta",): "d"},
-        stopclass={},
+        stop_tokens=frozenset(),
     )
 
     def corpus(self):
@@ -347,7 +371,7 @@ REF_TOKEN = re.compile(r"\w+", re.UNICODE)
 
 def ref_extract_concepts(text, lexicon):
     tokens = REF_TOKEN.findall(text.lower())
-    stop_tokens = set().union(*lexicon.stopclass.values())
+    stop_tokens = lexicon.stop_tokens
     longest = max((len(s) for s in lexicon.entries), default=0)
     runs = []
     current = []
@@ -542,7 +566,7 @@ class TestWalkerAgainstReference:
                 tail.append(rng.choice(tokens))
         lexicon = ConceptLexicon(
             entries={s: f"c{k}" for k, s in enumerate(sorted(surfaces))},
-            stopclass={"x": frozenset(stops)} if stops else {},
+            stop_tokens=frozenset(stops),
         )
 
         def message():
