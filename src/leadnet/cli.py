@@ -59,7 +59,6 @@ from .ingest import (
     Role,
     WindowConfig,
     WindowSlice,
-    author_refs,
     build_corpus,
     decode_role,
     format_timestamp,
@@ -415,8 +414,7 @@ def _load_corpus(cfg: dict) -> tuple[Corpus, list[str]]:
                                       format=cfg["format"])
     ratings = []
     if cfg["ratings"] is not None:
-        ratings, rating_diags = parse_ratings(cfg["ratings"],
-                                              author_refs(threads))
+        ratings, rating_diags = parse_ratings(cfg["ratings"])
         diags.extend(rating_diags)
     corpus, corpus_diags = build_corpus(threads, ratings)
     diags.extend(corpus_diags)

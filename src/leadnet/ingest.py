@@ -32,10 +32,11 @@ import csv
 import enum
 import json
 import re
+import sys
 from bisect import bisect_right
 from contextlib import contextmanager
 from dataclasses import dataclass, replace
-from datetime import datetime, timedelta, timezone
+from datetime import MAXYEAR, datetime, timedelta, timezone
 from functools import cached_property
 from pathlib import Path
 from typing import IO, Iterable, Iterator, Mapping
@@ -136,7 +137,7 @@ def _mentioned(text: str, participants: Mapping[str, UserRef]) -> UserRef | None
 
 @dataclass(frozen=True)
 class RatingEvent:
-    rater: UserRef
+    rater_id: str
     target_message_id: str
     value: int
 
@@ -151,8 +152,10 @@ class Corpus:
 
     ``users`` is sorted by user_id and ``user_index`` maps user_id to the
     position in that order; every author and rater appearing anywhere in
-    the corpus is present.  Matrix-valued results elsewhere in the package
-    index users by ``user_index``.
+    the corpus is present, a rater who never posts with unknown role and
+    gender.  A rating names its rater by ``rater_id`` alone.
+    Matrix-valued results elsewhere in the package index users by
+    ``user_index``.
     """
 
     users: tuple[UserRef, ...]
@@ -219,7 +222,8 @@ UTC = timezone.utc
 
 
 def parse_timestamp(text: str) -> datetime:
-    """ISO-8601 to an aware UTC datetime, truncated to whole seconds."""
+    """ISO-8601 to an aware UTC datetime, truncated to whole seconds.
+    ValueError also when the UTC time falls outside years 1 to 9999."""
     if not isinstance(text, str) or not text:
         raise ValueError("timestamp must be a non-empty string")
     raw = text.strip()
@@ -230,7 +234,10 @@ def parse_timestamp(text: str) -> datetime:
         return dt  # a zero offset already parses to timezone.utc
     if dt.tzinfo is None:
         dt = dt.replace(tzinfo=UTC)
-    return dt.astimezone(UTC).replace(microsecond=0)
+    try:
+        return dt.astimezone(UTC).replace(microsecond=0)
+    except OverflowError:
+        raise ValueError(f"timestamp {text!r} is out of range in UTC") from None
 
 
 def format_timestamp(dt: datetime) -> str:
@@ -241,10 +248,11 @@ def format_timestamp(dt: datetime) -> str:
 # field decoding
 
 def decode_gender(value: object) -> Gender | None:
-    """0/1/"unknown"/None to Gender; None return means unrecognized."""
+    """0/1/"unknown"/None to Gender; None return means unrecognized, as
+    for a boolean, which equals 0 or 1 but is neither."""
     if value is None or value == "unknown":
         return Gender.unknown
-    if value == 0 or value == 1:
+    if (value == 0 or value == 1) and not isinstance(value, bool):
         return Gender(int(value))
     return None
 
@@ -279,8 +287,8 @@ def _decode_user(obj: object, lineno: int, diags: list[str], where: str,
         return None
     raw_role, raw_gender = obj.get("role"), obj.get("gender")
     raw: tuple | None = (user_id, raw_role, raw_gender)
-    try:
-        ref = known.get(raw)
+    try:  # a boolean gender is a key equal to 0 or 1, so it skips the table
+        ref = None if isinstance(raw_gender, bool) else known.get(raw)
     except TypeError:  # an unhashable role or gender, which never decodes
         raw, ref = None, None
     if ref is not None:
@@ -583,32 +591,16 @@ def _parse_threads_csv(stream: IO[str]) -> tuple[list[ThreadRecord], list[str]]:
 # ---------------------------------------------------------------------------
 # ratings parsing
 
-def author_refs(threads: Iterable[ThreadRecord]) -> dict[str, UserRef]:
-    """The first ref of each user id in ``threads``, visiting each thread's
-    author and then its commenters: the ref ``build_corpus`` keeps as
-    canonical when no later record adds to it."""
-    refs: dict[str, UserRef] = {}
-    for thread in threads:
-        refs.setdefault(thread.author.user_id, thread.author)
-        for comment in thread.comments:
-            refs.setdefault(comment.author.user_id, comment.author)
-    return refs
-
-
-def parse_ratings(
-    source: str | Path | IO[str], refs: Mapping[str, UserRef] | None = None,
-) -> tuple[list[RatingEvent], list[str]]:
+def parse_ratings(source: str | Path | IO[str]) -> tuple[list[RatingEvent], list[str]]:
     """Parse like/dislike events; duplicates per (rater, target) collapse
-    to the last occurrence and value 0 ("no opinion") is skipped.  A
-    rater named in ``refs`` (such as ``author_refs`` of the thread log)
-    gets that ref, so ``build_corpus`` can keep the event as it is; any
-    other rater gets a ref of unknown role and gender."""
+    to the last occurrence and value 0 ("no opinion") is skipped.  An
+    event holds its line's rater id; the rater's role and gender come
+    from the thread log in ``build_corpus``."""
     with open_text(source) as stream:
         diags: list[str] = []
         total = 0
         malformed = 0
         events: dict[tuple[str, str], RatingEvent] = {}
-        raters: dict[str, UserRef] = dict(refs or {})
         for lineno, obj in _jsonl_objects(stream, diags):
             total += 1
             if obj is None:
@@ -632,14 +624,8 @@ def parse_ratings(
             if value == 0:
                 diags.append(f"rating value 0 (no opinion) at line {lineno}; skipped")
                 continue
-            rater = raters.get(rater_id)
-            if rater is None:
-                rater = raters[rater_id] = UserRef(user_id=rater_id)
-            events[(rater_id, target_id)] = RatingEvent(
-                rater=rater,
-                target_message_id=target_id,
-                value=value,
-            )
+            # interned, so the events of one rater share a string
+            events[(rater_id, target_id)] = RatingEvent(sys.intern(rater_id), target_id, value)
         _check_corrupt(total, malformed)
         return list(events.values()), diags
 
@@ -681,37 +667,31 @@ def _merge_attrs(
     return clean
 
 
-def _record_refs(threads: Iterable[ThreadRecord],
-                 ratings: Iterable[RatingEvent]) -> Iterable[UserRef]:
-    """Every ref in record order: each thread's author, then its
-    commenters, then every rater."""
-    for thread in threads:
-        yield thread.author
-        for comment in thread.comments:
-            yield comment.author
-    for event in ratings:
-        yield event.rater
-
-
 def _canonical_refs(threads: list[ThreadRecord], ratings: list[RatingEvent],
                     diags: list[str]) -> dict[str, UserRef]:
     """user_id -> canonical UserRef: the first ref seen for the user when
-    it already holds the merged role and gender, else a new one.  A ref
+    it already holds the merged role and gender, else a new one; a rater
+    who never posts gets a ref of unknown role and gender.  Refs merge in
+    record order (each thread's author, then its commenters), and a ref
     object is merged again only where its earlier merges reported a
     conflict, so each conflict is reported at every occurrence.  The
     merge state is dropped on return, before the corpus is assembled."""
     attrs: dict[str, tuple[Role, Gender]] = {}
     first: dict[str, UserRef] = {}
     merged: set[int] = set()  # ids of refs merged without a diagnostic
-    for ref in _record_refs(threads, ratings):
-        if id(ref) not in merged and _merge_attrs(attrs, first, ref, diags):
-            merged.add(id(ref))
+    for thread in threads:
+        for ref in (thread.author, *(c.author for c in thread.comments)):
+            if id(ref) not in merged and _merge_attrs(attrs, first, ref, diags):
+                merged.add(id(ref))
     canonical = {}
     for user_id, (role, gender) in attrs.items():
         ref = first[user_id]
         if ref.role is not role or ref.gender is not gender:
             ref = UserRef(user_id=user_id, role=role, gender=gender)
         canonical[user_id] = ref
+    for event in ratings:
+        if event.rater_id not in canonical:
+            canonical[event.rater_id] = UserRef(event.rater_id)
     return canonical
 
 
@@ -737,10 +717,10 @@ def build_corpus(
     """Assemble validated records into a Corpus.
 
     Every author and rater is mapped to a single canonical UserRef (see
-    ``_canonical_refs``).  A record whose refs are all canonical is kept
-    as it is; only records holding a replaced ref are rebuilt.  Ratings
-    whose target is not a known message are dropped with a diagnostic.
-    Zero valid threads is fatal.
+    ``_canonical_refs``).  A thread whose refs are all canonical is kept
+    as it is; only threads holding a replaced ref are rebuilt.  Ratings
+    whose target is not a known message are dropped with a diagnostic,
+    and the others are kept as they are.  Zero valid threads is fatal.
     """
     threads = list(threads)
     ratings = list(ratings)
@@ -765,22 +745,19 @@ def build_corpus(
             message_ids.add(c.comment_id)
         fixed_threads.append(_with_canonical_refs(thread, canonical))
 
-    fixed_ratings = []
+    kept_ratings = []
     for event in ratings:
-        if event.target_message_id not in message_ids:
-            diags.append(
-                f"rating by {event.rater.user_id} targets unknown message"
-                f" {event.target_message_id}; dropped"
-            )
-            continue
-        rater = canonical[event.rater.user_id]
-        fixed_ratings.append(event if event.rater is rater else replace(event, rater=rater))
+        if event.target_message_id in message_ids:
+            kept_ratings.append(event)
+        else:
+            diags.append(f"rating by {event.rater_id} targets unknown message"
+                         f" {event.target_message_id}; dropped")
 
     corpus = Corpus(
         users=users,
         user_index=user_index,
         threads=tuple(fixed_threads),
-        ratings=tuple(fixed_ratings),
+        ratings=tuple(kept_ratings),
     )
     return corpus, diags
 
@@ -793,7 +770,11 @@ def _month_start(dt: datetime) -> datetime:
 
 
 def _next_month(dt: datetime) -> datetime:
+    """The first of the month after ``dt``; past the year 9999 an
+    OverflowError, as date arithmetic raises for the other lengths."""
     if dt.month == 12:
+        if dt.year == MAXYEAR:
+            raise OverflowError("date value out of range")
         return datetime(dt.year + 1, 1, 1, tzinfo=UTC)
     return datetime(dt.year, dt.month + 1, 1, tzinfo=UTC)
 
@@ -848,9 +829,15 @@ def window_partition(corpus: Corpus, cfg: WindowConfig) -> list[WindowSlice]:
 
 
 def whole_span_slice(corpus: Corpus) -> WindowSlice:
-    """The corpus as a single window covering its whole span."""
+    """The corpus as a single window covering its whole span; a
+    CorpusError when its end would fall past the year 9999."""
     times = [t.published_at for t in corpus.threads]
-    return WindowSlice(index=0, start=min(times), end=max(times) + timedelta(seconds=1),
+    try:
+        end = max(times) + timedelta(seconds=1)
+    except OverflowError:
+        raise CorpusError(f"the whole span ends past the year 9999: a thread is"
+                          f" published at {format_timestamp(max(times))}") from None
+    return WindowSlice(index=0, start=min(times), end=end,
                        threads=corpus.threads, ratings=corpus.ratings)
 
 
@@ -883,7 +870,7 @@ def thread_to_dict(thread: ThreadRecord) -> dict:
 
 
 def rating_to_dict(event: RatingEvent) -> dict:
-    return {"rater_id": event.rater.user_id,
+    return {"rater_id": event.rater_id,
             "target_id": event.target_message_id,
             "value": event.value}
 

@@ -165,7 +165,7 @@ def window_events(slice: WindowSlice, corpus: Corpus) -> WindowEvents:
         np.array(thread_author, dtype=np.int64), np.array(first_reply_s),
         *(np.array(column, dtype=np.int64) for column in (
             position, commenter, recipient, order_k,
-            [index[e.rater.user_id] for e in ratings],
+            [index[e.rater_id] for e in ratings],
             [message_author.get(e.target_message_id, -1) for e in ratings],
             [e.value for e in ratings])),
     )

@@ -350,9 +350,7 @@ def generate(spec: SyntheticSpec) -> Corpus:
                 else:
                     continue
                 rater = users[_pick_other(rng, spec.n_users, message_author_at)]
-                ratings.append(RatingEvent(
-                    rater=rater, target_message_id=message_id, value=value,
-                ))
+                ratings.append(RatingEvent(rater.user_id, message_id, value))
 
     return Corpus(
         users=users,

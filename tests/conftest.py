@@ -82,9 +82,8 @@ def make_corpus(thread_specs, rating_specs=(), users=None):
             published_at=published, tags=(), author=author,
             comments=records,
         ))
-    ratings = tuple(
-        RatingEvent(rater=ref(rater_id), target_message_id=message_id,
-                    value=value)
+    ratings = tuple(  # ref() makes each rater a user
+        RatingEvent(ref(rater_id).user_id, message_id, value)
         for rater_id, message_id, value in rating_specs
     )
     ordered = tuple(sorted(users.values(), key=lambda u: u.user_id))

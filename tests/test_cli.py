@@ -626,6 +626,55 @@ class TestRatingsKeepParsedEvents:
                    for kept, event in zip(corpus.ratings, parsed))
 
 
+class TestRaters:
+    """Every rater is a corpus user: one with no post of their own has an
+    unknown role and gender, one whose every rating is dropped stays, and
+    one who also posts shows the role and gender of the thread log."""
+
+    @pytest.fixture
+    def logs(self, tmp_path):
+        threads = tmp_path / "threads.jsonl"
+        threads.write_text(json.dumps({
+            "thread_id": "t1", "published_at": "2014-01-06T09:00:00Z",
+            "author": {"user_id": "a", "role": "manager", "gender": 1},
+            "comments": [{"comment_id": "c1", "text": "ok",
+                          "created_at": "2014-01-06T10:00:00Z",
+                          "author": {"user_id": "c", "role": "director",
+                                     "gender": 0}}]}) + "\n")
+        ratings = tmp_path / "ratings.jsonl"
+        ratings.write_text("".join(json.dumps(obj) + "\n" for obj in (
+            {"rater_id": "b", "target_id": "t1", "value": 1},
+            {"rater_id": "d", "target_id": "nowhere", "value": 1},
+            {"rater_id": "c", "target_id": "t1", "value": -1},
+        )))
+        return threads, ratings
+
+    def test_users_diagnostics_and_rankings(self, logs, tmp_path):
+        threads, ratings = logs
+        corpus, diags = cli._load_corpus(
+            {"input": threads, "format": "jsonl", "ratings": ratings})
+        gc.unfreeze()  # the load freezes the heap; main would unfreeze it
+        unknown = (ingest.Role.unknown, ingest.Gender.unknown)
+        assert [(u.user_id, u.role, u.gender) for u in corpus.users] == [
+            ("a", ingest.Role.manager, ingest.Gender.female), ("b", *unknown),
+            ("c", ingest.Role.director, ingest.Gender.male), ("d", *unknown)]
+        dropped = "rating by d targets unknown message nowhere; dropped"
+        assert diags == [dropped]
+        assert len(corpus.ratings) == 2
+
+        args = ["--input", threads, "--ratings", ratings]
+        out = tmp_path / "ingest"
+        assert run("ingest", *args, "--out", out) == 0
+        assert (out / "diagnostics.txt").read_text() == dropped + "\n"
+        out = tmp_path / "rank"
+        assert run("rank", *args, "--out", out) == 0
+        with open(out / "rankings_w000.csv", newline="") as handle:
+            rows = {row["user_id"]: (row["gender"], row["role"])
+                    for row in csv.DictReader(handle)}
+        assert rows == {"a": ("female", "manager"), "b": ("unknown", "unknown"),
+                        "c": ("male", "director"), "d": ("unknown", "unknown")}
+
+
 class TestOptionWiring:
     @pytest.fixture(autouse=True)
     def clean_env(self, monkeypatch):
@@ -848,14 +897,33 @@ class TestConflictDiagnostics:
 
 
 class TestExitCodes:
-    @pytest.mark.parametrize("window", ["days:99999999999", "days:3000000"])
+    @pytest.fixture
+    def late_args(self, corpus_dir, tmp_path):
+        """corpus_dir's logs with one more thread, at the last second of
+        the year 9999."""
+        log = tmp_path / "threads.jsonl"
+        log.write_text((corpus_dir / "threads.jsonl").read_text() + json.dumps({
+            "thread_id": "late", "published_at": "9999-12-31T23:59:59Z",
+            "author": {"user_id": "late"}}) + "\n")
+        return ["--input", log, "--ratings", corpus_dir / "ratings.jsonl"]
+
+    @pytest.mark.parametrize("window", ["days:99999999999", "days:3000000",
+                                        "month"])
     def test_window_past_the_calendar_is_a_usage_error(
-            self, corpus_dir, tmp_path, capsys, window):
+            self, late_args, tmp_path, capsys, window):
         out = tmp_path / "out"
-        assert run("rank", *base_args(corpus_dir), "--out", out,
-                   "--window", window) == 2
+        assert run("rank", *late_args, "--out", out, "--window", window) == 2
         assert capsys.readouterr().err == \
             f"error: --window: {window} windows run past the year 9999\n"
+        assert not out.exists()
+
+    def test_whole_span_past_the_calendar_is_an_input_error(
+            self, late_args, tmp_path, capsys):
+        out = tmp_path / "out"
+        assert run("export-graph", *late_args, "--out", out) == 1
+        assert capsys.readouterr().err.endswith(
+            "error: the whole span ends past the year 9999: a thread is"
+            " published at 9999-12-31T23:59:59Z\n")
         assert not out.exists()
 
     def test_a_value_error_inside_a_command_is_not_a_usage_error(

@@ -95,6 +95,43 @@ class TestTimestamps:
             parse_timestamp("last tuesday")
 
 
+class TestOutOfRangeTimestamps:
+    """A time that leaves datetime's range once converted to UTC is an
+    invalid field, reported like any other."""
+
+    @pytest.mark.parametrize("text", ["0001-01-01T00:00:00+01:00",
+                                      "9999-12-31T23:00:00-05:00"])
+    def test_is_a_value_error(self, text):
+        with pytest.raises(ValueError, match="out of range in UTC"):
+            parse_timestamp(text)
+
+    def test_jsonl_published_at_and_created_at(self):
+        early = "0001-01-01T00:00:00+01:00"
+        threads, diags = parse_thread_log(jsonl(
+            {**thread_obj(comments=[("c1", "b", "2014-01-06T10:00:00Z")]),
+             "comments": [{"comment_id": "c1", "created_at": early,
+                           "author": {"user_id": "b"}}]},
+            thread_obj(thread_id="t2", published=early),
+            thread_obj(thread_id="t3"),
+        ))
+        assert diags == ["invalid created_at at line 1 (comment c1); comment skipped",
+                         "invalid published_at at line 2"]
+        assert [(t.thread_id, len(t.comments)) for t in threads] == [("t1", 0), ("t3", 0)]
+
+    def test_csv_published_at_and_created_at(self):
+        early = "0001-01-01T00:00:00+01:00"
+        threads, diags = parse_thread_log(io.StringIO(
+            ",".join(CSV_COLUMNS) + "\n"
+            "t1,title,desc,2014-01-06T09:00:00Z,x,a,,,,,,,,\n"
+            f"t1,,,,,,,,c1,hi,{early},b,,\n"
+            f"t2,title,desc,{early},x,a,,,,,,,,\n"
+            "t3,title,desc,2014-01-06T09:00:00Z,x,a,,,,,,,,\n"
+        ), format="csv")
+        assert diags == ["invalid created_at at line 3 (comment c1)",
+                         "invalid published_at at line 4"]
+        assert [(t.thread_id, len(t.comments)) for t in threads] == [("t1", 0), ("t3", 0)]
+
+
 class TestThreadParsing:
     def test_basic_thread(self):
         threads, diags = parse_thread_log(jsonl(thread_obj(
@@ -256,8 +293,7 @@ class TestRatings:
             {"rater_id": "a", "target_id": "m2", "value": 0},
             {"rater_id": "b", "target_id": "m1", "value": -1},
         ))
-        assert [(e.rater.user_id, e.target_message_id, e.value)
-                for e in events] == [("a", "m1", 1), ("b", "m1", -1)]
+        assert events == [RatingEvent("a", "m1", 1), RatingEvent("b", "m1", -1)]
         assert any("no opinion" in d for d in diags)
 
     def test_duplicate_pair_keeps_last(self):
@@ -265,7 +301,7 @@ class TestRatings:
             {"rater_id": "a", "target_id": "m1", "value": 1},
             {"rater_id": "a", "target_id": "m1", "value": -1},
         ))
-        assert [(e.rater.user_id, e.value) for e in events] == [("a", -1)]
+        assert events == [RatingEvent("a", "m1", -1)]
 
     def test_bad_value_is_malformed(self):
         events, diags = parse_ratings(jsonl(
@@ -341,8 +377,9 @@ class TestBuildCorpus:
             {"rater_id": "b", "target_id": "t1", "value": 1},
         ))
         corpus, _ = build_corpus(threads, events)
-        (event,) = corpus.ratings
-        assert event.rater is corpus.users[corpus.user_index["b"]]
+        # the rater is the commenter's ref, and the event is kept as parsed
+        assert corpus.users[corpus.user_index["b"]] is threads[0].comments[0].author
+        assert corpus.ratings[0] is events[0]
 
 
 class TestMessageAuthors:
@@ -623,18 +660,6 @@ class TestSharedRefs:
         assert_one_object_per_user(refs)
         assert len({id(r) for r in refs}) == 2
 
-    def test_ratings_build_one_ref_per_rater(self):
-        events, _diags = parse_ratings(jsonl(
-            {"rater_id": "a", "target_id": "m1", "value": 1},
-            {"rater_id": "b", "target_id": "m1", "value": -1},
-            {"rater_id": "a", "target_id": "m2", "value": -1},
-            {"rater_id": "a", "target_id": "m3", "value": 1},
-        ))
-        raters = {}
-        for event in events:
-            raters.setdefault(event.rater.user_id, set()).add(id(event.rater))
-        assert {uid: len(ids) for uid, ids in raters.items()} == {"a": 1, "b": 1}
-
     def test_unrecognized_values_reported_on_every_line(self):
         # q's gender and r's role are unrecognized on each of three lines
         lines = [thread_obj(thread_id=f"t{i}", comments=[
@@ -654,6 +679,19 @@ class TestSharedRefs:
         assert_one_object_per_user(parsed_refs(threads))
         assert threads[0].author == UserRef("q", Role.manager)
         assert threads[0].comments[0].author == UserRef("r", gender=Gender.male)
+
+    def test_boolean_gender_is_reported_after_its_number(self):
+        # True == 1 and hash(True) == hash(1), yet true is no gender
+        author = {"user_id": "a", "role": "manager"}
+        threads, diags = parse_thread_log(jsonl(
+            dict(thread_obj(), author=dict(author, gender=1)),
+            dict(thread_obj(thread_id="t2"), author=dict(author, gender=True)),
+            dict(thread_obj(thread_id="t3"), author=dict(author, gender=False)),
+        ))
+        assert diags == ["unrecognized gender True at line 2",
+                         "unrecognized gender False at line 3"]
+        assert threads[0].author == UserRef("a", Role.manager, Gender.female)
+        assert threads[1].author == threads[2].author == UserRef("a", Role.manager)
 
     def test_unhashable_values_are_reported(self):
         threads, diags = parse_thread_log(jsonl(
@@ -750,18 +788,6 @@ class TestCanonicalRecords:
                                                               Gender.female)
         assert rebuilt.recipients[0] is b
 
-    def test_rating_kept_only_when_rater_is_canonical(self):
-        threads, _diags = parse_thread_log(shared_refs_log())
-        events, _diags = parse_ratings(jsonl(
-            {"rater_id": "a", "target_id": "c1", "value": 1},
-            {"rater_id": "r", "target_id": "c1", "value": 1},
-        ))
-        corpus, _diags = build_corpus(threads, events)
-        assert corpus.ratings[0] is not events[0]
-        assert corpus.ratings[0].rater is corpus.users[corpus.user_index["a"]]
-        assert corpus.ratings[1] is events[1]
-        assert corpus.ratings[1].rater is corpus.users[corpus.user_index["r"]]
-
     @pytest.mark.parametrize("seed", [3, 11])
     def test_equals_corpus_of_unshared_copies(self, tmp_path, seed):
         source = generate(SyntheticSpec(n_users=15, n_threads=40, seed=seed))
@@ -772,8 +798,7 @@ class TestCanonicalRecords:
         corpus, diags = build_corpus(threads, events)
         fresh, fresh_diags = build_corpus(
             [fresh_copy(t) for t in threads],
-            [RatingEvent(UserRef(e.rater.user_id, e.rater.role, e.rater.gender),
-                         e.target_message_id, e.value) for e in events])
+            [RatingEvent(e.rater_id, e.target_message_id, e.value) for e in events])
         assert diags == fresh_diags
         assert corpus.users == fresh.users
         assert corpus.user_index == fresh.user_index

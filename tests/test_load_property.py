@@ -53,14 +53,14 @@ def reference_build_corpus(threads, ratings):
         occurrence_merge(attrs, first, thread.author, diags)
         for comment in thread.comments:
             occurrence_merge(attrs, first, comment.author, diags)
-    for event in ratings:
-        occurrence_merge(attrs, first, event.rater, diags)
     canonical = {}
     for user_id, (role, gender) in attrs.items():
         ref = first[user_id]
         if ref.role is not role or ref.gender is not gender:
             ref = UserRef(user_id, role, gender)
         canonical[user_id] = ref
+    for event in ratings:  # a rater who never posts has no known attribute
+        canonical.setdefault(event.rater_id, UserRef(event.rater_id))
     users = tuple(canonical[u] for u in sorted(canonical))
 
     fixed_threads, message_ids = [], set()
@@ -87,12 +87,10 @@ def reference_build_corpus(threads, ratings):
     fixed_ratings = []
     for event in ratings:
         if event.target_message_id not in message_ids:
-            diags.append(f"rating by {event.rater.user_id} targets unknown"
+            diags.append(f"rating by {event.rater_id} targets unknown"
                          f" message {event.target_message_id}; dropped")
             continue
-        rater = canonical[event.rater.user_id]
-        fixed_ratings.append(
-            event if event.rater is rater else replace(event, rater=rater))
+        fixed_ratings.append(event)
     corpus = Corpus(users=users,
                     user_index={r.user_id: i for i, r in enumerate(users)},
                     threads=tuple(fixed_threads),
@@ -110,8 +108,8 @@ refs = st.builds(UserRef, st.sampled_from(["u0", "u1", "u2"]),
 @st.composite
 def conflicting_logs(draw):
     """Threads and ratings whose refs are drawn from one pool by
-    position, so one ref object recurs; raters are pool refs (authors
-    rating) or fresh refs of unknown role and gender."""
+    position, so one ref object recurs; raters are ids that may or may
+    not post."""
     pool = draw(st.lists(refs, min_size=1, max_size=6))
     pick = st.sampled_from(range(len(pool))).map(pool.__getitem__)
     threads, message_ids = [], ["ghost"]
@@ -128,9 +126,9 @@ def conflicting_logs(draw):
             published_at=published, tags=(), author=draw(pick),
             comments=comments))
         message_ids += [f"t{t}", *(c.comment_id for c in comments)]
-    raters = st.one_of(pick, st.sampled_from(["u0", "u1", "u3"]).map(UserRef))
     ratings = [
-        RatingEvent(draw(raters), draw(st.sampled_from(message_ids)),
+        RatingEvent(draw(st.sampled_from(["u0", "u1", "u2", "u3"])),
+                    draw(st.sampled_from(message_ids)),
                     draw(st.sampled_from([-1, 1])))
         for _ in range(draw(st.integers(min_value=0, max_value=8)))
     ]
@@ -151,14 +149,13 @@ def test_build_corpus_matches_merge_at_every_occurrence(log):
     assert [a is b for a, b in zip(corpus.ratings, ratings)] \
         == [a is b for a, b in zip(expected.ratings, ratings)]
     # each user's canonical ref is the same given object, or new in both
-    given_refs = {id(r) for r in _all_refs(threads, ratings)}
+    given_refs = {id(r) for r in _all_refs(threads)}
     assert [id(u) if id(u) in given_refs else None for u in corpus.users] \
         == [id(u) if id(u) in given_refs else None for u in expected.users]
 
 
-def _all_refs(threads, ratings):
+def _all_refs(threads):
     for thread in threads:
         yield thread.author
         yield from (c.author for c in thread.comments)
-    yield from (e.rater for e in ratings)
 

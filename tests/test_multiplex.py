@@ -309,7 +309,7 @@ def dict_credibility(window, corpus):
         target_author = authors.get(event.target_message_id)
         if target_author is None:
             continue
-        i = index[event.rater.user_id]
+        i = index[event.rater_id]
         j = index[target_author.user_id]
         if i != j:
             deltas[(i, j)].append(event.value)

@@ -60,7 +60,7 @@ def threads_and_ratings(draw):
     # the ratings log names raters by id only; one event per pair
     pairs = draw(st.lists(st.tuples(user_ids, st.sampled_from(message_ids)),
                           unique=True, max_size=8))
-    ratings = [RatingEvent(UserRef(rater), target, draw(st.sampled_from([-1, 1])))
+    ratings = [RatingEvent(rater, target, draw(st.sampled_from([-1, 1])))
                for rater, target in pairs]
     return threads, ratings
 

@@ -110,7 +110,7 @@ class TestRatings:
         assert corpus.ratings
         for event in corpus.ratings:
             assert event.value in (1, -1)
-            assert event.rater.user_id != authors[event.target_message_id].user_id
+            assert event.rater_id != authors[event.target_message_id].user_id
 
     def test_single_user_corpus_has_no_ratings(self):
         corpus = generate(SyntheticSpec(n_users=1, n_threads=30, seed=2,

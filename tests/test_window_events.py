@@ -90,7 +90,7 @@ class ParentWalkers:
             for comment in thread.comments:
                 active.add(corpus.user_index[comment.author.user_id])
         for event in slice.ratings:
-            active.add(corpus.user_index[event.rater.user_id])
+            active.add(corpus.user_index[event.rater_id])
         return active
 
     @staticmethod
@@ -196,10 +196,10 @@ def dressed(corpus, rng):
         twin = replace(last.comments[0],
                        comment_id=threads[0].comments[0].comment_id)
         threads[-1] = replace(last, comments=(twin, *last.comments[1:]))
-    ratings = [replace(e, rater=ref(e.rater.user_id)) for e in corpus.ratings]
-    ratings.append(replace(corpus.ratings[0], rater=ref("silent"))
-                   if corpus.ratings else None)
-    return build_corpus(threads, [e for e in ratings if e is not None])[0]
+    ratings = list(corpus.ratings)
+    if ratings:
+        ratings.append(replace(ratings[0], rater_id="silent"))
+    return build_corpus(threads, ratings)[0]
 
 
 class TestAnalyticsMatchTheObjectWalks:
