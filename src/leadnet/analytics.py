@@ -13,7 +13,6 @@ from dataclasses import dataclass
 from typing import Iterable
 
 import numpy as np
-from scipy import sparse
 
 from .ingest import Corpus, Role
 from .multiplex import MultiplexTensor, WindowEvents, union_adjacency
@@ -199,9 +198,9 @@ def role_subgraph(
     if not nodes:
         names = ", ".join(sorted(r.value for r in wanted)) or "(none)"
         warnings.append(f"role filter [{names}] matches no users; empty subgraph")
-    keep = set(nodes)
-    upper = sparse.triu(union_adjacency(tensor), k=1).tocoo()
-    edges = sorted((i, j) for i, j in zip(upper.row.tolist(),
-                                          upper.col.tolist())
-                   if i in keep and j in keep)
-    return Subgraph(nodes=nodes, edges=tuple(edges)), warnings
+    member = np.zeros(tensor.n, dtype=bool)
+    member[list(nodes)] = True
+    lo, hi = union_adjacency(tensor)
+    both = member[lo] & member[hi]
+    edges = tuple(zip(lo[both].tolist(), hi[both].tolist()))
+    return Subgraph(nodes=nodes, edges=edges), warnings

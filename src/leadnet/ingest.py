@@ -249,11 +249,11 @@ def format_timestamp(dt: datetime) -> str:
 
 def decode_gender(value: object) -> Gender | None:
     """0/1/"unknown"/None to Gender; None return means unrecognized, as
-    for a boolean, which equals 0 or 1 but is neither."""
+    for a boolean or a float, which may equal 0 or 1 but is neither."""
     if value is None or value == "unknown":
         return Gender.unknown
-    if (value == 0 or value == 1) and not isinstance(value, bool):
-        return Gender(int(value))
+    if type(value) is int and value in (0, 1):
+        return Gender(value)
     return None
 
 
@@ -287,8 +287,9 @@ def _decode_user(obj: object, lineno: int, diags: list[str], where: str,
         return None
     raw_role, raw_gender = obj.get("role"), obj.get("gender")
     raw: tuple | None = (user_id, raw_role, raw_gender)
-    try:  # a boolean gender is a key equal to 0 or 1, so it skips the table
-        ref = None if isinstance(raw_gender, bool) else known.get(raw)
+    # a boolean or float gender is a key equal to 0 or 1: it skips the table
+    try:
+        ref = None if isinstance(raw_gender, (bool, float)) else known.get(raw)
     except TypeError:  # an unhashable role or gender, which never decodes
         raw, ref = None, None
     if ref is not None:

@@ -11,7 +11,7 @@ Layers share the corpus user indexing and differ in what an edge means:
   over the messages of j that i rated, normalized over everyone i rated
   (rows sum to 1).
 
-Self-loops never appear in any layer.
+Self-loops never appear in any layer; ``Layer`` rejects one.
 
 A window is walked once, by ``window_events``, into integer event rows:
 one per thread (its author and first-reply latency), one per comment and
@@ -29,7 +29,6 @@ from types import MappingProxyType
 from typing import Mapping, NamedTuple
 
 import numpy as np
-from scipy import sparse
 
 from .ingest import Corpus, WindowSlice
 
@@ -45,10 +44,10 @@ class Layer:
     """Sparse weighted digraph over the corpus user index.
 
     The edges are held as three read-only arrays sorted by (src, dst):
-    ``src``, ``dst`` and ``weight`` (a weight may be 0).  ``matrix`` is
-    the same graph as an n x n CSR matrix, weight[src, dst], ``flow`` the
-    matrix rank moves by, and ``edges`` a read-only {(src, dst): weight}
-    mapping; all three are derived on first use.
+    ``src``, ``dst`` and ``weight`` (a weight may be 0); no edge is a
+    self-loop.  ``flow`` is the matrix rank moves by, as arrays in CSR
+    order, and ``edges`` a read-only {(src, dst): weight} mapping; both
+    are derived on first use.
     """
 
     def __init__(self, n: int, src: np.ndarray, dst: np.ndarray,
@@ -57,6 +56,8 @@ class Layer:
             raise ValueError("layer needs n >= 1")
         if orientation not in (ORIENT_RECEIVER, ORIENT_SENDER):
             raise ValueError(f"unknown orientation {orientation!r}")
+        if np.any(src == dst):
+            raise ValueError("layer holds a self-loop")
         for array in (src, dst, weight):
             array.setflags(write=False)
         self.n = n
@@ -64,21 +65,20 @@ class Layer:
         self.src, self.dst, self.weight = src, dst, weight
 
     @cached_property
-    def matrix(self) -> sparse.csr_matrix:
-        indptr = np.concatenate(([0], np.cumsum(np.bincount(self.src,
-                                                            minlength=self.n))))
-        return sparse.csr_matrix((self.weight, self.dst, indptr),
-                                 shape=(self.n, self.n))
-
-    @cached_property
-    def flow(self) -> sparse.csr_matrix:
-        """M[gainer, giver] = edge weight, where the giver is the endpoint
-        the layer is normalized over: rank flows against the edges of a
-        receiver-normalized layer, crediting their sources, and along
-        the edges of a sender-normalized one, crediting their targets."""
+    def flow(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """M[gainer, giver] = edge weight as read-only (gainer, giver,
+        weight) arrays sorted by (gainer, giver), where the giver is the
+        endpoint the layer is normalized over: rank flows against the
+        edges of a receiver-normalized layer, crediting their sources,
+        and along the edges of a sender-normalized one, crediting their
+        targets."""
         if self.orientation == ORIENT_RECEIVER:
-            return self.matrix
-        return self.matrix.T.tocsr()
+            return self.src, self.dst, self.weight
+        order = np.lexsort((self.src, self.dst))
+        arrays = self.dst[order], self.src[order], self.weight[order]
+        for array in arrays:
+            array.setflags(write=False)
+        return arrays
 
     @cached_property
     def edges(self) -> Mapping[tuple[int, int], float]:
@@ -238,14 +238,10 @@ def build_tensor(slice: WindowSlice, corpus: Corpus) -> MultiplexTensor:
     return events_tensor(window_events(slice, corpus), corpus.n_users)
 
 
-def union_adjacency(tensor: MultiplexTensor) -> sparse.csr_matrix:
-    """Undirected union of the three layers' edge supports as a 0/1
-    n x n CSR matrix (an edge of weight 0 still counts)."""
+def union_adjacency(tensor: MultiplexTensor) -> tuple[np.ndarray, np.ndarray]:
+    """Undirected union of the three layers' edge supports as the sorted
+    distinct pairs (lo, hi), lo < hi (an edge of weight 0 still counts)."""
     src = np.concatenate([layer.src for _name, layer in tensor.layers()])
     dst = np.concatenate([layer.dst for _name, layer in tensor.layers()])
-    adjacency = sparse.coo_matrix(
-        (np.ones(2 * src.size), (np.concatenate((src, dst)),
-                                 np.concatenate((dst, src)))),
-        shape=(tensor.n, tensor.n)).tocsr()
-    adjacency.data[:] = 1.0
-    return adjacency
+    keys = np.unique(np.minimum(src, dst) * tensor.n + np.maximum(src, dst))
+    return keys // tensor.n, keys % tensor.n

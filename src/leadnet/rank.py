@@ -25,7 +25,6 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
-from scipy import sparse
 
 from .multiplex import LAYER_NAMES, MultiplexTensor, union_adjacency
 
@@ -102,8 +101,16 @@ class MprResult(NamedTuple):
     leadership: RankVector
 
 
+def flow_product(flow: tuple[np.ndarray, np.ndarray, np.ndarray],
+                 r: np.ndarray) -> np.ndarray:
+    """M @ r for a layer's ``flow`` arrays.  Each gainer's terms are
+    added in giver order, as a CSR matrix-vector product adds them."""
+    gainer, giver, weight = flow
+    return np.bincount(gainer, weights=weight * r[giver], minlength=r.size)
+
+
 def _power_iterate(
-    matrix: sparse.csr_matrix,
+    flow: tuple[np.ndarray, np.ndarray, np.ndarray],
     n: int,
     alpha: float,
     tol: float,
@@ -115,7 +122,7 @@ def _power_iterate(
     r = np.full(n, 1.0 / n)
     residual = np.inf
     for _ in range(max_iter):
-        moved = walk_scale * (matrix @ r)
+        moved = walk_scale * flow_product(flow, r)
         nxt = alpha * moved + teleport
         total = nxt.sum()
         if total <= 0.0:
@@ -163,14 +170,34 @@ def brokerage(tensor: MultiplexTensor) -> RankVector:
 
     On the undirected union of the layer edge supports a user scores one
     point per unordered neighbor pair with no direct edge: C(d, 2) minus
-    the triangles through the user, counted as in Azad, Buluç and
-    Gilbert (IPDPSW 2015) from (A @ A) * A.  Scores are normalized to a
-    probability vector (uniform when nobody brokers)."""
-    adjacency = union_adjacency(tensor)
-    degree = np.diff(adjacency.indptr)
-    closed = np.asarray((adjacency @ adjacency).multiply(adjacency)
-                        .sum(axis=1)).ravel().astype(np.int64) // 2
-    raw = (degree * (degree - 1) // 2 - closed).astype(float)
+    the triangles through the user.  Triangles are counted from oriented
+    wedges, as in Azad, Buluç and Gilbert (IPDPSW 2015): each edge points
+    from its lower (degree, id) end to its higher one, every pair of a
+    node's out-neighbors is looked up among the sorted edges, and each
+    triangle, found once at its lowest node, is credited to all three.
+    Scores are normalized to a probability vector (uniform when nobody
+    brokers)."""
+    n = tensor.n
+    lo, hi = union_adjacency(tensor)
+    degree = np.bincount(lo, minlength=n) + np.bincount(hi, minlength=n)
+    upward = degree[lo] <= degree[hi]  # ties go up, as lo < hi
+    tail, head = np.where(upward, lo, hi), np.where(upward, hi, lo)
+    order = np.argsort(tail, kind="stable")
+    tail, head = tail[order], head[order]
+    # wedge (first, second): two out-edges of one node, first < second;
+    # ``later`` counts the out-edges of each edge's tail that follow it
+    later = np.searchsorted(tail, tail, side="right") - np.arange(tail.size) - 1
+    first = np.repeat(np.arange(tail.size), later)
+    second = first + 1 + np.arange(first.size) - np.repeat(
+        np.cumsum(later) - later, later)
+    a, b = head[first], head[second]
+    keys = lo * n + hi  # sorted, as union_adjacency returns the pairs
+    wedge = np.minimum(a, b) * n + np.maximum(a, b)
+    closed = keys[np.minimum(np.searchsorted(keys, wedge), keys.size - 1)] \
+        == wedge
+    triangles = sum(np.bincount(ends[closed], minlength=n)
+                    for ends in (tail[first], a, b))
+    raw = (degree * (degree - 1) // 2 - triangles).astype(float)
     total = raw.sum()
-    scores = raw / total if total > 0 else np.full(tensor.n, 1.0 / tensor.n)
+    scores = raw / total if total > 0 else np.full(n, 1.0 / n)
     return RankVector(scores=scores, label="brokerage")

@@ -597,9 +597,9 @@ class TestTimestampFastPath:
 
 def shared_refs_log():
     """Three threads where users recur as authors and commenters, with
-    raw role and gender values spelled in more than one way: a is a
-    female manager, b a male consultant whom t3 names without a role
-    or gender, and c a partner of unknown gender."""
+    raw role values spelled in more than one way: a is a female manager,
+    b a male consultant whom t3 names without a role or gender, and c a
+    partner of unknown gender."""
     def thread(thread_id, published, author, *comments):
         return {"thread_id": thread_id, "published_at": published,
                 "author": author,
@@ -613,7 +613,7 @@ def shared_refs_log():
                ("c1", "2014-01-06T10:00:00Z", b),
                ("c2", "2014-01-06T11:00:00Z", dict(a, role="Manager"))),
         thread("t2", "2014-01-06T12:00:00Z", dict(b, role="consultant "),
-               ("c3", "2014-01-06T13:00:00Z", dict(a, gender=1.0))),
+               ("c3", "2014-01-06T13:00:00Z", dict(a, role="MANAGER"))),
         thread("t3", "2014-01-07T09:00:00Z", dict(a, role=" manager"),
                ("c4", "2014-01-07T10:00:00Z",
                 {"user_id": "b", "gender": "unknown"}),
@@ -690,6 +690,19 @@ class TestSharedRefs:
         ))
         assert diags == ["unrecognized gender True at line 2",
                          "unrecognized gender False at line 3"]
+        assert threads[0].author == UserRef("a", Role.manager, Gender.female)
+        assert threads[1].author == threads[2].author == UserRef("a", Role.manager)
+
+    def test_float_gender_is_reported_after_its_number(self):
+        # 1.0 == 1 and hash(1.0) == hash(1), yet the README allows 0 or 1
+        author = {"user_id": "a", "role": "manager"}
+        threads, diags = parse_thread_log(jsonl(
+            dict(thread_obj(), author=dict(author, gender=1)),
+            dict(thread_obj(thread_id="t2"), author=dict(author, gender=1.0)),
+            dict(thread_obj(thread_id="t3"), author=dict(author, gender=0.0)),
+        ))
+        assert diags == ["unrecognized gender 1.0 at line 2",
+                         "unrecognized gender 0.0 at line 3"]
         assert threads[0].author == UserRef("a", Role.manager, Gender.female)
         assert threads[1].author == threads[2].author == UserRef("a", Role.manager)
 

@@ -258,10 +258,9 @@ class TestLayerUnion:
         tensor = build_tensor(window, corpus)
         at = corpus.user_index
         a, b, c = at["A"], at["B"], at["C"]
-        adjacency = union_adjacency(tensor).tocoo()
-        assert set(zip(adjacency.row.tolist(), adjacency.col.tolist())) \
-            == {(a, b), (b, a), (a, c), (c, a)}
-        assert adjacency.data.tolist() == [1.0] * 4
+        lo, hi = union_adjacency(tensor)
+        assert list(zip(lo.tolist(), hi.tolist())) \
+            == sorted({tuple(sorted(pair)) for pair in [(a, b), (a, c)]})
 
 
 # ---------------------------------------------------------------------------
@@ -337,9 +336,13 @@ def assert_layers_match_dicts(window, corpus):
         want = DICT_BUILDERS[name](window, corpus)
         assert dict(layer.edges) == want, (name, window.index)
         assert list(layer.edges) == sorted(want)
-        matrix = layer.matrix.toarray()
-        for (i, j), w in want.items():
-            assert matrix[i, j] == w
+        gainer, giver, weight = layer.flow
+        flipped = layer.orientation == ORIENT_SENDER
+        assert dict(zip(zip(gainer.tolist(), giver.tolist()),
+                        weight.tolist())) \
+            == {((j, i) if flipped else (i, j)): w for (i, j), w in want.items()}
+        assert list(zip(gainer.tolist(), giver.tolist())) \
+            == sorted(zip(gainer.tolist(), giver.tolist()))
 
 
 def all_slices(corpus):
@@ -429,7 +432,7 @@ class TestArraysMatchDicts:
         assert_layers_match_dicts(empty, corpus)
         tensor = build_tensor(empty, corpus)
         assert all(layer.edges == {} for _name, layer in tensor.layers())
-        assert union_adjacency(tensor).nnz == 0
+        assert all(ends.size == 0 for ends in union_adjacency(tensor))
 
 
 class TestLayerFromMapping:
@@ -438,10 +441,16 @@ class TestLayerFromMapping:
                            ORIENT_SENDER)
         assert list(layer.edges.items()) == [((0, 1), 0.0), ((0, 2), 1.0),
                                              ((2, 0), 0.25)]
-        assert layer.matrix.toarray().tolist() == [[0.0, 0.0, 1.0],
-                                                   [0.0, 0.0, 0.0],
-                                                   [0.25, 0.0, 0.0]]
+        # the sender-normalized flow is the transpose, in (dst, src) order
+        assert [array.tolist() for array in layer.flow] == [[0, 1, 2],
+                                                            [2, 0, 0],
+                                                            [0.25, 0.0, 1.0]]
         with pytest.raises(TypeError):
             layer.edges[(1, 1)] = 1.0
-        with pytest.raises(ValueError):
-            layer.weight[0] = 2.0
+        for array in (layer.weight, *layer.flow):
+            with pytest.raises(ValueError):
+                array[0] = 2.0
+
+    def test_self_loop_is_rejected(self):
+        with pytest.raises(ValueError, match="self-loop"):
+            make_layer(3, {(0, 1): 0.5, (2, 2): 0.5}, ORIENT_RECEIVER)

@@ -8,6 +8,7 @@ from scipy import sparse
 
 import oracles
 from conftest import make_layer, neighbor_tensor, random_corpus, union_sets
+from leadnet import rank
 from leadnet.multiplex import (
     LAYER_NAMES,
     ORIENT_RECEIVER,
@@ -23,6 +24,7 @@ from leadnet.rank import (
     MprResult,
     RankVector,
     brokerage,
+    flow_product,
     multiplex_pagerank,
 )
 
@@ -209,12 +211,17 @@ class TestChainedRanking:
                                   getattr(second, name).scores)
 
 
-class TestBrokerage:
-    def star(self, n):
-        return [set(range(1, n))] + [{0} for _ in range(1, n)]
+def star(n):
+    return [set(range(1, n))] + [{0} for _ in range(1, n)]
 
+
+def complete(n):
+    return [set(range(n)) - {v} for v in range(n)]
+
+
+class TestBrokerage:
     def test_star_center_takes_all(self):
-        scores = brokerage(neighbor_tensor(self.star(4))).scores
+        scores = brokerage(neighbor_tensor(star(4))).scores
         assert scores == pytest.approx([1.0, 0.0, 0.0, 0.0])
 
     def test_triangle_has_no_brokers(self):
@@ -284,10 +291,9 @@ class TestBrokerageTriangles:
                                                n_threads=10)
         tensor = build_tensor(window, corpus)
         neighbors = union_sets(tensor)
-        adjacency = union_adjacency(tensor)
-        assert [set(adjacency.indices[adjacency.indptr[v]:
-                                      adjacency.indptr[v + 1]].tolist())
-                for v in range(tensor.n)] == neighbors
+        lo, hi = union_adjacency(tensor)
+        assert list(zip(lo.tolist(), hi.tolist())) == sorted(
+            (v, u) for v in range(tensor.n) for u in neighbors[v] if v < u)
         assert np.array_equal(brokerage(tensor).scores,
                               oracles.brute_force_brokerage(neighbors))
 
@@ -296,15 +302,14 @@ class TestBrokerageTriangles:
             brokerage(neighbor_tensor([]))
 
 
-def mapping_flow_matrix(layer, flow):
-    """The rank matrix M[gainer, giver] built from ``layer.edges``
-    through COO."""
-    rows, cols, vals = [], [], []
-    for (i, j), w in layer.edges.items():
-        rows.append(i if flow == "against" else j)
-        cols.append(j if flow == "against" else i)
-        vals.append(w)
-    return sparse.csr_matrix((vals, (rows, cols)), shape=(layer.n, layer.n))
+def mapping_flow_arrays(layer, flow):
+    """The rank matrix M[gainer, giver] built from ``layer.edges`` as
+    (gainer, giver, weight) arrays sorted by (gainer, giver)."""
+    entries = sorted(((i, j, w) if flow == "against" else (j, i, w))
+                     for (i, j), w in layer.edges.items())
+    return tuple(np.array([entry[k] for entry in entries],
+                          dtype=float if k == 2 else np.int64)
+                 for k in range(3))
 
 
 class TestStoredMatrices:
@@ -318,9 +323,120 @@ class TestStoredMatrices:
         got = multiplex_pagerank(tensor, params)
         name_of = {id(layer): name for name, layer in tensor.layers()}
         monkeypatch.setattr(Layer, "flow", property(
-            lambda layer: mapping_flow_matrix(layer,
+            lambda layer: mapping_flow_arrays(layer,
                                               FLOW[name_of[id(layer)]])))
         want = multiplex_pagerank(tensor, params)
         for name in MprResult._fields:
             assert np.array_equal(getattr(got, name).scores,
                                   getattr(want, name).scores), name
+
+
+# ---------------------------------------------------------------------------
+# differential: the numpy matvec and brokerage against scipy.sparse, the
+# way the package computed them before it dropped scipy
+
+def scipy_flow(layer):
+    """M[gainer, giver] as a CSR matrix: weight[src, dst], transposed
+    for a sender-normalized layer."""
+    indptr = np.concatenate(([0], np.cumsum(np.bincount(layer.src,
+                                                        minlength=layer.n))))
+    matrix = sparse.csr_matrix((layer.weight, layer.dst, indptr),
+                               shape=(layer.n, layer.n))
+    return matrix if layer.orientation == ORIENT_RECEIVER \
+        else matrix.T.tocsr()
+
+
+def scipy_brokerage(tensor):
+    src = np.concatenate([layer.src for _name, layer in tensor.layers()])
+    dst = np.concatenate([layer.dst for _name, layer in tensor.layers()])
+    adjacency = sparse.coo_matrix(
+        (np.ones(2 * src.size), (np.concatenate((src, dst)),
+                                 np.concatenate((dst, src)))),
+        shape=(tensor.n, tensor.n)).tocsr()
+    adjacency.data[:] = 1.0
+    degree = np.diff(adjacency.indptr)
+    closed = np.asarray((adjacency @ adjacency).multiply(adjacency)
+                        .sum(axis=1)).ravel().astype(np.int64) // 2
+    raw = (degree * (degree - 1) // 2 - closed).astype(float)
+    total = raw.sum()
+    return raw / total if total > 0 else np.full(tensor.n, 1.0 / tensor.n)
+
+
+def shaped_layers(rng):
+    """Layers of both orientations: random ones with dangling and
+    isolated nodes, empty ones, stars and complete graphs."""
+    for n in (1, 2, 5, 17):
+        for orientation in (ORIENT_RECEIVER, ORIENT_SENDER):
+            yield make_layer(n, {}, orientation)
+            for shape in (star, complete):
+                edges = {(i, j): rng.uniform(0.0, 1.0)
+                         for i, ns in enumerate(shape(n)) for j in ns}
+                yield make_layer(n, edges, orientation)
+    for _ in range(40):
+        n = rng.randrange(1, 30)
+        yield random_layer(rng, n, rng.choice([ORIENT_RECEIVER,
+                                               ORIENT_SENDER]),
+                           p=rng.choice([0.05, 0.2, 0.6]))
+
+
+class TestFlowProductMatchesScipy:
+    def test_shaped_layers(self):
+        rng = random.Random(8800)
+        for layer in shaped_layers(rng):
+            for _ in range(3):
+                r = np.array([rng.random() for _ in range(layer.n)])
+                r /= r.sum()
+                assert np.array_equal(flow_product(layer.flow, r),
+                                      scipy_flow(layer) @ r)
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_rank_iterates_match_scipy(self, seed, monkeypatch):
+        rng = random.Random(8900 + seed)
+        corpus, window, _t, _r = random_corpus(rng, n_users=15,
+                                               n_threads=20)
+        tensor = build_tensor(window, corpus)
+        got = multiplex_pagerank(tensor, MprParams(tol=1e-13))
+        csr = {id(layer.flow): scipy_flow(layer)
+               for _name, layer in tensor.layers()}
+        monkeypatch.setattr(rank, "flow_product",
+                            lambda flow, r: csr[id(flow)] @ r)
+        want = multiplex_pagerank(tensor, MprParams(tol=1e-13))
+        for name in MprResult._fields:
+            assert np.array_equal(getattr(got, name).scores,
+                                  getattr(want, name).scores), name
+
+
+class TestBrokerageMatchesScipy:
+    @pytest.mark.parametrize("n", [1, 2, 3, 6, 25])
+    def test_stars_and_complete_graphs(self, n):
+        for shape in (star, complete):
+            tensor = neighbor_tensor(shape(n))
+            assert np.array_equal(brokerage(tensor).scores,
+                                  scipy_brokerage(tensor))
+
+    def test_empty_layers(self):
+        tensor = neighbor_tensor([set() for _ in range(4)])
+        assert np.array_equal(brokerage(tensor).scores,
+                              scipy_brokerage(tensor))
+
+    @pytest.mark.parametrize("seed", range(30))
+    def test_random_tensors(self, seed):
+        # three overlapping layers, some nodes isolated in all of them
+        rng = random.Random(9000 + seed)
+        n = rng.randrange(1, 40)
+        tensor = MultiplexTensor(
+            n=n,
+            empowerment=random_layer(rng, n, ORIENT_RECEIVER,
+                                     p=rng.choice([0.02, 0.1, 0.3])),
+            collaboration=random_layer(rng, n, ORIENT_RECEIVER, p=0.05),
+            credibility=random_layer(rng, n, ORIENT_SENDER, p=0.05),
+        )
+        assert np.array_equal(brokerage(tensor).scores,
+                              scipy_brokerage(tensor))
+
+    @pytest.mark.parametrize("seed", range(10))
+    def test_graphs_with_isolated_and_leaf_nodes(self, seed):
+        rng = random.Random(9100 + seed)
+        tensor = neighbor_tensor(graph_with_leaves(rng, rng.randrange(1, 60)))
+        assert np.array_equal(brokerage(tensor).scores,
+                              scipy_brokerage(tensor))
