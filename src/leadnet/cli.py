@@ -69,7 +69,7 @@ from .ingest import (
     write_ratings_jsonl,
     write_threads_jsonl,
 )
-from .multiplex import LAYER_NAMES, build_tensor, events_tensor, window_events
+from .multiplex import build_tensor, events_tensor, window_events
 from .rank import ConvergenceError, MprParams, brokerage, multiplex_pagerank
 from .synth import (
     SyntheticSpec,
@@ -142,22 +142,14 @@ def _items(value: object) -> list[str]:
     return [p.strip() for p in str(value).split(",") if p.strip()]
 
 
-def _alpha(value: object) -> tuple[float, float, float]:
-    vals = [_float(p) for p in _items(value)]
-    if len(vals) == 1:
-        vals = vals * 3
-    if len(vals) != 3:
-        raise UsageError("alpha takes one value or three comma-separated values")
-    return (vals[0], vals[1], vals[2])
+def _alpha(value: object) -> tuple[float, ...]:
+    """One value stands for all three layers; ``MprParams`` checks the count."""
+    vals = tuple(_float(p) for p in _items(value))
+    return vals * 3 if len(vals) == 1 else vals
 
 
 def _layer_order(value: object) -> tuple[str, ...]:
-    names = _items(value)
-    if sorted(names) != sorted(LAYER_NAMES):
-        raise UsageError(
-            f"layer order must be a permutation of {', '.join(LAYER_NAMES)}"
-        )
-    return tuple(names)
+    return tuple(_items(value))
 
 
 def _roles(value: object) -> tuple[Role, ...]:
@@ -243,7 +235,7 @@ def _load_config_file(path: str | None) -> dict:
     try:
         with open(path, "r", encoding="utf-8") as handle:
             data = json.load(handle)
-    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+    except (ValueError, RecursionError) as exc:  # JSON, UTF-8, digits, depth
         raise UsageError(f"config file {path}: invalid JSON ({exc})") from exc
     if not isinstance(data, dict):
         raise UsageError(f"config file {path}: expected a JSON object")
@@ -468,7 +460,8 @@ def cmd_ingest(cfg: dict, ctx: RunContext) -> None:
                 "start": format_timestamp(s.start),
                 "end": format_timestamp(s.end),
                 "threads": len(s.threads),
-                "ratings": len(s.ratings),
+                "ratings": len(corpus.ratings_of({m for t in s.threads for m in (
+                    t.thread_id, *(c.comment_id for c in t.comments))})),
             }
             for s in slices
         ],

@@ -39,7 +39,7 @@ from dataclasses import dataclass, replace
 from datetime import MAXYEAR, datetime, timedelta, timezone
 from functools import cached_property
 from pathlib import Path
-from typing import IO, Iterable, Iterator, Mapping
+from typing import IO, Container, Iterable, Iterator, Mapping
 
 
 class IngestError(Exception):
@@ -167,6 +167,10 @@ class Corpus:
     def n_users(self) -> int:
         return len(self.users)
 
+    def ratings_of(self, message_ids: Container[str]) -> list[RatingEvent]:
+        """The ratings of the messages in ``message_ids``, in corpus order."""
+        return [e for e in self.ratings if e.target_message_id in message_ids]
+
 
 @dataclass(frozen=True)
 class WindowConfig:
@@ -201,10 +205,10 @@ class WindowConfig:
 
 @dataclass(frozen=True)
 class WindowSlice:
-    """One half-open window [start, end) with its threads and ratings.
+    """One half-open window [start, end) with its threads.
 
     A thread belongs wholly to the window containing its published_at;
-    ratings are attached to the window holding their target message.
+    a window holds the ratings of its messages (``Corpus.ratings_of``).
     Empty windows inside the corpus span are kept.
     """
 
@@ -212,7 +216,6 @@ class WindowSlice:
     start: datetime
     end: datetime
     threads: tuple[ThreadRecord, ...]
-    ratings: tuple[RatingEvent, ...]
 
 
 # ---------------------------------------------------------------------------
@@ -313,14 +316,15 @@ def _decode_user(obj: object, lineno: int, diags: list[str], where: str,
 
 @contextmanager
 def open_text(source: str | Path | IO[str], newline: str | None = None) -> Iterator[IO[str]]:
-    """``source`` as a text stream, opened as UTF-8 and closed after when
-    it is a path.  A path that does not decode raises CorruptInputError
-    naming its first line that does not, which is found by reading the
-    file again, so a good file costs nothing more."""
+    """``source`` as a text stream, opened as UTF-8 with a leading
+    byte-order mark dropped, and closed after when it is a path.  A path
+    that does not decode raises CorruptInputError naming its first line
+    that does not, which is found by reading the file again, so a good
+    file costs nothing more."""
     if not isinstance(source, (str, Path)):
         yield source
         return
-    with open(source, "r", encoding="utf-8", newline=newline) as stream:
+    with open(source, "r", encoding="utf-8-sig", newline=newline) as stream:
         try:
             yield stream
         except UnicodeDecodeError:
@@ -395,7 +399,7 @@ def _jsonl_objects(stream: IO[str], diags: list[str]) -> Iterable[tuple[int, dic
             continue
         try:
             obj = json.loads(line)
-        except (json.JSONDecodeError, RecursionError):  # the latter: nested too deep
+        except (ValueError, RecursionError):  # bad JSON, too many digits, too deep
             diags.append(f"invalid JSON at line {lineno}")
             yield lineno, None
             continue
@@ -802,29 +806,12 @@ def window_partition(corpus: Corpus, cfg: WindowConfig) -> list[WindowSlice]:
         bounds.append((start, end))
         start = end
 
-    # rated message id -> every window holding it (duplicate ids may
-    # sit in several); unrated messages stay out of the map
     starts = [lo for lo, _hi in bounds]
     by_window: list[list[ThreadRecord]] = [[] for _ in bounds]
-    windows_of: dict[str, list[int]] = {
-        event.target_message_id: [] for event in corpus.ratings
-    }
     for thread in corpus.threads:
-        idx = bisect_right(starts, thread.published_at) - 1
-        by_window[idx].append(thread)
-        for message_id in (thread.thread_id,
-                           *(c.comment_id for c in thread.comments)):
-            held = windows_of.get(message_id)
-            if held is not None and idx not in held:
-                held.append(idx)
-    ratings: list[list[RatingEvent]] = [[] for _ in bounds]
-    for event in corpus.ratings:
-        for idx in windows_of[event.target_message_id]:
-            ratings[idx].append(event)
-
+        by_window[bisect_right(starts, thread.published_at) - 1].append(thread)
     return [
-        WindowSlice(index=idx, start=lo, end=hi, threads=tuple(by_window[idx]),
-                    ratings=tuple(ratings[idx]))
+        WindowSlice(index=idx, start=lo, end=hi, threads=tuple(by_window[idx]))
         for idx, (lo, hi) in enumerate(bounds)
     ]
 
@@ -838,8 +825,7 @@ def whole_span_slice(corpus: Corpus) -> WindowSlice:
     except OverflowError:
         raise CorpusError(f"the whole span ends past the year 9999: a thread is"
                           f" published at {format_timestamp(max(times))}") from None
-    return WindowSlice(index=0, start=min(times), end=end,
-                       threads=corpus.threads, ratings=corpus.ratings)
+    return WindowSlice(index=0, start=min(times), end=end, threads=corpus.threads)
 
 
 # ---------------------------------------------------------------------------

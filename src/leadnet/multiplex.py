@@ -118,8 +118,8 @@ class WindowEvents(NamedTuple):
     publication to its first comment (NaN without comments).  Per
     comment, in thread then comment order: the thread's position in the
     window, the commenter, the user it answers and its order k.  Per
-    rating, in window order: the rater, the author of the rated message
-    (-1 when no message of the window has its id) and the value."""
+    rating, in corpus order: the rater, the author of the rated message
+    and the value."""
 
     thread_author: np.ndarray
     first_reply_s: np.ndarray
@@ -133,9 +133,9 @@ class WindowEvents(NamedTuple):
 
 
 def window_events(slice: WindowSlice, corpus: Corpus) -> WindowEvents:
-    """Walk the window once.  A message id held twice resolves to its
-    first occurrence in the window, as rating targets do in
-    ``ingest.build_corpus``."""
+    """Walk the window once; the ratings are those of its messages.  A
+    message id held twice resolves to its first occurrence in the
+    window, as rating targets do in ``ingest.build_corpus``."""
     index = corpus.user_index
     thread_author, first_reply_s = [], []
     position, commenter, recipient, order_k = [], [], [], []
@@ -160,13 +160,13 @@ def window_events(slice: WindowSlice, corpus: Corpus) -> WindowEvents:
         position += [p] * len(by)
     # built backwards so that the first occurrence of an id is kept
     message_author = dict(zip(reversed(message_ids), reversed(message_authors)))
-    ratings = slice.ratings
+    ratings = corpus.ratings_of(message_author)
     return WindowEvents(
         np.array(thread_author, dtype=np.int64), np.array(first_reply_s),
         *(np.array(column, dtype=np.int64) for column in (
             position, commenter, recipient, order_k,
             [index[e.rater_id] for e in ratings],
-            [message_author.get(e.target_message_id, -1) for e in ratings],
+            [message_author[e.target_message_id] for e in ratings],
             [e.value for e in ratings])),
     )
 
@@ -210,7 +210,7 @@ def _collaboration(ev: WindowEvents, n: int) -> Layer:
 
 
 def _credibility(ev: WindowEvents, n: int) -> Layer:
-    keep = (ev.rated >= 0) & (ev.rater != ev.rated)
+    keep = ev.rater != ev.rated
     src, dst, inverse, first_order = _pairs(n, ev.rater[keep], ev.rated[keep])
     deltas = np.bincount(inverse, weights=ev.value[keep], minlength=src.size)
     counts = np.bincount(inverse, minlength=src.size)

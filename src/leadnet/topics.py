@@ -383,11 +383,8 @@ def topic_network(
         t for t in slice.threads
         if members & set(thread_grams(t, lexicon))
     )
-    message_ids = {t.thread_id for t in threads}
-    message_ids.update(c.comment_id for t in threads for c in t.comments)
-    ratings = tuple(r for r in slice.ratings if r.target_message_id in message_ids)
     return WindowSlice(index=slice.index, start=slice.start, end=slice.end,
-                       threads=threads, ratings=ratings)
+                       threads=threads)
 
 
 def streams_to_rows(streams: Sequence[TopicStream]) -> list[dict]:

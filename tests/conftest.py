@@ -205,6 +205,13 @@ def message_author_map(threads):
     return authors
 
 
+def window_ratings(corpus, window):
+    """The ratings a window holds, as a filter of its own: those of
+    ``corpus`` whose target is a message of the window, in corpus order."""
+    authors = message_author_map(window.threads)
+    return [e for e in corpus.ratings if e.target_message_id in authors]
+
+
 def write_threads_csv(threads, path):
     """Write ``threads`` as a flat CSV log in ``CSV_COLUMNS`` order: each
     thread's row with empty comment cells, then one row per comment with

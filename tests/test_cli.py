@@ -177,6 +177,19 @@ class TestPrecedence:
         assert run("ingest", *base_args(corpus_dir),
                    "--out", tmp_path / "x", "--config", config) == 2
 
+    @pytest.mark.parametrize("text", [
+        '{"max_iter": ' + "9" * 5000 + "}",
+        '{"window": ' + "[" * 100_000 + "]" * 100_000 + "}",
+    ], ids=["over-long-integer", "nested-too-deep"])
+    def test_config_past_the_json_limits_is_a_usage_error(
+            self, corpus_dir, tmp_path, capsys, text):
+        config = tmp_path / "cfg.json"
+        config.write_text(text)
+        assert run("ingest", *base_args(corpus_dir),
+                   "--out", tmp_path / "x", "--config", config) == 2
+        assert f"error: config file {config}: invalid JSON (" \
+            in capsys.readouterr().err
+
 
 class TestRank:
     def test_rankings_per_window(self, corpus_dir, tmp_path):

@@ -11,7 +11,8 @@ pinned with ``data/lexicon_multiword.tsv``, whose multiword surfaces
 The analytics rules that S never exercises (unknown and conflicting
 genders and roles, threads without comments, a clamped comment, an
 @-mention, an empty week, a message id held in two windows, raters who
-posted nothing) are pinned on ``data/analytics_edges.jsonl``.
+posted nothing) are pinned on ``data/analytics_edges.jsonl``, with the
+whole-span graph files of ``all`` and the window summary of ``ingest``.
 Any drift in the bytes the pipeline writes fails here without a second
 checkout to diff against.  A change that alters output on purpose
 records the new digests in those files and says why.
@@ -99,5 +100,15 @@ def test_edge_case_analytics_match_pinned_digests(tmp_path, flags):
     assert cli.main(["all", "--out", str(out), *flags.split(),
                      "--input", str(EDGES), "--ratings", str(EDGE_RATINGS)]) == 0
     got = {name: digest for name, digest in digests(out).items()
-           if name == "analytics.csv" or name.startswith("rankings_w")}
+           if name in ("analytics.csv", "edges.csv", "graph.dot")
+           or name.startswith("rankings_w")}
     assert_pinned(got, GOLDEN_COMMANDS[f"all {flags} --input {EDGES.name}"])
+
+
+def test_edge_case_ingest_matches_pinned_digests(tmp_path):
+    # each week's rating count, with a rated message id held in two weeks
+    out = tmp_path / "out"
+    assert cli.main(["ingest", "--out", str(out), "--window", "week",
+                     "--input", str(EDGES), "--ratings", str(EDGE_RATINGS)]) == 0
+    assert_pinned(digests(out), GOLDEN_COMMANDS[
+        f"ingest --window week --input {EDGES.name}"])

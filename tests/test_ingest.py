@@ -221,12 +221,48 @@ class TestThreadParsing:
     (parse_ratings, lambda i: {"rater_id": "a", "target_id": f"m{i}", "value": 1}),
 ])
 def test_json_lines_reader_diagnostics(parse, record):
-    # blank, broken, two non-objects, and nesting past the recursion limit
-    lines = ["", "{broken", "[1]", "null", "[" * 100_000 + "]" * 100_000]
+    # blank, broken, two non-objects, nesting past the recursion limit,
+    # and an integer past the 4,300 digits json.loads reads
+    lines = ["", "{broken", "[1]", "null", "[" * 100_000 + "]" * 100_000,
+             '{"value": ' + "9" * 5000 + "}"]
     text = "\n".join(json.dumps(record(i)) for i in range(5)) + "\n"
     _records, diags = parse(io.StringIO("\n".join(lines) + "\n" + text))
     assert diags == ["invalid JSON at line 2", "record is not an object at line 3",
-                     "record is not an object at line 4", "invalid JSON at line 5"]
+                     "record is not an object at line 4", "invalid JSON at line 5",
+                     "invalid JSON at line 6"]
+
+
+class TestByteOrderMark:
+    """A path that starts with a UTF-8 byte-order mark reads as without it."""
+
+    def write(self, tmp_path, text):
+        path = tmp_path / "log"
+        path.write_bytes("\ufeff".encode() + text.encode())
+        return path
+
+    def test_jsonl_thread_log(self, tmp_path):
+        text = jsonl(thread_obj(), thread_obj(thread_id="t2")).getvalue()
+        got = parse_thread_log(self.write(tmp_path, text))
+        assert got == parse_thread_log(io.StringIO(text))
+        assert ([t.thread_id for t in got[0]], got[1]) == (["t1", "t2"], [])
+
+    def test_ratings_log(self, tmp_path):
+        events, diags = parse_ratings(self.write(tmp_path, jsonl(
+            {"rater_id": "a", "target_id": "t1", "value": 1},
+            {"rater_id": "b", "target_id": "t2", "value": -1}).getvalue()))
+        assert ([e.rater_id for e in events], diags) == (["a", "b"], [])
+
+    def test_csv_header(self, tmp_path):
+        threads, diags = parse_thread_log(self.write(tmp_path, ",".join(
+            CSV_COLUMNS) + "\nt1,title,desc,2014-01-06T09:00:00Z,x,a,,,,,,,,\n"),
+            format="csv")
+        assert ([t.thread_id for t in threads], diags) == (["t1"], [])
+
+    def test_undecodable_line_keeps_its_number(self, tmp_path):
+        path = self.write(tmp_path, jsonl(thread_obj()).getvalue())
+        path.write_bytes(path.read_bytes() + b"\xff\n")
+        with pytest.raises(CorruptInputError, match="not valid UTF-8 at line 2"):
+            parse_thread_log(path)
 
 
 class TestCsvImport:
@@ -446,7 +482,7 @@ class TestWindows:
         ))
         corpus, _ = build_corpus(threads, events)
         slices = window_partition(corpus, WindowConfig.from_string("week"))
-        assert [len(s.ratings) for s in slices] == [0, 1]
+        assert [len(corpus.ratings_of(message_ids(s))) for s in slices] == [0, 1]
 
     def test_whole_span_covers_everything(self):
         corpus = spread_corpus([0, 30])
@@ -456,9 +492,15 @@ class TestWindows:
         assert window_slice.end > corpus.threads[-1].published_at
 
 
+def message_ids(window):
+    return {m for t in window.threads
+            for m in (t.thread_id, *(c.comment_id for c in t.comments))}
+
+
 def brute_force_partition(corpus, cfg):
     """The nested scans window_partition used to run: every window for
-    each thread, and every rating for each window."""
+    each thread, and every rating for each window.  Returns (slice,
+    ratings) pairs."""
     times = [t.published_at for t in corpus.threads]
     first, last = min(times), max(times)
     bounds = []
@@ -477,14 +519,20 @@ def brute_force_partition(corpus, cfg):
                 break
     slices = []
     for idx, (lo, hi) in enumerate(bounds):
-        threads = tuple(by_window[idx])
-        message_ids = {t.thread_id for t in threads}
-        message_ids.update(c.comment_id for t in threads for c in t.comments)
-        ratings = tuple(r for r in corpus.ratings
-                        if r.target_message_id in message_ids)
-        slices.append(WindowSlice(index=idx, start=lo, end=hi,
-                                  threads=threads, ratings=ratings))
+        window = WindowSlice(index=idx, start=lo, end=hi,
+                             threads=tuple(by_window[idx]))
+        held = message_ids(window)
+        slices.append((window, [r for r in corpus.ratings
+                                if r.target_message_id in held]))
     return slices
+
+
+def assert_partition_matches_brute_force(corpus, cfg):
+    """The package's windows, and the ratings ``Corpus.ratings_of`` gives
+    each of them, against the nested scans."""
+    got = [(s, corpus.ratings_of(message_ids(s)))
+           for s in window_partition(corpus, cfg)]
+    assert got == brute_force_partition(corpus, cfg)
 
 
 def boundary_corpus():
@@ -527,17 +575,16 @@ class TestWindowPartitionAgainstBruteForce:
 
     @pytest.mark.parametrize("cfg", CONFIGS)
     def test_boundary_corpus(self, cfg):
-        corpus = boundary_corpus()
-        assert window_partition(corpus, cfg) == \
-            brute_force_partition(corpus, cfg)
+        assert_partition_matches_brute_force(boundary_corpus(), cfg)
 
     def test_boundary_corpus_week_layout(self):
-        slices = window_partition(boundary_corpus(),
-                                  WindowConfig.from_string("week"))
+        corpus = boundary_corpus()
+        slices = window_partition(corpus, WindowConfig.from_string("week"))
         assert [[t.thread_id for t in s.threads] for s in slices] == [
             ["t0", "t4"], ["t1"], [], ["t3", "t2"],
         ]
-        targets = [[r.target_message_id for r in s.ratings] for s in slices]
+        targets = [[r.target_message_id
+                    for r in corpus.ratings_of(message_ids(s))] for s in slices]
         assert targets == [["c1", "c2", "c1"], ["t1"], [],
                            ["c1", "c5", "c1", "c4"]]
 
@@ -546,8 +593,14 @@ class TestWindowPartitionAgainstBruteForce:
     def test_synthetic_corpora(self, cfg, seed):
         corpus = generate(SyntheticSpec(n_users=12, n_threads=40,
                                         span_days=30, seed=seed))
-        assert window_partition(corpus, cfg) == \
-            brute_force_partition(corpus, cfg)
+        assert_partition_matches_brute_force(corpus, cfg)
+
+    @pytest.mark.parametrize("cfg", CONFIGS)
+    def test_window_events_hold_each_windows_ratings(self, cfg):
+        corpus = boundary_corpus()
+        for window, ratings in brute_force_partition(corpus, cfg):
+            assert window_events(window, corpus).rater.tolist() == \
+                [corpus.user_index[r.rater_id] for r in ratings]
 
 
 class TestRoundTrip:

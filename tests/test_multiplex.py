@@ -15,6 +15,7 @@ from conftest import (
     message_author_map,
     random_corpus,
     resolve_like_package,
+    window_ratings,
 )
 from leadnet.ingest import (
     WindowConfig,
@@ -28,6 +29,7 @@ from leadnet.multiplex import (
     build_tensor,
     comment_weight,
     union_adjacency,
+    window_events,
 )
 
 
@@ -304,12 +306,9 @@ def dict_credibility(window, corpus):
     authors = message_author_map(window.threads)
     index = corpus.user_index
     deltas = defaultdict(list)
-    for event in window.ratings:
-        target_author = authors.get(event.target_message_id)
-        if target_author is None:
-            continue
+    for event in window_ratings(corpus, window):
         i = index[event.rater_id]
-        j = index[target_author.user_id]
+        j = index[authors[event.target_message_id].user_id]
         if i != j:
             deltas[(i, j)].append(event.value)
     trust = defaultdict(dict)
@@ -403,7 +402,7 @@ class TestArraysMatchDicts:
         )
         slices = all_slices(corpus)
         assert len(slices) == 3
-        assert [len(s.ratings) for s in slices] == [5, 4, 3]
+        assert [window_events(s, corpus).rater.size for s in slices] == [5, 4, 3]
         for window in slices:
             assert_layers_match_dicts(window, corpus)
         at = corpus.user_index
@@ -428,7 +427,7 @@ class TestArraysMatchDicts:
                                      [("B", "t1", 1)])
         empty = WindowSlice(index=1, start=window.end,
                             end=window.end + timedelta(days=1),
-                            threads=(), ratings=())
+                            threads=())
         assert_layers_match_dicts(empty, corpus)
         tensor = build_tensor(empty, corpus)
         assert all(layer.edges == {} for _name, layer in tensor.layers())

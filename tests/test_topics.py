@@ -12,6 +12,7 @@ import pytest
 import oracles
 from conftest import make_corpus
 from leadnet.ingest import IngestError
+from leadnet.multiplex import window_events
 from leadnet.topics import (
     MAX_NGRAM,
     ConceptLexicon,
@@ -326,7 +327,9 @@ class TestWindowTopics:
             s for s in streams if "alpha" in s.entries[0][1].members)
         filtered = topic_network(alpha_stream, window, self.LEXICON)
         assert [t.thread_id for t in filtered.threads] == ["t0", "t1"]
-        assert [r.target_message_id for r in filtered.ratings] == ["t0m1"]
+        events = window_events(filtered, corpus)   # C rated B's t0m1 only
+        assert (events.rater.tolist(), events.rated.tolist()) == \
+            ([corpus.user_index["C"]], [corpus.user_index["B"]])
 
     def test_topic_network_requires_presence_in_window(self):
         _corpus, window = self.corpus()
@@ -334,7 +337,7 @@ class TestWindowTopics:
                                   TopicConfig(min_freq=3))
         streams = chain_streams([topics], theta_h=0.3)
         other = type(window)(index=5, start=window.start, end=window.end,
-                             threads=window.threads, ratings=window.ratings)
+                             threads=window.threads)
         with pytest.raises(ValueError):
             topic_network(streams[0], other, self.LEXICON)
 

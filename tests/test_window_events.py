@@ -18,7 +18,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from conftest import T0, random_corpus
+from conftest import T0, random_corpus, window_ratings
 from leadnet import cli, multiplex
 from leadnet.analytics import (
     GENDER_GROUPS,
@@ -89,7 +89,7 @@ class ParentWalkers:
             active.add(corpus.user_index[thread.author.user_id])
             for comment in thread.comments:
                 active.add(corpus.user_index[comment.author.user_id])
-        for event in slice.ratings:
+        for event in window_ratings(corpus, slice):
             active.add(corpus.user_index[event.rater_id])
         return active
 
