@@ -230,11 +230,16 @@ SETTINGS: dict[str, tuple[Callable[[object], object], object, str]] = {
 
 
 def _load_config_file(path: str | None) -> dict:
+    """The options of the ``--config`` file, read as UTF-8 with a leading
+    byte-order mark dropped, as the inputs are.  A file that cannot be
+    read, decoded or used is a UsageError naming it."""
     if path is None:
         return {}
     try:
-        with open(path, "r", encoding="utf-8") as handle:
+        with open(path, "r", encoding="utf-8-sig") as handle:
             data = json.load(handle)
+    except OSError as exc:
+        raise UsageError(f"config file {path}: cannot read ({exc})") from exc
     except (ValueError, RecursionError) as exc:  # JSON, UTF-8, digits, depth
         raise UsageError(f"config file {path}: invalid JSON ({exc})") from exc
     if not isinstance(data, dict):

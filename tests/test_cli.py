@@ -190,6 +190,27 @@ class TestPrecedence:
         assert f"error: config file {config}: invalid JSON (" \
             in capsys.readouterr().err
 
+    def test_config_with_a_byte_order_mark_is_read(self, corpus_dir, tmp_path):
+        config = tmp_path / "cfg.json"
+        config.write_bytes(b"\xef\xbb\xbf" + json.dumps({"window": "week"}).encode())
+        out = tmp_path / "out"
+        assert run("ingest", *base_args(corpus_dir), "--out", out,
+                   "--config", config) == 0
+        assert read_manifest(out)["config"]["window"] == "week"
+
+    @pytest.mark.parametrize("name", ["missing.json", "a-directory"])
+    def test_unreadable_config_is_a_usage_error(self, corpus_dir, tmp_path,
+                                                capsys, name):
+        config = tmp_path / name
+        if name == "a-directory":
+            config.mkdir()
+        out = tmp_path / "x"
+        assert run("ingest", *base_args(corpus_dir),
+                   "--out", out, "--config", config) == 2
+        assert f"error: config file {config}: cannot read (" \
+            in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestRank:
     def test_rankings_per_window(self, corpus_dir, tmp_path):

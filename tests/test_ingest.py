@@ -1,8 +1,10 @@
 """Parsing, corpus assembly and window tiling."""
 
 import csv
+import dataclasses
 import io
 import json
+import pickle
 import random
 from datetime import datetime, timedelta, timezone
 
@@ -959,3 +961,66 @@ class TestRecipients:
                           user_codes(corpus)[0])
         assert entry.m_comments == 1 and entry.mm_comments == 0
         assert entry.w_comments == 1 and entry.ww_comments == 0
+
+
+def one_of_each_record():
+    """A parsed thread, its first comment, its author and a rating."""
+    (thread,), _diags = parse_thread_log(jsonl(thread_obj(
+        comments=[("c1", "b", "2014-01-06T10:00:00Z")])))
+    (rating,), _diags = parse_ratings(jsonl(
+        {"rater_id": "b", "target_id": "t1", "value": 1}))
+    return thread, thread.comments[0], thread.author, rating
+
+
+class TestLeanRecords:
+    def test_records_are_slotted(self):
+        for record in one_of_each_record():
+            assert type(record).__slots__
+            assert not hasattr(record, "__dict__")
+
+    def test_fields_stay_frozen(self):
+        for record in one_of_each_record():
+            name = dataclasses.fields(record)[0].name
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(record, name, "other")
+
+    def test_records_survive_a_pickle_round_trip(self):
+        thread, *others = one_of_each_record()
+        assert thread.recipients
+        copy = pickle.loads(pickle.dumps(thread))
+        assert copy == thread and copy.recipients == thread.recipients
+        for record in others:
+            assert pickle.loads(pickle.dumps(record)) == record
+
+    def test_equality_and_hash_ignore_the_recipients(self):
+        thread = one_of_each_record()[0]
+        copy = dataclasses.replace(thread)
+        assert thread.recipients == (thread.author,)
+        assert copy == thread and hash(copy) == hash(thread)
+        assert "recipients" not in repr(thread)
+
+    def test_replaced_comments_get_their_own_recipients(self):
+        thread = one_of_each_record()[0]
+        assert [r.user_id for r in thread.recipients] == ["a"]
+        reply = CommentRecord("c2", "@b ok", thread.comments[0].created_at,
+                              thread.author, order_k=2)
+        rebuilt = dataclasses.replace(
+            thread, comments=(*thread.comments, reply))
+        assert [r.user_id for r in rebuilt.recipients] == ["a", "b"]
+        assert [r.user_id for r in thread.recipients] == ["a"]
+
+    @pytest.mark.parametrize("fmt", ["jsonl", "csv"])
+    def test_equal_tags_share_one_tuple_and_string(self, fmt):
+        tag_lists = [["x", "y"], ["x", "y"], ["y"], []]
+        if fmt == "jsonl":
+            log = jsonl(*(thread_obj(thread_id=f"t{k}", tags=tags)
+                          for k, tags in enumerate(tag_lists)))
+        else:
+            log = io.StringIO(",".join(CSV_COLUMNS) + "\n" + "".join(
+                f"t{k},,,2014-01-06T09:00:00Z,{'|'.join(tags)},a{',' * 8}\n"
+                for k, tags in enumerate(tag_lists)))
+        threads, diags = parse_thread_log(log, format=fmt)
+        assert diags == []
+        assert [t.tags for t in threads] == [tuple(tags) for tags in tag_lists]
+        assert threads[0].tags is threads[1].tags
+        assert threads[2].tags[0] is threads[0].tags[1]

@@ -47,7 +47,8 @@ def occurrence_merge(attrs, first, ref, diags):
 
 
 def reference_build_corpus(threads, ratings):
-    """build_corpus with every ref merged at every occurrence."""
+    """build_corpus with every ref merged at every occurrence and its
+    message ids kept in a set."""
     diags, attrs, first = [], {}, {}
     for thread in threads:
         occurrence_merge(attrs, first, thread.author, diags)
@@ -109,7 +110,8 @@ refs = st.builds(UserRef, st.sampled_from(["u0", "u1", "u2"]),
 def conflicting_logs(draw):
     """Threads and ratings whose refs are drawn from one pool by
     position, so one ref object recurs; raters are ids that may or may
-    not post."""
+    not post.  A comment id may repeat one of another thread or equal
+    the first thread's id."""
     pool = draw(st.lists(refs, min_size=1, max_size=6))
     pick = st.sampled_from(range(len(pool))).map(pool.__getitem__)
     threads, message_ids = [], ["ghost"]
@@ -117,7 +119,7 @@ def conflicting_logs(draw):
         published = T0 + timedelta(hours=t)
         comments = tuple(
             CommentRecord(
-                comment_id=draw(st.sampled_from([f"t{t}c{k}", "t0c0"])),
+                comment_id=draw(st.sampled_from([f"t{t}c{k}", "t0c0", "t0"])),
                 text="", created_at=published + timedelta(minutes=k),
                 author=draw(pick), order_k=k)
             for k in range(1, draw(st.integers(min_value=0, max_value=5)) + 1))
