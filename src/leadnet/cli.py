@@ -361,6 +361,13 @@ def _json_ready(value: object) -> object:
     return value
 
 
+def _write_json(path: Path, payload: dict) -> None:
+    """``payload`` as JSON indented by 2 with sorted keys, then a newline."""
+    with open(path, "w", encoding="utf-8") as handle:
+        json.dump(payload, handle, indent=2, sort_keys=True)
+        handle.write("\n")
+
+
 def write_manifest(ctx: RunContext, command: str, cfg: dict) -> None:
     inputs = {}
     for key in ("input", "ratings", "lexicon", "stopwords"):
@@ -376,9 +383,7 @@ def write_manifest(ctx: RunContext, command: str, cfg: dict) -> None:
         "artifacts": sorted(self_name for self_name in ctx.artifacts
                             if self_name != "manifest.json"),
     }
-    with open(ctx.path("manifest.json"), "w", encoding="utf-8") as handle:
-        json.dump(manifest, handle, indent=2, sort_keys=True)
-        handle.write("\n")
+    _write_json(ctx.path("manifest.json"), manifest)
 
 
 # ---------------------------------------------------------------------------
@@ -441,9 +446,7 @@ def cmd_synth(cfg: dict, ctx: RunContext) -> None:
     write_lexicon_tsv(ctx.path("lexicon.tsv"))
     write_stopwords_txt(ctx.path("stopwords.txt"))
     payload = {**dataclasses.asdict(spec), "start": format_timestamp(spec.start)}
-    with open(ctx.path("synth_spec.json"), "w", encoding="utf-8") as handle:
-        json.dump(payload, handle, indent=2, sort_keys=True)
-        handle.write("\n")
+    _write_json(ctx.path("synth_spec.json"), payload)
 
 
 def cmd_ingest(cfg: dict, ctx: RunContext) -> None:
@@ -472,9 +475,7 @@ def cmd_ingest(cfg: dict, ctx: RunContext) -> None:
         ],
         "diagnostics": len(diags),
     }
-    with open(ctx.path("corpus_summary.json"), "w", encoding="utf-8") as handle:
-        json.dump(summary, handle, indent=2, sort_keys=True)
-        handle.write("\n")
+    _write_json(ctx.path("corpus_summary.json"), summary)
     with open(ctx.path("diagnostics.txt"), "w", encoding="utf-8") as handle:
         for line in diags:
             handle.write(line + "\n")

@@ -102,22 +102,24 @@ class ThreadRecord:
     tags: tuple[str, ...]
     author: UserRef
     comments: tuple[CommentRecord, ...]
-    _recipients: tuple[UserRef, ...] | None = field(
+    _recipients: tuple[str, ...] | None = field(
         default=None, init=False, repr=False, compare=False)
 
     @property
-    def recipients(self) -> tuple[UserRef, ...]:
-        """Who each comment answers, aligned with ``comments``: the first
-        @-mention naming a participant already active in the thread (the
-        author or an earlier commenter), else the thread author.  Computed
-        on first use and kept, so every window holding the thread shares
-        one resolution; a ``replace`` copy computes its own."""
+    def recipients(self) -> tuple[str, ...]:
+        """The user id each comment answers, aligned with ``comments``: the
+        first @-mention naming a participant already active in the thread
+        (the author or an earlier commenter), else the thread author.
+        Computed on first use and kept, so every window holding the thread
+        shares one resolution; a ``replace`` copy computes its own."""
         if self._recipients is None:
-            active = {self.author.user_id: self.author}
+            author = self.author.user_id
+            active = {author: author}
             answered = []
             for comment in self.comments:
-                answered.append(_mentioned(comment.text, active) or self.author)
-                active.setdefault(comment.author.user_id, comment.author)
+                answered.append(_mentioned(comment.text, active) or author)
+                commenter = comment.author.user_id
+                active.setdefault(commenter, commenter)
             object.__setattr__(self, "_recipients", tuple(answered))
         return self._recipients
 
@@ -126,15 +128,17 @@ _MENTION = re.compile(r"(?<!\S)@(\S+)")
 _TRAILING_PUNCT = ".,;:!?)('\"`>]}"
 
 
-def _mentioned(text: str, participants: Mapping[str, UserRef]) -> UserRef | None:
-    """The participant named by the first @-mention token in ``text``
-    (a token starting with "@"), as written or with its trailing
-    punctuation stripped; None when no mention names one."""
+def _mentioned(text: str, active: Mapping[str, str]) -> str | None:
+    """The id of the participant named by the first @-mention token in
+    ``text`` (a token starting with "@"), as written or with its trailing
+    punctuation stripped; None when no mention names one.  ``active``
+    maps each participant's id to itself, so the id returned is the
+    participant's own string, not a piece of ``text``."""
     for match in _MENTION.finditer(text):
         token = match.group(1)
         for candidate in (token, token.rstrip(_TRAILING_PUNCT)):
-            if candidate in participants:
-                return participants[candidate]
+            if candidate in active:
+                return active[candidate]
     return None
 
 
@@ -156,9 +160,11 @@ class Corpus:
     ``users`` is sorted by user_id and ``user_index`` maps user_id to the
     position in that order; every author and rater appearing anywhere in
     the corpus is present, a rater who never posts with unknown role and
-    gender.  A rating names its rater by ``rater_id`` alone.
-    Matrix-valued results elsewhere in the package index users by
-    ``user_index``.
+    gender.  ``users`` is the one place a user's merged role and gender
+    live: the records keep the refs their parser built, so read a user's
+    attributes as ``users[user_index[user_id]]``, never off a record.  A
+    rating names its rater by ``rater_id`` alone.  Matrix-valued results
+    elsewhere in the package index users by ``user_index``.
     """
 
     users: tuple[UserRef, ...]
@@ -648,16 +654,12 @@ def parse_ratings(source: str | Path | IO[str]) -> tuple[list[RatingEvent], list
 # ---------------------------------------------------------------------------
 # corpus assembly
 
-def _merge_attrs(
-    attrs: dict[str, tuple[Role, Gender]], first: dict[str, UserRef],
-    ref: UserRef, diags: list[str],
-) -> bool:
+def _merge_attrs(attrs: dict[str, tuple[Role, Gender]], ref: UserRef,
+                 diags: list[str]) -> bool:
     """Field-wise merge: the first known role/gender for a user_id wins;
-    later conflicting known values are reported and ignored.  ``first``
-    keeps the first ref seen for each user_id.  True when the merge wrote
-    no diagnostic: every known field of ``ref`` is then the kept one, so
-    merging ``ref`` again would change nothing."""
-    first.setdefault(ref.user_id, ref)
+    later conflicting known values are reported and ignored.  True when
+    the merge wrote no diagnostic: every known field of ``ref`` is then
+    the kept one, so merging ``ref`` again would change nothing."""
     role, gender = attrs.get(ref.user_id, (Role.unknown, Gender.unknown))
     clean = True
     if ref.role is not Role.unknown:
@@ -682,48 +684,24 @@ def _merge_attrs(
     return clean
 
 
-def _canonical_refs(threads: list[ThreadRecord], ratings: list[RatingEvent],
-                    diags: list[str]) -> dict[str, UserRef]:
-    """user_id -> canonical UserRef: the first ref seen for the user when
-    it already holds the merged role and gender, else a new one; a rater
-    who never posts gets a ref of unknown role and gender.  Refs merge in
-    record order (each thread's author, then its commenters), and a ref
-    object is merged again only where its earlier merges reported a
-    conflict, so each conflict is reported at every occurrence.  The
-    merge state is dropped on return, before the corpus is assembled."""
+def _merged_users(threads: list[ThreadRecord], ratings: list[RatingEvent],
+                  diags: list[str]) -> tuple[UserRef, ...]:
+    """One UserRef per author and rater, sorted by user_id, holding the
+    merged role and gender; a rater who never posts has unknown role and
+    gender.  Refs merge in record order (each thread's author, then its
+    commenters), and a ref object is merged again only where its earlier
+    merges reported a conflict, so each conflict is reported at every
+    occurrence."""
     attrs: dict[str, tuple[Role, Gender]] = {}
-    first: dict[str, UserRef] = {}
     merged: set[int] = set()  # ids of refs merged without a diagnostic
     for thread in threads:
         for ref in (thread.author, *(c.author for c in thread.comments)):
-            if id(ref) not in merged and _merge_attrs(attrs, first, ref, diags):
+            if id(ref) not in merged and _merge_attrs(attrs, ref, diags):
                 merged.add(id(ref))
-    canonical = {}
-    for user_id, (role, gender) in attrs.items():
-        ref = first[user_id]
-        if ref.role is not role or ref.gender is not gender:
-            ref = UserRef(user_id=user_id, role=role, gender=gender)
-        canonical[user_id] = ref
     for event in ratings:
-        if event.rater_id not in canonical:
-            canonical[event.rater_id] = UserRef(event.rater_id)
-    return canonical
-
-
-def _with_canonical_refs(thread: ThreadRecord,
-                         canonical: Mapping[str, UserRef]) -> ThreadRecord:
-    """``thread`` itself when every ref in it is canonical, else a copy
-    with each replaced ref swapped in (its recipients computed afresh)."""
-    author = canonical[thread.author.user_id]
-    if author is thread.author and all(
-            c.author is canonical[c.author.user_id] for c in thread.comments):
-        return thread
-    comments = tuple(
-        c if c.author is canonical[c.author.user_id]
-        else replace(c, author=canonical[c.author.user_id])
-        for c in thread.comments
-    )
-    return replace(thread, author=author, comments=comments)
+        attrs.setdefault(event.rater_id, (Role.unknown, Gender.unknown))
+    return tuple(UserRef(user_id, role, gender)
+                 for user_id, (role, gender) in sorted(attrs.items()))
 
 
 def build_corpus(
@@ -731,9 +709,9 @@ def build_corpus(
 ) -> tuple[Corpus, list[str]]:
     """Assemble validated records into a Corpus.
 
-    Every author and rater is mapped to a single canonical UserRef (see
-    ``_canonical_refs``).  A thread whose refs are all canonical is kept
-    as it is; only threads holding a replaced ref are rebuilt.  Ratings
+    Each author and rater becomes one user of ``Corpus.users`` holding
+    the merged role and gender (see ``_merged_users``).  The threads are
+    kept as their parser built them, with the refs it gave them.  Ratings
     whose target is not a known message are dropped with a diagnostic,
     and the others are kept as they are.  Zero valid threads is fatal.
     """
@@ -743,11 +721,7 @@ def build_corpus(
         raise CorpusError("no valid threads; cannot build corpus")
 
     diags: list[str] = []
-    canonical = _canonical_refs(threads, ratings, diags)
-    users = tuple(canonical[user_id] for user_id in sorted(canonical))
-    user_index = {ref.user_id: i for i, ref in enumerate(users)}
-
-    fixed_threads = []
+    users = _merged_users(threads, ratings, diags)
     # a dict: for M's 79,478 ids its table takes 1.9 MB, a set's 4.2 MB
     message_ids: dict[str, None] = {}
     for thread in threads:
@@ -759,7 +733,6 @@ def build_corpus(
                     " comment kept, rating targets resolve to the first occurrence"
                 )
             message_ids[c.comment_id] = None
-        fixed_threads.append(_with_canonical_refs(thread, canonical))
 
     kept_ratings = []
     for event in ratings:
@@ -771,8 +744,8 @@ def build_corpus(
 
     corpus = Corpus(
         users=users,
-        user_index=user_index,
-        threads=tuple(fixed_threads),
+        user_index={ref.user_id: i for i, ref in enumerate(users)},
+        threads=tuple(threads),
         ratings=tuple(kept_ratings),
     )
     return corpus, diags

@@ -156,7 +156,7 @@ def window_events(slice: WindowSlice, corpus: Corpus) -> WindowEvents:
         message_authors += by
         commenter += by
         order_k += [c.order_k for c in comments]
-        recipient += [index[r.user_id] for r in thread.recipients]
+        recipient += [index[r] for r in thread.recipients]
         position += [p] * len(by)
     # built backwards so that the first occurrence of an id is kept
     message_author = dict(zip(reversed(message_ids), reversed(message_authors)))

@@ -415,8 +415,8 @@ class TestBuildCorpus:
             {"rater_id": "b", "target_id": "t1", "value": 1},
         ))
         corpus, _ = build_corpus(threads, events)
-        # the rater is the commenter's ref, and the event is kept as parsed
-        assert corpus.users[corpus.user_index["b"]] is threads[0].comments[0].author
+        # the rater is the commenter as a user, and the event is kept as parsed
+        assert corpus.users[corpus.user_index["b"]] == threads[0].comments[0].author
         assert corpus.ratings[0] is events[0]
 
 
@@ -788,26 +788,28 @@ def fresh_copy(thread):
     )
 
 
+def assert_threads_kept(corpus, threads):
+    assert len(corpus.threads) == len(threads)
+    assert all(ours is theirs for ours, theirs in zip(corpus.threads, threads))
+
+
 class TestCanonicalRecords:
+    """The corpus keeps the records as parsed; each user's canonical,
+    merged role and gender are in ``corpus.users``."""
+
     def test_canonical_thread_is_kept(self):
         threads, _diags = parse_thread_log(shared_refs_log())
         corpus, diags = build_corpus(threads)
         assert diags == []
-        a, b, c = (corpus.users[corpus.user_index[u]] for u in "abc")
-        assert a is threads[0].author and b is threads[1].author
-        assert c is threads[2].comments[1].author
-        # t1 and t2 hold only refs already carrying their merged
-        # attributes; t3 holds b as written without a role or gender
-        assert corpus.threads[0] is threads[0]
-        assert corpus.threads[1] is threads[1]
-        rebuilt = corpus.threads[2]
-        assert rebuilt is not threads[2]
-        assert rebuilt.author is a
-        assert rebuilt.comments[0].author is b
-        assert rebuilt.comments[1] is threads[2].comments[1]
-        assert rebuilt.recipients == (a, a)
+        assert corpus.users == (UserRef("a", Role.manager, Gender.female),
+                                UserRef("b", Role.consultant, Gender.male),
+                                UserRef("c", Role.partner))
+        # t3 holds b as written, without a role or gender
+        assert_threads_kept(corpus, threads)
+        assert corpus.threads[2].comments[0].author == UserRef("b")
+        assert corpus.threads[2].recipients == ("a", "a")
 
-    def test_filled_in_attribute_rebuilds_thread(self):
+    def test_filled_in_attribute_keeps_threads(self):
         threads, _diags = parse_thread_log(jsonl(
             {"thread_id": "t0", "published_at": "2014-01-06T09:00:00Z",
              "author": {"user_id": "x"},
@@ -817,25 +819,16 @@ class TestCanonicalRecords:
             {"thread_id": "t1", "published_at": "2014-01-07T09:00:00Z",
              "author": {"user_id": "x", "role": "director", "gender": 1}},
         ))
-        stale = threads[0].recipients
         corpus, diags = build_corpus(threads)
         assert diags == []
-        x = corpus.users[corpus.user_index["x"]]
-        assert (x.role, x.gender) == (Role.director, Gender.female)
-        # x is first seen without attributes, so its canonical ref is new
-        # and both threads it authors are rebuilt
-        assert x == threads[1].author and x is not threads[1].author
-        assert corpus.threads[1] == threads[1]
-        assert corpus.threads[1] is not threads[1]
-        assert corpus.threads[1].author is x
-        rebuilt = corpus.threads[0]
-        assert rebuilt is not threads[0]
-        assert rebuilt.author is x
-        assert rebuilt.comments[0] is threads[0].comments[0]
-        assert stale[0].gender is Gender.unknown
-        assert rebuilt.recipients[0] is x
+        assert corpus.users == (UserRef("m", gender=Gender.male),
+                                UserRef("x", Role.director, Gender.female))
+        # x is first seen without attributes; its record keeps that ref
+        assert_threads_kept(corpus, threads)
+        assert corpus.threads[0].author == UserRef("x")
+        assert corpus.threads[0].recipients == ("x",)
 
-    def test_conflicting_attribute_rebuilds_thread(self):
+    def test_conflicting_attribute_keeps_threads(self):
         threads, _diags = parse_thread_log(jsonl(
             thread_obj(author="b"),
             dict(thread_obj(thread_id="t2", author="b",
@@ -848,13 +841,10 @@ class TestCanonicalRecords:
             "conflicting gender for b: keeping 1, saw 0",
         ]
         b = corpus.users[corpus.user_index["b"]]
-        assert b is threads[0].author
-        assert corpus.threads[0] is threads[0]
-        rebuilt = corpus.threads[1]
-        assert rebuilt is not threads[1]
-        assert rebuilt.author is b and (b.role, b.gender) == (Role.manager,
-                                                              Gender.female)
-        assert rebuilt.recipients[0] is b
+        assert (b.role, b.gender) == (Role.manager, Gender.female)
+        assert_threads_kept(corpus, threads)
+        assert corpus.threads[1].author == UserRef("b", Role.director, Gender.male)
+        assert corpus.threads[1].recipients == ("b",)
 
     @pytest.mark.parametrize("seed", [3, 11])
     def test_equals_corpus_of_unshared_copies(self, tmp_path, seed):
@@ -897,8 +887,7 @@ class TestRecipients:
             random.Random(9000 + seed), n_threads=10, p_mention=0.5)
         for thread in corpus.threads:
             assert len(thread.recipients) == len(thread.comments)
-            assert [r.user_id for r in thread.recipients] == \
-                reference_recipients(thread)
+            assert list(thread.recipients) == reference_recipients(thread)
 
     def test_random_corpora_cover_ghosts_and_punctuation(self):
         texts = [
@@ -927,8 +916,18 @@ class TestRecipients:
         # that comment falls back to the thread author; an "@" inside a
         # word starts no mention, so "mail a@b" answers the author too
         expected = ["a", "b", "c", "a", "d", "b", "a"]
-        assert [r.user_id for r in thread.recipients] == expected
+        assert list(thread.recipients) == expected
         assert reference_recipients(thread) == expected
+
+    def test_recipients_are_the_participants_own_id_strings(self):
+        (thread,), _diags = parse_thread_log(jsonl(thread_obj(
+            author="ann", comments=[("c1", "bob", "2014-01-06T10:00:00Z")])))
+        reply = CommentRecord("c2", "@bob, thanks", thread.comments[0].created_at,
+                              thread.author, order_k=2)
+        thread = dataclasses.replace(thread, comments=(*thread.comments, reply))
+        assert thread.recipients == ("ann", "bob")
+        assert thread.recipients[0] is thread.author.user_id
+        assert thread.recipients[1] is thread.comments[0].author.user_id
 
     def test_recipients_are_computed_once(self):
         corpus, _window = make_corpus([("t0", "a", [("b", "hi")])])
@@ -936,8 +935,8 @@ class TestRecipients:
         assert thread.recipients is thread.recipients
 
     def test_recipient_is_the_canonical_merged_user(self):
-        # x's gender is only known from the second thread; the recipient
-        # of m's comment in the first thread must carry it after merging
+        # x's gender is only known from the second thread; the analytics
+        # must see it for m's comment in the first thread, which answers x
         threads, _diags = parse_thread_log(jsonl(
             {"thread_id": "t0", "published_at": "2014-01-06T09:00:00Z",
              "author": {"user_id": "x"},
@@ -950,13 +949,10 @@ class TestRecipients:
             {"thread_id": "t1", "published_at": "2014-01-07T09:00:00Z",
              "author": {"user_id": "x", "gender": 1}},
         ))
-        assert threads[0].recipients[0].gender is Gender.unknown
         corpus, _diags = build_corpus(threads)
         canonical = corpus.users[corpus.user_index["x"]]
         assert canonical.gender is Gender.female
-        first = corpus.threads[0]
-        assert first.recipients[0] is canonical
-        assert first.recipients[1] is corpus.users[corpus.user_index["m"]]
+        assert corpus.threads[0].recipients == ("x", "m")
         entry = homophily(window_events(whole_span_slice(corpus), corpus),
                           user_codes(corpus)[0])
         assert entry.m_comments == 1 and entry.mm_comments == 0
@@ -995,19 +991,19 @@ class TestLeanRecords:
     def test_equality_and_hash_ignore_the_recipients(self):
         thread = one_of_each_record()[0]
         copy = dataclasses.replace(thread)
-        assert thread.recipients == (thread.author,)
+        assert thread.recipients == ("a",)
         assert copy == thread and hash(copy) == hash(thread)
         assert "recipients" not in repr(thread)
 
     def test_replaced_comments_get_their_own_recipients(self):
         thread = one_of_each_record()[0]
-        assert [r.user_id for r in thread.recipients] == ["a"]
+        assert thread.recipients == ("a",)
         reply = CommentRecord("c2", "@b ok", thread.comments[0].created_at,
                               thread.author, order_k=2)
         rebuilt = dataclasses.replace(
             thread, comments=(*thread.comments, reply))
-        assert [r.user_id for r in rebuilt.recipients] == ["a", "b"]
-        assert [r.user_id for r in thread.recipients] == ["a"]
+        assert rebuilt.recipients == ("a", "b")
+        assert thread.recipients == ("a",)
 
     @pytest.mark.parametrize("fmt", ["jsonl", "csv"])
     def test_equal_tags_share_one_tuple_and_string(self, fmt):

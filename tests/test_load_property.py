@@ -1,7 +1,6 @@
 """Corpus assembly that merges each clean ref once, against the merge at
 every occurrence that it replaced."""
 
-from dataclasses import replace
 from datetime import datetime, timedelta, timezone
 
 import pytest
@@ -27,9 +26,8 @@ T0 = datetime(2014, 1, 1, tzinfo=UTC)
 # ---------------------------------------------------------------------------
 # build_corpus against a merge at every occurrence
 
-def occurrence_merge(attrs, first, ref, diags):
+def occurrence_merge(attrs, ref, diags):
     """The field-wise merge as it ran on every occurrence of every ref."""
-    first.setdefault(ref.user_id, ref)
     role, gender = attrs.get(ref.user_id, (Role.unknown, Gender.unknown))
     if ref.role is not Role.unknown:
         if role is Role.unknown:
@@ -49,22 +47,17 @@ def occurrence_merge(attrs, first, ref, diags):
 def reference_build_corpus(threads, ratings):
     """build_corpus with every ref merged at every occurrence and its
     message ids kept in a set."""
-    diags, attrs, first = [], {}, {}
+    diags, attrs = [], {}
     for thread in threads:
-        occurrence_merge(attrs, first, thread.author, diags)
+        occurrence_merge(attrs, thread.author, diags)
         for comment in thread.comments:
-            occurrence_merge(attrs, first, comment.author, diags)
-    canonical = {}
-    for user_id, (role, gender) in attrs.items():
-        ref = first[user_id]
-        if ref.role is not role or ref.gender is not gender:
-            ref = UserRef(user_id, role, gender)
-        canonical[user_id] = ref
+            occurrence_merge(attrs, comment.author, diags)
+    users = {u: UserRef(u, *attrs[u]) for u in attrs}
     for event in ratings:  # a rater who never posts has no known attribute
-        canonical.setdefault(event.rater_id, UserRef(event.rater_id))
-    users = tuple(canonical[u] for u in sorted(canonical))
+        users.setdefault(event.rater_id, UserRef(event.rater_id))
+    users = tuple(users[u] for u in sorted(users))
 
-    fixed_threads, message_ids = [], set()
+    message_ids = set()
     for thread in threads:
         message_ids.add(thread.thread_id)
         for c in thread.comments:
@@ -74,17 +67,6 @@ def reference_build_corpus(threads, ratings):
                     f" {thread.thread_id}; comment kept, rating targets"
                     " resolve to the first occurrence")
             message_ids.add(c.comment_id)
-        author = canonical[thread.author.user_id]
-        if author is thread.author and all(
-                c.author is canonical[c.author.user_id]
-                for c in thread.comments):
-            fixed_threads.append(thread)
-            continue
-        comments = tuple(
-            c if c.author is canonical[c.author.user_id]
-            else replace(c, author=canonical[c.author.user_id])
-            for c in thread.comments)
-        fixed_threads.append(replace(thread, author=author, comments=comments))
     fixed_ratings = []
     for event in ratings:
         if event.target_message_id not in message_ids:
@@ -94,7 +76,7 @@ def reference_build_corpus(threads, ratings):
         fixed_ratings.append(event)
     corpus = Corpus(users=users,
                     user_index={r.user_id: i for i, r in enumerate(users)},
-                    threads=tuple(fixed_threads),
+                    threads=tuple(threads),
                     ratings=tuple(fixed_ratings))
     return corpus, diags
 
@@ -145,19 +127,8 @@ def test_build_corpus_matches_merge_at_every_occurrence(log):
     expected, expected_diags = reference_build_corpus(threads, ratings)
     assert diags == expected_diags
     assert corpus == expected
-    # the same records kept as they are and the same refs reused
-    assert [a is b for a, b in zip(corpus.threads, threads)] \
-        == [a is b for a, b in zip(expected.threads, threads)]
+    # every thread and every kept rating is the record as given
+    assert all(a is b for a, b in zip(corpus.threads, expected.threads))
     assert [a is b for a, b in zip(corpus.ratings, ratings)] \
         == [a is b for a, b in zip(expected.ratings, ratings)]
-    # each user's canonical ref is the same given object, or new in both
-    given_refs = {id(r) for r in _all_refs(threads)}
-    assert [id(u) if id(u) in given_refs else None for u in corpus.users] \
-        == [id(u) if id(u) in given_refs else None for u in expected.users]
-
-
-def _all_refs(threads):
-    for thread in threads:
-        yield thread.author
-        yield from (c.author for c in thread.comments)
 

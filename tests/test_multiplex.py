@@ -289,7 +289,7 @@ def dict_collaboration(window, corpus):
     for thread in window.threads:
         for comment, recipient in zip(thread.comments, thread.recipients):
             i = index[comment.author.user_id]
-            j = index[recipient.user_id]
+            j = index[recipient]
             if i != j:
                 raw[(i, j)] += 0.5 + 0.5 / comment.order_k
     return dict_receiver_normalize(raw)

@@ -69,7 +69,7 @@ def threads_and_ratings(draw):
 @given(threads_and_ratings())
 def test_written_logs_reparse_to_an_equal_corpus(records):
     threads, ratings = records
-    corpus, _diags = build_corpus(threads, ratings)
+    corpus, first_diags = build_corpus(threads, ratings)
     with tempfile.TemporaryDirectory() as tmp:
         tpath, rpath = Path(tmp) / "threads.jsonl", Path(tmp) / "ratings.jsonl"
         write_threads_jsonl(corpus.threads, tpath)
@@ -77,7 +77,9 @@ def test_written_logs_reparse_to_an_equal_corpus(records):
         parsed, diags_t = parse_thread_log(tpath)
         events, diags_r = parse_ratings(rpath)
     rebuilt, diags = build_corpus(parsed, events)
-    assert diags_t == diags_r == diags == []
+    assert diags_t == diags_r == []
+    # the records keep their own attributes, so the merge reports again
+    assert diags == first_diags
     assert rebuilt.users == corpus.users
     assert rebuilt.user_index == corpus.user_index
     assert rebuilt.threads == corpus.threads

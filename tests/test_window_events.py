@@ -47,31 +47,39 @@ from leadnet.synth import SyntheticSpec, generate
 DATA = Path(__file__).parent / "data"
 
 
+def merged(corpus, user_id):
+    """The user's merged role and gender, as ``corpus.users`` holds them."""
+    return corpus.users[corpus.user_index[user_id]]
+
+
 class ParentWalkers:
     """The analytics as they walked a window's objects before they read
-    its event rows; each returns the fields of the entry it made."""
+    its event rows; each returns the fields of the entry it made.  A
+    user's role and gender are the merged ones of ``corpus.users``."""
 
     @staticmethod
-    def homophily(slice):
+    def homophily(slice, corpus):
         ww = w_all = mm = m_all = 0
         threads_w = threads_m = 0
         for thread in slice.threads:
-            if thread.author.gender is Gender.female:
+            thread_gender = merged(corpus, thread.author.user_id).gender
+            if thread_gender is Gender.female:
                 threads_w += 1
-            elif thread.author.gender is Gender.male:
+            elif thread_gender is Gender.male:
                 threads_m += 1
             for comment, recipient in zip(thread.comments, thread.recipients):
-                author_gender = comment.author.gender
+                author_gender = merged(corpus, comment.author.user_id).gender
+                recipient_gender = merged(corpus, recipient).gender
                 if author_gender is Gender.unknown \
-                        or recipient.gender is Gender.unknown:
+                        or recipient_gender is Gender.unknown:
                     continue
                 if author_gender is Gender.female:
                     w_all += 1
-                    if recipient.gender is Gender.female:
+                    if recipient_gender is Gender.female:
                         ww += 1
                 else:
                     m_all += 1
-                    if recipient.gender is Gender.male:
+                    if recipient_gender is Gender.male:
                         mm += 1
         threads_known = threads_w + threads_m
 
@@ -108,19 +116,20 @@ class ParentWalkers:
                 women_active / len(indices), wanted > len(indices))
 
     @staticmethod
-    def response_stats(slice, group_by):
+    def response_stats(slice, corpus, group_by):
         latencies = defaultdict(list)
         comments = defaultdict(int)
         threads = defaultdict(int)
         for thread in slice.threads:
+            author = merged(corpus, thread.author.user_id)
             if group_by == "author_role":
-                if thread.author.role is Role.unknown:
+                if author.role is Role.unknown:
                     continue
-                group = thread.author.role.value
+                group = author.role.value
             else:
-                if thread.author.gender is Gender.unknown:
+                if author.gender is Gender.unknown:
                     continue
-                group = thread.author.gender.name
+                group = author.gender.name
             threads[group] += 1
             comments[group] += len(thread.comments)
             if thread.comments:
@@ -143,11 +152,11 @@ def same(got, want):
 def check_window(corpus, window, rng):
     events = window_events(window, corpus)
     gender, role = user_codes(corpus)
-    same(astuple(homophily(events, gender)), ParentWalkers.homophily(window))
+    same(astuple(homophily(events, gender)), ParentWalkers.homophily(window, corpus))
     for codes, groups, group_by in ((role, ROLE_GROUPS, "author_role"),
                                     (gender, GENDER_GROUPS, "author_gender")):
         got = [astuple(s) for s in response_stats(events, codes, groups)]
-        want = ParentWalkers.response_stats(window, group_by)
+        want = ParentWalkers.response_stats(window, corpus, group_by)
         assert len(got) == len(want)
         for got_row, want_row in zip(got, want):
             same(got_row, want_row)
