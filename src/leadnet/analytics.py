@@ -41,24 +41,21 @@ def _tally(codes: np.ndarray, n: int) -> list[int]:
 
 @dataclass(frozen=True)
 class HomophilyEntry:
-    """Per-window homophily rates with the counts behind them.
+    """Per-window homophily rates with the denominators behind them.
 
-    p_ww: fraction of women's comments answering a woman, among women's
-    comments whose recipient gender is known; p_mm mirrors it for men.
-    prior_w / prior_m: fraction of thread authorships by women / men,
-    among threads with a gender-known author.
+    p_ww: fraction of women's comments answering a woman, among the
+    w_comments women's comments whose recipient gender is known; p_mm
+    and m_comments mirror it for men.  prior_w / prior_m: fraction of
+    thread authorships by women / men, among the threads_known threads
+    with a gender-known author.
     """
 
     p_ww: float | None
     p_mm: float | None
     prior_w: float | None
     prior_m: float | None
-    ww_comments: int
     w_comments: int
-    mm_comments: int
     m_comments: int
-    threads_w: int
-    threads_m: int
     threads_known: int
 
 
@@ -73,16 +70,15 @@ def homophily(events: WindowEvents, gender: np.ndarray) -> HomophilyEntry:
     by, to = gender[events.commenter], gender[events.recipient]
     # pair code 2 * commenter + recipient, where female is 0 and male 1
     ww, wm, mw, mm = _tally(np.where((by >= 0) & (to >= 0), 2 * by + to, -1), 4)
-    threads_w, threads_m = _tally(gender[events.thread_author], 2)
-    threads_known = threads_w + threads_m
+    by_women, by_men = _tally(gender[events.thread_author], 2)  # threads
+    threads_known = by_women + by_men
     return HomophilyEntry(
         p_ww=_rate(ww, ww + wm),
         p_mm=_rate(mm, mw + mm),
-        prior_w=_rate(threads_w, threads_known),
-        prior_m=_rate(threads_m, threads_known),
-        ww_comments=ww, w_comments=ww + wm,
-        mm_comments=mm, m_comments=mw + mm,
-        threads_w=threads_w, threads_m=threads_m,
+        prior_w=_rate(by_women, threads_known),
+        prior_m=_rate(by_men, threads_known),
+        w_comments=ww + wm,
+        m_comments=mw + mm,
         threads_known=threads_known,
     )
 
@@ -93,16 +89,13 @@ class TopMassEntry:
 
     Ranking covers the given active users; ties at the cutoff score break
     by user_id so the set is reproducible.  Unknown-gender users occupy
-    rank slots but never count as women, keeping mass_w at k = n_active
-    exactly equal to prior_w.
+    rank slots but never count as women, so mass_w at k = n_active is
+    the women's share among the active users.
     """
 
-    label: str
     k: int
     n_active: int
     mass_w: float
-    prior_w: float
-    clamped: bool
 
 
 def active_user_indices(events: WindowEvents) -> np.ndarray:
@@ -128,15 +121,11 @@ def top_mass(rank: RankVector, gender: np.ndarray,
     effective = min(wanted, idx.size)
     # users are indexed in user_id order, so ties break by index
     top = idx[np.lexsort((idx, -rank.scores[idx]))[:effective]]
-    women_top, women_active = (int(np.count_nonzero(gender[i] == FEMALE))
-                               for i in (top, idx))
+    women_top = int(np.count_nonzero(gender[top] == FEMALE))
     return TopMassEntry(
-        label=rank.label,
         k=effective,
         n_active=idx.size,
         mass_w=women_top / effective,
-        prior_w=women_active / idx.size,
-        clamped=wanted > idx.size,
     )
 
 
@@ -152,7 +141,6 @@ class ResponseGroupStats:
     group: str
     mean_latency_s: float | None
     comment_count: int
-    thread_count: int
 
 
 def response_stats(
@@ -171,8 +159,7 @@ def response_stats(
     latency = np.bincount(replied + 1, weights=events.first_reply_s,
                           minlength=len(groups) + 1)[1:].tolist()
     return [ResponseGroupStats(group=name, comment_count=comments[g],
-                               mean_latency_s=_rate(latency[g], n_replied[g]),
-                               thread_count=threads[g])
+                               mean_latency_s=_rate(latency[g], n_replied[g]))
             for g, name in enumerate(groups) if threads[g]]
 
 

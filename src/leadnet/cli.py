@@ -550,6 +550,8 @@ def _topic_streams(slices, cfg):
 def cmd_topics(cfg: dict, ctx: RunContext) -> None:
     if cfg["stream"] is not None and cfg["window_index"] is None:
         raise UsageError("--stream needs --window-index")
+    if cfg["window_index"] is not None and cfg["stream"] is None:
+        raise UsageError("--window-index needs --stream")
     corpus, diags = _load_corpus(cfg)
     _print_diags(diags)
     slices = _slices(corpus, cfg)

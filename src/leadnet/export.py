@@ -14,7 +14,7 @@ from typing import Iterable, Iterator
 import numpy as np
 
 from .analytics import HomophilyEntry, ResponseGroupStats, Subgraph, TopMassEntry
-from .ingest import Corpus, Gender
+from .ingest import Corpus
 from .multiplex import LAYER_NAMES, MultiplexTensor
 from .rank import MprResult, RankVector
 
@@ -39,10 +39,6 @@ def _writer(handle) -> csv.writer:
     return csv.writer(handle, lineterminator="\n")
 
 
-def _gender_name(gender: Gender) -> str:
-    return "unknown" if gender is Gender.unknown else gender.name
-
-
 def write_rankings_csv(
     path: str | Path, corpus: Corpus, result: MprResult, broker: RankVector,
 ) -> None:
@@ -58,7 +54,7 @@ def write_rankings_csv(
         out.writerow(RANKINGS_COLUMNS)
         for i, *scores in zip(order.tolist(), *columns):
             user = corpus.users[i]
-            out.writerow([user.user_id, _gender_name(user.gender),
+            out.writerow([user.user_id, user.gender.name,
                           user.role.value, *map(repr, scores)])
 
 
@@ -151,7 +147,7 @@ def write_graph_dot(path: str | Path, tensor: MultiplexTensor,
         out.write("digraph leadnet {\n")
         for user, node in zip(corpus.users, quoted):
             out.write(
-                f"  {node} [gender={_dot_quote(_gender_name(user.gender))}, "
+                f"  {node} [gender={_dot_quote(user.gender.name)}, "
                 f"role={_dot_quote(user.role.value)}];\n"
             )
         for name, src, dst, weight in _edge_chunks(tensor):

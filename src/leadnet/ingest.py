@@ -724,14 +724,15 @@ def build_corpus(
     users = _merged_users(threads, ratings, diags)
     # a dict: for M's 79,478 ids its table takes 1.9 MB, a set's 4.2 MB
     message_ids: dict[str, None] = {}
+    duplicate = ("duplicate message id {} in thread {}; {} kept,"
+                 " rating targets resolve to the first occurrence").format
     for thread in threads:
+        if thread.thread_id in message_ids:
+            diags.append(duplicate(thread.thread_id, thread.thread_id, "thread"))
         message_ids[thread.thread_id] = None
         for c in thread.comments:
             if c.comment_id in message_ids:
-                diags.append(
-                    f"duplicate message id {c.comment_id} in thread {thread.thread_id};"
-                    " comment kept, rating targets resolve to the first occurrence"
-                )
+                diags.append(duplicate(c.comment_id, thread.thread_id, "comment"))
             message_ids[c.comment_id] = None
 
     kept_ratings = []

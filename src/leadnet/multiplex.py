@@ -50,17 +50,14 @@ class Layer:
     are derived on first use.
     """
 
-    def __init__(self, n: int, src: np.ndarray, dst: np.ndarray,
-                 weight: np.ndarray, orientation: str):
-        if n < 1:
-            raise ValueError("layer needs n >= 1")
+    def __init__(self, src: np.ndarray, dst: np.ndarray, weight: np.ndarray,
+                 orientation: str):
         if orientation not in (ORIENT_RECEIVER, ORIENT_SENDER):
             raise ValueError(f"unknown orientation {orientation!r}")
         if np.any(src == dst):
             raise ValueError("layer holds a self-loop")
         for array in (src, dst, weight):
             array.setflags(write=False)
-        self.n = n
         self.orientation = orientation
         self.src, self.dst, self.weight = src, dst, weight
 
@@ -92,6 +89,10 @@ class MultiplexTensor:
     empowerment: Layer
     collaboration: Layer
     credibility: Layer
+
+    def __post_init__(self) -> None:
+        if self.n < 1:
+            raise ValueError("tensor needs n >= 1")
 
     def layer(self, name: str) -> Layer:
         if name not in LAYER_NAMES:
@@ -185,7 +186,7 @@ def _receiver_normalized(n: int, src, dst, raw, first_order) -> Layer:
     that total in first-occurrence order."""
     incoming = np.bincount(dst[first_order], weights=raw[first_order],
                            minlength=n)
-    return Layer(n, src, dst, raw / incoming[dst], ORIENT_RECEIVER)
+    return Layer(src, dst, raw / incoming[dst], ORIENT_RECEIVER)
 
 
 def _empowerment(ev: WindowEvents, n: int) -> Layer:
@@ -220,7 +221,7 @@ def _credibility(ev: WindowEvents, n: int) -> Layer:
     # a rater whose scores are all zero spreads uniformly
     uniform = 1.0 / np.bincount(src, minlength=n)[src]
     weight = np.divide(trust, total, out=uniform, where=total > 0)
-    return Layer(n, src, dst, weight, ORIENT_SENDER)
+    return Layer(src, dst, weight, ORIENT_SENDER)
 
 
 def events_tensor(ev: WindowEvents, n: int) -> MultiplexTensor:

@@ -34,15 +34,14 @@ EPSILON_FLOOR = 1e-12
 
 
 class ConvergenceError(Exception):
-    """A layer's iteration ran out of steps; ``window`` names where, when
-    the caller knows it."""
+    """A layer's iteration ran out of steps or lost its finite mass; the
+    message names the ``window`` too, when the caller knows it."""
 
     def __init__(self, label: str, residual: float, last_iterate: np.ndarray,
                  window: str | None = None):
         message = f"{label} ranking did not converge: residual {residual:.3e}"
         super().__init__(message if window is None else f"{window}: {message}")
         self.label = label
-        self.window = window
         self.residual = residual
         self.last_iterate = last_iterate
 
@@ -52,7 +51,6 @@ class RankVector:
     """A probability vector over corpus users (sums to 1, entries >= 0)."""
 
     scores: np.ndarray
-    label: str
 
     def __post_init__(self) -> None:
         scores = np.asarray(self.scores, dtype=float)
@@ -125,7 +123,7 @@ def _power_iterate(
         moved = walk_scale * flow_product(flow, r)
         nxt = alpha * moved + teleport
         total = nxt.sum()
-        if total <= 0.0:
+        if not 0.0 < total < np.inf:  # False for NaN too
             raise ConvergenceError(label, np.inf, nxt)
         nxt /= total
         residual = float(np.abs(nxt - r).sum())
@@ -135,6 +133,7 @@ def _power_iterate(
     raise ConvergenceError(label, residual, r)
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def multiplex_pagerank(
     tensor: MultiplexTensor, params: MprParams = MprParams()
 ) -> MprResult:
@@ -142,7 +141,8 @@ def multiplex_pagerank(
     into the next layer's walk and teleport terms.  The final layer's
     vector doubles as the leadership rank.  The first layer takes x = 1,
     which makes its walk scale 1 and its teleport (1 - alpha) / n: plain
-    PageRank."""
+    PageRank.  A negative exponent whose weights overflow makes a step
+    inf or NaN, and that layer raises ConvergenceError on that step."""
     vectors: dict[str, np.ndarray] = {}
     prev = np.ones(tensor.n)
     for position, name in enumerate(params.layer_order):
@@ -158,10 +158,10 @@ def multiplex_pagerank(
         vectors[name] = scores
         prev = scores
     return MprResult(
-        empowerment=RankVector(vectors["empowerment"], "empowerment"),
-        collaboration=RankVector(vectors["collaboration"], "collaboration"),
-        credibility=RankVector(vectors["credibility"], "credibility"),
-        leadership=RankVector(prev.copy(), "leadership"),
+        empowerment=RankVector(vectors["empowerment"]),
+        collaboration=RankVector(vectors["collaboration"]),
+        credibility=RankVector(vectors["credibility"]),
+        leadership=RankVector(prev.copy()),
     )
 
 
@@ -200,4 +200,4 @@ def brokerage(tensor: MultiplexTensor) -> RankVector:
     raw = (degree * (degree - 1) // 2 - triangles).astype(float)
     total = raw.sum()
     scores = raw / total if total > 0 else np.full(n, 1.0 / n)
-    return RankVector(scores=scores, label="brokerage")
+    return RankVector(scores=scores)

@@ -9,7 +9,7 @@ planted by drawing commenter gender per thread-author-gender stratum
 with Bayes-inverted probabilities that keep the overall share of
 comments by women at the gender prior.  Message texts draw phrases from two disjoint
 concept pools, so the topics pipeline finds exactly two planted topic
-groups; ``builtin_lexicon`` matches that vocabulary.
+groups; ``write_lexicon_tsv`` and ``write_stopwords_txt`` write that vocabulary.
 
 Gender-valued draws go through shuffled quota blocks of 50, so planted
 proportions are hit almost exactly instead of drifting binomially; all
@@ -42,7 +42,6 @@ from .ingest import (
     ThreadRecord,
     UserRef,
 )
-from .topics import ConceptLexicon
 
 DEFAULT_ROLE_WEIGHTS = (
     ("manager", 0.10),
@@ -154,19 +153,6 @@ POOLS = (
         ),
     ),
 )
-
-
-def builtin_lexicon() -> ConceptLexicon:
-    """The lexicon matching the generator's vocabulary."""
-    entries = {
-        (surface,): concept_id
-        for pool in POOLS
-        for surface, concept_id, _lang in pool.concepts
-    }
-    return ConceptLexicon(
-        entries=entries,
-        stop_tokens=frozenset(token for token, _lang in STOP_TOKENS),
-    )
 
 
 def write_lexicon_tsv(path: str | Path) -> None:

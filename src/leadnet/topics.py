@@ -120,18 +120,6 @@ def _read_lines(source: str | Path | IO[str]) -> Iterable[tuple[int, str]]:
                 yield lineno, line
 
 
-def extract_concepts(text: str, lexicon: ConceptLexicon) -> list[str]:
-    """Concept n-grams occurring in the text, in occurrence order.
-
-    Lexicon surfaces are longest-matched over the token stream.  Each
-    maximal run of concepts (stop tokens may sit between them, any
-    other token breaks the run) is emitted joined by "_", including the
-    connectors, followed by each member concept alone.  Runs longer than
-    MAX_NGRAM concepts are chunked greedily left to right.
-    """
-    return _concept_grams(tokenize(text), lexicon)
-
-
 def thread_grams(thread: ThreadRecord, lexicon: ConceptLexicon) -> list[str]:
     """Concept n-grams of a whole thread: title, description and every
     comment, in one walk with a None between messages, which no surface
@@ -148,10 +136,15 @@ def thread_grams(thread: ThreadRecord, lexicon: ConceptLexicon) -> list[str]:
 def _concept_grams(
     tokens: Sequence[str | None], lexicon: ConceptLexicon
 ) -> list[str]:
-    """extract_concepts over a token stream in which None ends a run.
+    """Concept n-grams of a token stream, in occurrence order.
 
-    The chunk being built is kept flat: its tokens, with the connectors
-    between its concepts, and the "_"-joined name of each concept."""
+    Lexicon surfaces are longest-matched over the tokens.  Each maximal
+    run of concepts (stop tokens may sit between them; any other token,
+    or a None, breaks the run) is emitted joined by "_", including the
+    connectors, followed by each member concept alone.  Runs longer than
+    MAX_NGRAM concepts are chunked greedily left to right.  The chunk
+    being built is kept flat: its tokens, with the connectors between
+    its concepts, and the "_"-joined name of each concept."""
     by_first = lexicon.surfaces_by_first
     stop_tokens = lexicon.stop_tokens
     grams: list[str] = []
@@ -251,7 +244,6 @@ class Topic:
     members maps each n-gram to its occurrence count in the window."""
 
     topic_id: str
-    window: int
     members: dict[str, int]
 
     def __post_init__(self) -> None:
@@ -292,7 +284,6 @@ def topics_in_window(
     topics = [
         Topic(
             topic_id=f"w{slice.index:03d}.t{position:03d}",
-            window=slice.index,
             members={gram: graph.freq[gram] for gram in clique},
         )
         for position, clique in enumerate(bron_kerbosch(graph.adj))
@@ -318,9 +309,8 @@ def merge_vertical(topics: Sequence[Topic], theta_v: float) -> list[Topic]:
         _, a, b = best
         merged = Counter(pool[a].members)
         merged.update(pool[b].members)
-        window = pool[a].window
         del pool[b]
-        pool[a] = Topic(topic_id=a, window=window, members=dict(merged))
+        pool[a] = Topic(topic_id=a, members=dict(merged))
     return [pool[topic_id] for topic_id in sorted(pool)]
 
 

@@ -31,6 +31,8 @@ from leadnet.multiplex import (
     Layer,
     MultiplexTensor,
 )
+from leadnet.synth import write_lexicon_tsv, write_stopwords_txt
+from leadnet.topics import load_lexicon
 
 T0 = datetime(2014, 1, 6, tzinfo=timezone.utc)
 
@@ -44,6 +46,16 @@ def corpus_s(tmp_path_factory):
     assert cli.main(["synth", "--out", str(out), "--n-users", "120",
                      "--n-threads", "500", "--seed", "42"]) == 0
     return out
+
+
+@pytest.fixture(scope="session")
+def synth_lexicon(tmp_path_factory):
+    """The lexicon of the generator's vocabulary, as ``synth`` writes its
+    lexicon and stopwords files and ``load_lexicon`` reads them back."""
+    out = tmp_path_factory.mktemp("synth_lexicon")
+    write_lexicon_tsv(out / "lexicon.tsv")
+    write_stopwords_txt(out / "stopwords.txt")
+    return load_lexicon(out / "lexicon.tsv", out / "stopwords.txt")
 
 
 def make_corpus(thread_specs, rating_specs=(), users=None):
@@ -96,10 +108,10 @@ def make_corpus(thread_specs, rating_specs=(), users=None):
     return corpus, whole_span_slice(corpus)
 
 
-def make_layer(n, edges, orientation):
+def make_layer(edges, orientation):
     """A layer from a {(src, dst): weight} mapping."""
     keys = sorted(edges)
-    return Layer(n, np.array([i for i, _j in keys], dtype=np.int64),
+    return Layer(np.array([i for i, _j in keys], dtype=np.int64),
                  np.array([j for _i, j in keys], dtype=np.int64),
                  np.array([edges[key] for key in keys], dtype=float),
                  orientation)
@@ -113,9 +125,9 @@ def neighbor_tensor(neighbors):
     edges = {(i, j): 1.0 for i, ns in enumerate(neighbors) for j in ns}
     return MultiplexTensor(
         n=n,
-        empowerment=make_layer(n, edges, ORIENT_RECEIVER),
-        collaboration=make_layer(n, {}, ORIENT_RECEIVER),
-        credibility=make_layer(n, {}, ORIENT_SENDER),
+        empowerment=make_layer(edges, ORIENT_RECEIVER),
+        collaboration=make_layer({}, ORIENT_RECEIVER),
+        credibility=make_layer({}, ORIENT_SENDER),
     )
 
 

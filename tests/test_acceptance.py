@@ -24,7 +24,7 @@ from leadnet.ingest import (
 )
 from leadnet.multiplex import ORIENT_RECEIVER, ORIENT_SENDER, build_tensor, window_events
 from leadnet.rank import MprParams, brokerage, multiplex_pagerank
-from leadnet.synth import SyntheticSpec, builtin_lexicon, generate, pool_of_ngram
+from leadnet.synth import SyntheticSpec, generate, pool_of_ngram
 from leadnet.topics import TopicConfig, bron_kerbosch, chain_streams, topics_in_window
 
 
@@ -81,7 +81,7 @@ def test_02_monoplex_reduction(gate):
             tensor = random_tensor(rng, n)
             chained = multiplex_pagerank(tensor, params)
             for position, name in enumerate(params.layer_order):
-                solo, _flow = solo_pagerank(tensor.layer(name),
+                solo, _flow = solo_pagerank(n, tensor.layer(name),
                                             alpha=params.alpha[position],
                                             tol=1e-12)
                 gap = np.max(np.abs(getattr(chained, name).scores - solo))
@@ -98,7 +98,7 @@ def test_03_pagerank_against_dense_oracle(gate):
             orientation = rng.choice([ORIENT_RECEIVER, ORIENT_SENDER])
             alpha = rng.uniform(0.5, 0.95)
             layer = random_layer(rng, n, orientation)
-            got, flow = solo_pagerank(layer, alpha=alpha, tol=1e-13,
+            got, flow = solo_pagerank(n, layer, alpha=alpha, tol=1e-13,
                                       max_iter=100000)
             want = oracles.dense_pagerank(n, layer.edges, flow, alpha)
             assert np.max(np.abs(got - want)) <= 1e-9
@@ -183,12 +183,12 @@ def test_07_leadership_uplift_property(gate):
         assert abs(sum(flat) / len(flat) - 0.24) <= 0.05
 
 
-def test_08_planted_topic_streams(gate):
+def test_08_planted_topic_streams(gate, synth_lexicon):
     with gate(8, "two disjoint concept pools come out as exactly "
                       "two pure topic streams"):
         corpus = generate(SyntheticSpec())
         slices = window_partition(corpus, WindowConfig.from_string("week"))
-        lexicon = builtin_lexicon()
+        lexicon = synth_lexicon
         config = TopicConfig()
         per_window = [topics_in_window(s, lexicon, config) for s in slices]
         streams = chain_streams(per_window, config.theta_h)
@@ -231,7 +231,7 @@ def test_09_end_to_end_determinism(gate, tmp_path):
         assert first == parallel
 
 
-def test_10_degenerate_inputs(gate):
+def test_10_degenerate_inputs(gate, synth_lexicon):
     with gate(10, "degenerate corpora produce valid outputs"):
         # a silent middle week: windows stay on the grid, empty analytics
         corpus, _span = make_corpus([
@@ -248,7 +248,7 @@ def test_10_degenerate_inputs(gate):
         assert result.leadership.scores == pytest.approx([0.5, 0.5])
         entry = homophily(window_events(empty, corpus), user_codes(corpus)[0])
         assert entry.p_ww is None and entry.prior_w is None
-        assert topics_in_window(empty, builtin_lexicon(), TopicConfig()) == []
+        assert topics_in_window(empty, synth_lexicon, TopicConfig()) == []
 
         # no ratings at all: credibility falls back to teleporting only
         corpus, window = make_corpus([("t0", "A", [("B", "ciao")])])

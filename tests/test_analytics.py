@@ -62,8 +62,7 @@ class TestHomophily:
         entry = window_homophily(corpus, window)
         assert entry.p_ww == pytest.approx(0.5)   # W2->W1 yes, W2->M1 no
         assert entry.p_mm == pytest.approx(0.5)   # M1->W1 no, M2->M1 yes
-        assert entry.w_comments == 2 and entry.ww_comments == 1
-        assert entry.m_comments == 2 and entry.mm_comments == 1
+        assert entry.w_comments == 2 and entry.m_comments == 2
         assert entry.prior_w == pytest.approx(0.5)
         assert entry.prior_m == pytest.approx(0.5)
         assert entry.threads_known == 2
@@ -76,7 +75,7 @@ class TestHomophily:
         entry = window_homophily(corpus, window)
         # W1 answered the man; W2 answered W1 through the mention.
         assert entry.p_ww == pytest.approx(0.5)
-        assert entry.ww_comments == 1 and entry.w_comments == 2
+        assert entry.w_comments == 2
 
     def test_unknown_gender_drops_from_both_sides(self):
         users = dict(WOMEN_AND_MEN)
@@ -90,7 +89,7 @@ class TestHomophily:
             users=users,
         )
         entry = window_homophily(corpus, window)
-        assert entry.w_comments == 1 and entry.ww_comments == 1
+        assert entry.w_comments == 1
         assert entry.p_ww == pytest.approx(1.0)
         # thread by X does not enter the authorship prior
         assert entry.threads_known == 2
@@ -127,7 +126,7 @@ class TestTopMass:
 
     def rank(self, scores):
         vec = np.asarray(scores, dtype=float)
-        return RankVector(scores=vec / vec.sum(), label="leadership")
+        return RankVector(scores=vec / vec.sum())
 
     def test_counts_women_in_the_top_k(self):
         corpus, _window = self.corpus()
@@ -153,7 +152,9 @@ class TestTopMass:
         corpus, _window = self.corpus()
         rank = self.rank([3.0, 1.0, 4.0, 1.0, 5.0])
         entry = top_mass(rank, gender_of(corpus), k=corpus.n_users)
-        assert entry.mass_w == pytest.approx(entry.prior_w) == \
+        women = sum(u.gender is Gender.female for u in corpus.users)
+        assert entry.n_active == corpus.n_users
+        assert entry.mass_w == pytest.approx(women / entry.n_active) == \
             pytest.approx(0.4)
 
     def test_default_k_is_the_top_decile_floored_at_one(self):
@@ -163,11 +164,11 @@ class TestTopMass:
         assert entry.k == 1 and entry.n_active == 5
         assert entry.mass_w == pytest.approx(1.0)
 
-    def test_oversized_k_clamps_and_flags(self):
+    def test_oversized_k_clamps_to_the_active_count(self):
         corpus, _window = self.corpus()
         rank = self.rank([1.0] * 5)
         entry = top_mass(rank, gender_of(corpus), k=12)
-        assert entry.k == 5 and entry.clamped
+        assert entry.k == entry.n_active == 5
 
     def test_active_subset_restricts_the_ranking(self):
         corpus, _window = self.corpus()
@@ -177,7 +178,9 @@ class TestTopMass:
                          k=1)
         assert entry.n_active == 2
         assert entry.mass_w == pytest.approx(1.0)     # c outranks d
-        assert entry.prior_w == pytest.approx(0.5)
+        # at full depth, the women's share among the active users only
+        assert top_mass(rank, gender_of(corpus), active={idx["c"], idx["d"]},
+                        k=2).mass_w == pytest.approx(0.5)
 
     def test_rejects_empty_active_set_and_bad_k(self):
         corpus, _window = self.corpus()
@@ -224,8 +227,6 @@ class TestResponseStats:
         assert sorted(stats) == ["consultant", "manager"]
         assert stats["manager"].mean_latency_s == pytest.approx(60.0)
         assert stats["manager"].comment_count == 2
-        assert stats["manager"].thread_count == 1
-        assert stats["consultant"].thread_count == 2
         assert stats["consultant"].comment_count == 1
         assert stats["consultant"].mean_latency_s == pytest.approx(60.0)
 
@@ -234,14 +235,14 @@ class TestResponseStats:
         corpus, window = make_corpus([("t0", "con", [])], users=users)
         (only,) = window_response_stats(corpus, window, "author_role")
         assert only.mean_latency_s is None
-        assert only.comment_count == 0 and only.thread_count == 1
+        assert only.comment_count == 0
 
     def test_groups_by_gender(self):
         corpus, window = self.corpus()
         stats = window_response_stats(corpus, window, "author_gender")
         assert [s.group for s in stats] == ["female", "male"]
-        assert stats[0].thread_count == 1
-        assert stats[1].thread_count == 2
+        assert [s.comment_count for s in stats] == [2, 1]
+        assert [s.mean_latency_s for s in stats] == [60.0, 60.0]
 
 
 class TestRoleSubgraph:
@@ -320,11 +321,9 @@ def sorted_top_mass(rank, corpus, active, k):
     effective = min(k, len(indices))
     order = sorted(
         indices, key=lambda i: (-rank.scores[i], corpus.users[i].user_id))
-    women = [corpus.users[i].gender is Gender.female for i in indices]
     women_top = sum(corpus.users[i].gender is Gender.female
                     for i in order[:effective])
-    return (effective, len(indices), women_top / effective,
-            sum(women) / len(indices), k > len(indices))
+    return effective, len(indices), women_top / effective
 
 
 class TestTopMassMatchesSortedOrder:
@@ -340,11 +339,11 @@ class TestTopMassMatchesSortedOrder:
         raw = np.array([rng.choice([0.0, 1.0, 1.0, 2.0, 3.0])
                         for _ in corpus.users])
         raw[rng.randrange(raw.size)] += 1.0
-        rank = RankVector(scores=raw / raw.sum(), label="leadership")
+        rank = RankVector(scores=raw / raw.sum())
         for _ in range(5):
             active = set(rng.sample(range(corpus.n_users),
                                     rng.randint(1, corpus.n_users)))
             k = rng.randint(1, corpus.n_users + 2)
             entry = top_mass(rank, gender_of(corpus), active, k)
-            assert (entry.k, entry.n_active, entry.mass_w, entry.prior_w,
-                    entry.clamped) == sorted_top_mass(rank, corpus, active, k)
+            assert (entry.k, entry.n_active, entry.mass_w) == \
+                sorted_top_mass(rank, corpus, active, k)

@@ -5,13 +5,14 @@ import gc
 import json
 import os
 import threading
+import warnings
 import weakref
 from pathlib import Path
 
 import pytest
 
 from conftest import write_threads_csv
-from leadnet import __version__, cli, ingest, topics
+from leadnet import __version__, cli, ingest, rank, topics
 from leadnet.rank import MprParams
 from leadnet.synth import SyntheticSpec
 from leadnet.topics import TopicConfig
@@ -272,6 +273,20 @@ class TestTopics:
                    *self.lex_args(corpus_dir), "--out", tmp_path / "x",
                    "--window", "week", "--stream", "s0000") == 2
 
+    def test_window_index_needs_stream(self, corpus_dir, tmp_path, capsys):
+        out = tmp_path / "x"
+        assert run("topics", *base_args(corpus_dir),
+                   *self.lex_args(corpus_dir), "--out", out,
+                   "--window", "week", "--window-index", 0) == 2
+        assert "error: --window-index needs --stream" in \
+            capsys.readouterr().err
+        assert not out.exists()
+        # checked before any input is read
+        assert run("topics", "--input", tmp_path / "nonexistent.jsonl",
+                   "--out", out, "--window-index", 7) == 2
+        assert "--window-index needs --stream" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_stream_network_export(self, corpus_dir, tmp_path):
         out = tmp_path / "stream"
         rows_code = run("topics", *base_args(corpus_dir),
@@ -429,6 +444,33 @@ class TestConvergenceFailure:
         err = capsys.readouterr().err
         assert f"error: window 0 ({start}): empowerment ranking did not " \
                "converge: residual " in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("exponent", ["--beta", "--gamma"])
+    def test_overflowing_chain_weight_fails_its_layer_at_once(
+            self, corpus_s, tmp_path, capsys, monkeypatch, exponent):
+        steps = []  # flow products per layer solve
+        iterate, product = rank._power_iterate, rank.flow_product
+
+        def counted_iterate(*args, **kwargs):
+            steps.append(0)
+            return iterate(*args, **kwargs)
+
+        def counted_product(flow, r):
+            steps[-1] += 1
+            return product(flow, r)
+
+        monkeypatch.setattr(rank, "_power_iterate", counted_iterate)
+        monkeypatch.setattr(rank, "flow_product", counted_product)
+        out = tmp_path / "out"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert run("rank", *base_args(corpus_s), "--out", out,
+                       exponent, -100) == 1
+        assert capsys.readouterr().err == (
+            "error: window 0 (2014-01-01T00:00:00Z): credibility ranking"
+            " did not converge: residual inf\n")
+        assert len(steps) == 3 and steps[-1] == 1
         assert not out.exists()
 
 

@@ -15,6 +15,7 @@ from conftest import (
     message_author_map,
     random_corpus,
     resolve_like_package,
+    write_threads_csv,
 )
 from leadnet import cli
 from leadnet.analytics import homophily, user_codes
@@ -418,6 +419,28 @@ class TestBuildCorpus:
         # the rater is the commenter as a user, and the event is kept as parsed
         assert corpus.users[corpus.user_index["b"]] == threads[0].comments[0].author
         assert corpus.ratings[0] is events[0]
+
+    @pytest.mark.parametrize("fmt", ["jsonl", "csv"])
+    def test_thread_id_repeating_a_comment_id_is_reported(self, fmt,
+                                                          tmp_path):
+        threads, _ = parse_thread_log(jsonl(
+            thread_obj(comments=[("x", "b", "2014-01-06T10:00:00Z")]),
+            thread_obj(thread_id="x", author="c",
+                       published="2014-01-07T09:00:00Z"),
+        ))
+        if fmt == "csv":
+            write_threads_csv(threads, tmp_path / "threads.csv")
+            threads, parse_diags = parse_thread_log(tmp_path / "threads.csv",
+                                                    format="csv")
+            assert parse_diags == []
+        events, _ = parse_ratings(jsonl(
+            {"rater_id": "d", "target_id": "x", "value": 1}))
+        corpus, diags = build_corpus(threads, events)
+        assert diags == ["duplicate message id x in thread x; thread kept,"
+                         " rating targets resolve to the first occurrence"]
+        # the rating of x goes to the first occurrence: b's comment
+        rated = window_events(whole_span_slice(corpus), corpus).rated
+        assert [corpus.users[i].user_id for i in rated] == ["b"]
 
 
 class TestMessageAuthors:
@@ -955,8 +978,8 @@ class TestRecipients:
         assert corpus.threads[0].recipients == ("x", "m")
         entry = homophily(window_events(whole_span_slice(corpus), corpus),
                           user_codes(corpus)[0])
-        assert entry.m_comments == 1 and entry.mm_comments == 0
-        assert entry.w_comments == 1 and entry.ww_comments == 0
+        assert entry.m_comments == 1 and entry.p_mm == 0.0
+        assert entry.w_comments == 1 and entry.p_ww == 0.0
 
 
 def one_of_each_record():

@@ -59,14 +59,15 @@ def reference_build_corpus(threads, ratings):
 
     message_ids = set()
     for thread in threads:
-        message_ids.add(thread.thread_id)
-        for c in thread.comments:
-            if c.comment_id in message_ids:
+        messages = [("thread", thread.thread_id)]
+        messages += [("comment", c.comment_id) for c in thread.comments]
+        for kind, message_id in messages:
+            if message_id in message_ids:
                 diags.append(
-                    f"duplicate message id {c.comment_id} in thread"
-                    f" {thread.thread_id}; comment kept, rating targets"
+                    f"duplicate message id {message_id} in thread"
+                    f" {thread.thread_id}; {kind} kept, rating targets"
                     " resolve to the first occurrence")
-            message_ids.add(c.comment_id)
+            message_ids.add(message_id)
     fixed_ratings = []
     for event in ratings:
         if event.target_message_id not in message_ids:
@@ -92,8 +93,8 @@ refs = st.builds(UserRef, st.sampled_from(["u0", "u1", "u2"]),
 def conflicting_logs(draw):
     """Threads and ratings whose refs are drawn from one pool by
     position, so one ref object recurs; raters are ids that may or may
-    not post.  A comment id may repeat one of another thread or equal
-    the first thread's id."""
+    not post.  A comment id may repeat one of another thread, equal the
+    first thread's id or be the id of the next thread."""
     pool = draw(st.lists(refs, min_size=1, max_size=6))
     pick = st.sampled_from(range(len(pool))).map(pool.__getitem__)
     threads, message_ids = [], ["ghost"]
@@ -101,7 +102,8 @@ def conflicting_logs(draw):
         published = T0 + timedelta(hours=t)
         comments = tuple(
             CommentRecord(
-                comment_id=draw(st.sampled_from([f"t{t}c{k}", "t0c0", "t0"])),
+                comment_id=draw(st.sampled_from(
+                    [f"t{t}c{k}", "t0c0", "t0", f"t{t + 1}"])),
                 text="", created_at=published + timedelta(minutes=k),
                 author=draw(pick), order_k=k)
             for k in range(1, draw(st.integers(min_value=0, max_value=5)) + 1))

@@ -436,7 +436,7 @@ class TestArraysMatchDicts:
 
 class TestLayerFromMapping:
     def test_mapping_round_trips_and_is_read_only(self):
-        layer = make_layer(3, {(2, 0): 0.25, (0, 1): 0.0, (0, 2): 1.0},
+        layer = make_layer({(2, 0): 0.25, (0, 1): 0.0, (0, 2): 1.0},
                            ORIENT_SENDER)
         assert list(layer.edges.items()) == [((0, 1), 0.0), ((0, 2), 1.0),
                                              ((2, 0), 0.25)]
@@ -452,4 +452,4 @@ class TestLayerFromMapping:
 
     def test_self_loop_is_rejected(self):
         with pytest.raises(ValueError, match="self-loop"):
-            make_layer(3, {(0, 1): 0.5, (2, 2): 0.5}, ORIENT_RECEIVER)
+            make_layer({(0, 1): 0.5, (2, 2): 0.5}, ORIENT_RECEIVER)

@@ -25,8 +25,8 @@ GOOD = {
     "format": ("jsonl", "csv"),
     "window": ("week", "month", "days:1", "days:30"),
     "alpha": ("0.85", "0.5,0.85,0.9"),
-    "beta": ("0.5", "-2"),
-    "gamma": ("0.5", "-2"),
+    "beta": ("0.5", "-2", "-100"),
+    "gamma": ("0.5", "-2", "-100"),
     "layer_order": ("credibility,empowerment,collaboration", "empowerment"),
     "tol": ("1e-6", "0.5"),
     "max_iter": ("2", "200"),
@@ -102,6 +102,7 @@ def _argv(command, options, corpus, out):
 @example(("synth", [("like_rate", "nan", True)]))
 @example(("rank", [("beta", "nan", True)]))
 @example(("rank", [("tol", "inf", True)]))
+@example(("rank", [("beta", "-100", False)]))
 def test_any_option_values_end_cleanly(tiny, invocation):
     command, options = invocation
     corpus, runs = tiny

@@ -36,19 +36,18 @@ FLOW = {"empowerment": "against", "collaboration": "against",
 SLOT = {ORIENT_RECEIVER: "empowerment", ORIENT_SENDER: "credibility"}
 
 
-def solo_pagerank(layer, alpha=0.85, tol=1e-9, max_iter=1000):
-    """Plain PageRank of one layer through the chained ranking with
-    beta = gamma = 0: the layer goes first, in the slot its orientation
-    names, and the two empty layers after it converge at once.  Returns
-    the scores and the flow the oracle should use."""
+def solo_pagerank(n, layer, alpha=0.85, tol=1e-9, max_iter=1000):
+    """Plain PageRank of one layer over ``n`` users through the chained
+    ranking with beta = gamma = 0: the layer goes first, in the slot its
+    orientation names, and the two empty layers after it converge at
+    once.  Returns the scores and the flow the oracle should use."""
     name = SLOT[layer.orientation]
-    layers = {other: make_layer(layer.n, {}, ORIENT_RECEIVER)
-              for other in LAYER_NAMES}
+    layers = {other: make_layer({}, ORIENT_RECEIVER) for other in LAYER_NAMES}
     layers[name] = layer
     order = (name,) + tuple(other for other in LAYER_NAMES if other != name)
     params = MprParams(alpha=(alpha,) * 3, beta=0.0, gamma=0.0,
                        layer_order=order, tol=tol, max_iter=max_iter)
-    result = multiplex_pagerank(MultiplexTensor(n=layer.n, **layers), params)
+    result = multiplex_pagerank(MultiplexTensor(n=n, **layers), params)
     return getattr(result, name).scores, FLOW[name]
 
 
@@ -66,7 +65,7 @@ def random_layer(rng, n, orientation=ORIENT_RECEIVER, p=0.35):
             key = (other, anchor) if orientation == ORIENT_RECEIVER \
                 else (anchor, other)
             edges[key] = weight / total
-    return make_layer(n, edges, orientation)
+    return make_layer(edges, orientation)
 
 
 def random_tensor(rng, n):
@@ -81,14 +80,14 @@ def random_tensor(rng, n):
 class TestRankVector:
     def test_must_sum_to_one(self):
         with pytest.raises(ValueError):
-            RankVector(scores=np.array([0.5, 0.2]), label="x")
+            RankVector(scores=np.array([0.5, 0.2]))
 
     def test_rejects_negative_entries(self):
         with pytest.raises(ValueError):
-            RankVector(scores=np.array([1.5, -0.5]), label="x")
+            RankVector(scores=np.array([1.5, -0.5]))
 
     def test_scores_are_read_only(self):
-        vector = RankVector(scores=np.array([0.5, 0.5]), label="x")
+        vector = RankVector(scores=np.array([0.5, 0.5]))
         with pytest.raises(ValueError):
             vector.scores[0] = 1.0
 
@@ -114,19 +113,19 @@ class TestParamValidation:
 class TestPagerank:
     def test_symmetric_cycle_is_uniform(self):
         for orientation in (ORIENT_RECEIVER, ORIENT_SENDER):
-            layer = make_layer(2, {(0, 1): 1.0, (1, 0): 1.0}, orientation)
-            scores, _flow = solo_pagerank(layer)
+            layer = make_layer({(0, 1): 1.0, (1, 0): 1.0}, orientation)
+            scores, _flow = solo_pagerank(2, layer)
             assert scores == pytest.approx([0.5, 0.5], abs=1e-9)
 
     def test_empty_layer_gives_uniform(self):
-        scores, _flow = solo_pagerank(make_layer(4, {}, ORIENT_RECEIVER))
+        scores, _flow = solo_pagerank(4, make_layer({}, ORIENT_RECEIVER))
         assert scores == pytest.approx([0.25] * 4)
 
     def test_direction_changes_the_beneficiary(self):
         # one stored edge 0 -> 1; the normalized endpoint gives rank away
         edge = {(0, 1): 1.0}
-        against, _ = solo_pagerank(make_layer(2, edge, ORIENT_RECEIVER))
-        along, _ = solo_pagerank(make_layer(2, edge, ORIENT_SENDER))
+        against, _ = solo_pagerank(2, make_layer(edge, ORIENT_RECEIVER))
+        along, _ = solo_pagerank(2, make_layer(edge, ORIENT_SENDER))
         assert against[0] > against[1]                  # rank gathers at 0
         assert along[1] > along[0]                      # rank gathers at 1
         assert against[0] == pytest.approx(along[1])
@@ -138,15 +137,15 @@ class TestPagerank:
         orientation = rng.choice([ORIENT_RECEIVER, ORIENT_SENDER])
         alpha = rng.uniform(0.5, 0.95)
         layer = random_layer(rng, n, orientation)
-        got, flow = solo_pagerank(layer, alpha=alpha, tol=1e-13,
+        got, flow = solo_pagerank(n, layer, alpha=alpha, tol=1e-13,
                                   max_iter=100000)
         want = oracles.dense_pagerank(n, layer.edges, flow, alpha)
         assert np.max(np.abs(got - want)) < 1e-9
 
     def test_non_convergence_raises_with_state(self):
-        layer = make_layer(2, {(0, 1): 1.0}, ORIENT_RECEIVER)
+        layer = make_layer({(0, 1): 1.0}, ORIENT_RECEIVER)
         with pytest.raises(ConvergenceError) as info:
-            solo_pagerank(layer, max_iter=1)
+            solo_pagerank(2, layer, max_iter=1)
         assert info.value.label == "empowerment"
         assert info.value.residual > 0
         assert info.value.last_iterate.shape == (2,)
@@ -161,7 +160,7 @@ class TestChainedRanking:
         params = MprParams(beta=0.0, gamma=0.0, tol=1e-12)
         result = multiplex_pagerank(tensor, params)
         for position, name in enumerate(params.layer_order):
-            solo, _flow = solo_pagerank(tensor.layer(name),
+            solo, _flow = solo_pagerank(tensor.n, tensor.layer(name),
                                         alpha=params.alpha[position],
                                         tol=1e-12)
             got = getattr(result, name).scores
@@ -197,7 +196,6 @@ class TestChainedRanking:
         result = multiplex_pagerank(tensor, MprParams(layer_order=order))
         assert np.array_equal(result.leadership.scores,
                               result.collaboration.scores)
-        assert result.leadership.label == "leadership"
 
     def test_deterministic_across_runs(self):
         rng = random.Random(78)
@@ -335,13 +333,13 @@ class TestStoredMatrices:
 # differential: the numpy matvec and brokerage against scipy.sparse, the
 # way the package computed them before it dropped scipy
 
-def scipy_flow(layer):
-    """M[gainer, giver] as a CSR matrix: weight[src, dst], transposed
-    for a sender-normalized layer."""
+def scipy_flow(layer, n):
+    """M[gainer, giver] over ``n`` users as a CSR matrix: weight[src,
+    dst], transposed for a sender-normalized layer."""
     indptr = np.concatenate(([0], np.cumsum(np.bincount(layer.src,
-                                                        minlength=layer.n))))
+                                                        minlength=n))))
     matrix = sparse.csr_matrix((layer.weight, layer.dst, indptr),
-                               shape=(layer.n, layer.n))
+                               shape=(n, n))
     return matrix if layer.orientation == ORIENT_RECEIVER \
         else matrix.T.tocsr()
 
@@ -363,31 +361,31 @@ def scipy_brokerage(tensor):
 
 
 def shaped_layers(rng):
-    """Layers of both orientations: random ones with dangling and
-    isolated nodes, empty ones, stars and complete graphs."""
+    """(n, layer) pairs of both orientations: random layers with dangling
+    and isolated nodes, empty ones, stars and complete graphs."""
     for n in (1, 2, 5, 17):
         for orientation in (ORIENT_RECEIVER, ORIENT_SENDER):
-            yield make_layer(n, {}, orientation)
+            yield n, make_layer({}, orientation)
             for shape in (star, complete):
                 edges = {(i, j): rng.uniform(0.0, 1.0)
                          for i, ns in enumerate(shape(n)) for j in ns}
-                yield make_layer(n, edges, orientation)
+                yield n, make_layer(edges, orientation)
     for _ in range(40):
         n = rng.randrange(1, 30)
-        yield random_layer(rng, n, rng.choice([ORIENT_RECEIVER,
-                                               ORIENT_SENDER]),
-                           p=rng.choice([0.05, 0.2, 0.6]))
+        yield n, random_layer(rng, n, rng.choice([ORIENT_RECEIVER,
+                                                  ORIENT_SENDER]),
+                              p=rng.choice([0.05, 0.2, 0.6]))
 
 
 class TestFlowProductMatchesScipy:
     def test_shaped_layers(self):
         rng = random.Random(8800)
-        for layer in shaped_layers(rng):
+        for n, layer in shaped_layers(rng):
             for _ in range(3):
-                r = np.array([rng.random() for _ in range(layer.n)])
+                r = np.array([rng.random() for _ in range(n)])
                 r /= r.sum()
                 assert np.array_equal(flow_product(layer.flow, r),
-                                      scipy_flow(layer) @ r)
+                                      scipy_flow(layer, n) @ r)
 
     @pytest.mark.parametrize("seed", range(5))
     def test_rank_iterates_match_scipy(self, seed, monkeypatch):
@@ -396,7 +394,7 @@ class TestFlowProductMatchesScipy:
                                                n_threads=20)
         tensor = build_tensor(window, corpus)
         got = multiplex_pagerank(tensor, MprParams(tol=1e-13))
-        csr = {id(layer.flow): scipy_flow(layer)
+        csr = {id(layer.flow): scipy_flow(layer, tensor.n)
                for _name, layer in tensor.layers()}
         monkeypatch.setattr(rank, "flow_product",
                             lambda flow, r: csr[id(flow)] @ r)

@@ -6,15 +6,12 @@ import pytest
 
 from conftest import message_author_map
 from leadnet.ingest import Gender
-from leadnet.topics import load_lexicon
 from leadnet.synth import (
     POOLS,
+    STOP_TOKENS,
     SyntheticSpec,
-    builtin_lexicon,
     generate,
     pool_of_ngram,
-    write_lexicon_tsv,
-    write_stopwords_txt,
 )
 
 SMALL = SyntheticSpec(n_users=20, n_threads=40, seed=7)
@@ -132,7 +129,6 @@ class TestTopicsPlanted:
 
     def test_texts_stay_inside_their_pool(self):
         corpus = generate(SMALL)
-        lexicon = builtin_lexicon()
         vocab = {
             pool.name: {surface for s, _c, _l in pool.concepts
                         for surface in s.split()}
@@ -156,18 +152,15 @@ class TestTopicsPlanted:
 
 
 class TestLexiconFiles:
-    def test_written_files_reload_to_the_builtin_lexicon(self, tmp_path):
-        lex_path = tmp_path / "lexicon.tsv"
-        stop_path = tmp_path / "stopwords.txt"
-        write_lexicon_tsv(lex_path)
-        write_stopwords_txt(stop_path)
-        with open(lex_path, encoding="utf-8") as lex, \
-                open(stop_path, encoding="utf-8") as stops:
-            loaded = load_lexicon(lex, stops)
-        assert loaded == builtin_lexicon()
+    def test_written_files_reload_to_the_generator_vocabulary(
+            self, synth_lexicon):
+        assert synth_lexicon.entries == {
+            (surface,): concept_id
+            for pool in POOLS for surface, concept_id, _lang in pool.concepts}
+        assert synth_lexicon.stop_tokens == {t for t, _lang in STOP_TOKENS}
 
-    def test_builtin_lexicon_knows_the_planted_phrases(self):
-        lexicon = builtin_lexicon()
+    def test_written_lexicon_knows_the_planted_phrases(self, synth_lexicon):
+        lexicon = synth_lexicon
         assert ("carta", "credito") not in lexicon.entries
         assert lexicon.entries[("carta",)].startswith("pay.")
         assert lexicon.entries[("cloud",)].startswith("cld.")

@@ -18,11 +18,11 @@ from leadnet.topics import (
     ConceptLexicon,
     Topic,
     TopicConfig,
+    _concept_grams,
     bron_kerbosch,
     chain_streams,
     cooccurrence_graph,
     cosine,
-    extract_concepts,
     load_lexicon,
     merge_vertical,
     thread_grams,
@@ -109,31 +109,31 @@ class TestLexiconLoading:
 
 class TestExtraction:
     def test_stop_bridged_run_emits_ngram_and_unigrams(self):
-        grams = extract_concepts("analisi delle performance", LEX)
+        grams = _concept_grams(tokenize("analisi delle performance"), LEX)
         assert grams == ["analisi_delle_performance", "analisi",
                          "performance"]
 
     def test_adjacent_concepts_join_directly(self):
-        grams = extract_concepts("digital marketing", LEX)
+        grams = _concept_grams(tokenize("digital marketing"), LEX)
         assert grams == ["digital_marketing", "digital", "marketing"]
 
     def test_plain_word_breaks_the_run(self):
-        grams = extract_concepts("analisi team performance", LEX)
+        grams = _concept_grams(tokenize("analisi team performance"), LEX)
         assert grams == ["analisi", "performance"]
 
     def test_trailing_connector_is_not_kept(self):
-        assert extract_concepts("analisi delle", LEX) == ["analisi"]
+        assert _concept_grams(tokenize("analisi delle"), LEX) == ["analisi"]
 
     def test_leading_connector_is_ignored(self):
-        assert extract_concepts("delle analisi", LEX) == ["analisi"]
+        assert _concept_grams(tokenize("delle analisi"), LEX) == ["analisi"]
 
     def test_longest_surface_wins(self):
-        grams = extract_concepts("data lake performance", LEX)
+        grams = _concept_grams(tokenize("data lake performance"), LEX)
         assert grams == ["data_lake_performance", "data_lake", "performance"]
 
     def test_runs_chunk_at_max_ngram(self):
         text = "analisi performance digital marketing data"
-        grams = extract_concepts(text, LEX)
+        grams = _concept_grams(tokenize(text), LEX)
         assert grams == [
             "analisi_performance_digital_marketing",
             "analisi", "performance", "digital", "marketing",
@@ -141,7 +141,7 @@ class TestExtraction:
         ]
 
     def test_occurrences_repeat(self):
-        grams = extract_concepts("analisi e analisi", LEX)
+        grams = _concept_grams(tokenize("analisi e analisi"), LEX)
         assert grams == ["analisi", "analisi"]
 
     def test_runs_stay_inside_message_parts(self):
@@ -213,8 +213,8 @@ class TestCosine:
         assert cosine(a, b) == pytest.approx(oracles.cosine_reference(a, b))
 
 
-def topic(topic_id, window=0, **members):
-    return Topic(topic_id=topic_id, window=window, members=members)
+def topic(topic_id, **members):
+    return Topic(topic_id=topic_id, members=members)
 
 
 class TestMergeVertical:
@@ -363,7 +363,7 @@ class TestSerialization:
 
 
 # ---------------------------------------------------------------------------
-# The walker against a reference: extract_concepts, thread_grams and
+# The walker against a reference: _concept_grams, thread_grams and
 # cooccurrence_graph as they were written before the first-token index
 # (each message tokenized and walked on its own, every surface length
 # tried at every token, edges added pair by pair), with their own
@@ -462,7 +462,7 @@ def assert_walks_like_reference(window, lexicon, min_freq=1):
     for thread in window.threads:
         for text in (thread.title, thread.description,
                      *(c.text for c in thread.comments)):
-            assert extract_concepts(text, lexicon) == \
+            assert _concept_grams(tokenize(text), lexicon) == \
                 ref_extract_concepts(text, lexicon), text
         assert thread_grams(thread, lexicon) == \
             ref_thread_grams(thread, lexicon)
@@ -531,8 +531,9 @@ class TestWalkerAgainstReference:
     def test_surfaces_holding_stop_tokens_join_runs(self):
         surfaces, stopwords, _threads = \
             self.CASES["surfaces starting with or holding a stop token"]
-        grams = extract_concepts("carta di credito of course carta di carta",
-                                 tsv_lexicon(surfaces, stopwords))
+        grams = _concept_grams(
+            tokenize("carta di credito of course carta di carta"),
+            tsv_lexicon(surfaces, stopwords))
         assert grams == ["carta_di_credito_of_course_carta_di_carta",
                          "carta_di_credito", "of_course", "carta", "carta"]
 

@@ -88,7 +88,7 @@ class ParentWalkers:
 
         return (rate(ww, w_all), rate(mm, m_all),
                 rate(threads_w, threads_known), rate(threads_m, threads_known),
-                ww, w_all, mm, m_all, threads_w, threads_m, threads_known)
+                w_all, m_all, threads_known)
 
     @staticmethod
     def active_user_indices(slice, corpus):
@@ -110,10 +110,7 @@ class ParentWalkers:
         top = idx[np.lexsort((idx, -rank.scores[idx]))[:effective]].tolist()
         women_top = sum(1 for i in top
                         if corpus.users[i].gender is Gender.female)
-        women_active = sum(1 for i in indices
-                           if corpus.users[i].gender is Gender.female)
-        return (rank.label, effective, len(indices), women_top / effective,
-                women_active / len(indices), wanted > len(indices))
+        return effective, len(indices), women_top / effective
 
     @staticmethod
     def response_stats(slice, corpus, group_by):
@@ -139,7 +136,7 @@ class ParentWalkers:
         return [(group,
                  sum(latencies[group]) / len(latencies[group])
                  if latencies[group] else None,
-                 comments[group], threads[group])
+                 comments[group])
                 for group in sorted(threads)]
 
 
@@ -168,7 +165,7 @@ def check_window(corpus, window, rng):
     # few distinct scores, so most users tie
     raw = np.array([rng.choice([0.0, 1.0, 1.0, 2.0]) for _ in corpus.users])
     raw[rng.randrange(raw.size)] += 1.0
-    rank = RankVector(scores=raw / raw.sum(), label="leadership")
+    rank = RankVector(scores=raw / raw.sum())
     for k in (None, 1, rng.randint(1, active.size + 2)):
         same(astuple(top_mass(rank, gender, active, k)),
              ParentWalkers.top_mass(rank, corpus, active.tolist(), k))
