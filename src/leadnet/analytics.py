@@ -105,14 +105,12 @@ def active_user_indices(events: WindowEvents) -> np.ndarray:
                                      events.rater)))
 
 
-def top_mass(rank: RankVector, gender: np.ndarray,
-             active: Iterable[int] | None = None,
+def top_mass(rank: RankVector, gender: np.ndarray, active: Iterable[int],
              k: int | None = None) -> TopMassEntry:
-    """mass_w = women among the top-k / k, over ``gender`` codes.  k
-    defaults to the top decile of the active users (at least 1) and is
-    clamped to their count."""
-    idx = np.arange(gender.size) if active is None \
-        else np.unique(np.fromiter(active, dtype=np.int64))
+    """mass_w = women among the top-k of the ``active`` users / k, over
+    ``gender`` codes.  k defaults to the top decile of the active users
+    (at least 1) and is clamped to their count."""
+    idx = np.unique(np.fromiter(active, dtype=np.int64))
     if not idx.size:
         raise ValueError("no active users to rank")
     wanted = k if k is not None else max(1, idx.size // 10)

@@ -511,8 +511,8 @@ def _ranked_windows(cfg: dict, with_brokerage: bool, with_analytics: bool):
         except ConvergenceError as exc:
             where = (f"window {window_slice.index} "
                      f"({format_timestamp(window_slice.start)})")
-            raise ConvergenceError(exc.label, exc.residual, exc.last_iterate,
-                                   window=where) from None
+            raise ConvergenceError(exc.label, exc.residual, exc.last_iterate, window=where,
+                                   overflow_step=exc.overflow_step) from None
         return (result, brokerage(tensor) if with_brokerage else None,
                 _window_analytics(window_slice, events, result.leadership,
                                   codes, cfg["top_k"]) if with_analytics else None)

@@ -37,6 +37,7 @@ from bisect import bisect_right
 from contextlib import contextmanager
 from dataclasses import dataclass, field, replace
 from datetime import MAXYEAR, datetime, timedelta, timezone
+from operator import itemgetter
 from pathlib import Path
 from typing import IO, Container, Iterable, Iterator, Mapping
 
@@ -231,6 +232,7 @@ class WindowSlice:
 # timestamps
 
 UTC = timezone.utc
+_fromisoformat = datetime.fromisoformat
 
 
 def parse_timestamp(text: str) -> datetime:
@@ -239,9 +241,9 @@ def parse_timestamp(text: str) -> datetime:
     if not isinstance(text, str) or not text:
         raise ValueError("timestamp must be a non-empty string")
     raw = text.strip()
-    if raw.endswith(("Z", "z")):
+    if raw[-1:] in ("Z", "z"):  # "" when ``text`` is only whitespace
         raw = raw[:-1] + "+00:00"
-    dt = datetime.fromisoformat(raw)
+    dt = _fromisoformat(raw)
     if dt.tzinfo is UTC and not dt.microsecond:
         return dt  # a zero offset already parses to timezone.utc
     if dt.tzinfo is None:
@@ -281,38 +283,45 @@ def decode_role(value: object) -> Role | None:
         return None
 
 
-def _decode_user(obj: object, lineno: int, diags: list[str], where: str,
-                 known: dict[tuple, UserRef]) -> UserRef | None:
-    """Decode an author object; None means the record/comment is unusable.
+def _at(lineno: int, comment_id: str | None) -> str:
+    """Where a diagnostic points: the line, and the comment of a comment's field."""
+    return f"line {lineno}" + ("" if comment_id is None else f" (comment {comment_id})")
+
+
+def _decode_user(obj: object, lineno: int, diags: list[str],
+                 known: dict[tuple, UserRef],
+                 comment_id: str | None = None) -> UserRef | None:
+    """Decode the author object of a thread, or of comment ``comment_id``;
+    None means the record/comment is unusable.
 
     ``known`` is the parse's table of refs, keyed both by raw
     (user_id, role, gender) values and by decoded ones, so each distinct
     user is one object.  Raw keys are stored only for decodes that wrote
-    no diagnostic, so every unrecognized value is reported where it
-    occurs."""
-    if not isinstance(obj, dict) or not obj.get("user_id"):
-        diags.append(f"missing author_id at line {lineno}{where}")
-        return None
-    user_id = obj["user_id"]
-    if not isinstance(user_id, str):
-        diags.append(f"invalid author_id at line {lineno}{where}")
-        return None
-    raw_role, raw_gender = obj.get("role"), obj.get("gender")
-    raw: tuple | None = (user_id, raw_role, raw_gender)
+    no diagnostic, so an object whose raw values are found needs no
+    check, and every unrecognized value is reported where it occurs."""
+    raw: tuple | None = ((obj.get("user_id"), obj.get("role"), obj.get("gender"))
+                         if isinstance(obj, dict) else (None, None, None))
+    user_id, raw_role, raw_gender = raw
     # a boolean or float gender is a key equal to 0 or 1: it skips the table
     try:
         ref = None if isinstance(raw_gender, (bool, float)) else known.get(raw)
-    except TypeError:  # an unhashable role or gender, which never decodes
-        raw, ref = None, None
+    except TypeError:  # an unhashable id, role or gender, which never decodes
+        ref = None
     if ref is not None:
         return ref
+    if not user_id:
+        diags.append(f"missing author_id at {_at(lineno, comment_id)}")
+        return None
+    if not isinstance(user_id, str):
+        diags.append(f"invalid author_id at {_at(lineno, comment_id)}")
+        return None
     gender = decode_gender(raw_gender)
     if gender is None:
-        diags.append(f"unrecognized gender {raw_gender!r} at line {lineno}{where}")
+        diags.append(f"unrecognized gender {raw_gender!r} at {_at(lineno, comment_id)}")
         gender, raw = Gender.unknown, None
     role = decode_role(raw_role)
     if role is None:
-        diags.append(f"unrecognized role {raw_role!r} at line {lineno}{where}")
+        diags.append(f"unrecognized role {raw_role!r} at {_at(lineno, comment_id)}")
         role, raw = Role.unknown, None
     ref = known.setdefault((user_id, role, gender), UserRef(user_id, role, gender))
     if raw is not None:
@@ -372,9 +381,10 @@ def _finish_comments(
     Comments predating the thread are clamped to published_at with a
     diagnostic; order_k then follows (created_at, comment_id) order.
     """
-    clamped: list[tuple[str, str, datetime, UserRef]] = []
+    clamped: list[tuple[str, str, datetime, UserRef, int]] = []
     seen_ids: set[str] = set()
-    for comment_id, text, created_at, author, lineno in raw_comments:
+    for comment in raw_comments:
+        comment_id, text, created_at, author, lineno = comment
         if comment_id in seen_ids:
             diags.append(f"duplicate comment_id {comment_id} at line {lineno}; skipped")
             continue
@@ -384,13 +394,11 @@ def _finish_comments(
                 f"comment {comment_id} predates thread {thread_id} at line {lineno};"
                 " clamped to published_at"
             )
-            created_at = published_at
-        clamped.append((comment_id, text, created_at, author))
-    clamped.sort(key=lambda c: (c[2], c[0]))
-    return tuple(
-        CommentRecord(comment_id=cid, text=text, created_at=at, author=author, order_k=k)
-        for k, (cid, text, at, author) in enumerate(clamped, start=1)
-    )
+            comment = (comment_id, text, published_at, author, lineno)
+        clamped.append(comment)
+    clamped.sort(key=itemgetter(2, 0))
+    return tuple([CommentRecord(cid, text, at, author, k)
+                  for k, (cid, text, at, author, _line) in enumerate(clamped, start=1)])
 
 
 def _check_corrupt(total: int, malformed: int) -> None:
@@ -399,16 +407,23 @@ def _check_corrupt(total: int, malformed: int) -> None:
         raise CorruptInputError(f"corrupt input: {malformed} of {total} records malformed")
 
 
+_scan_json = json.JSONDecoder().scan_once
+
+
 def _jsonl_objects(stream: IO[str], diags: list[str]) -> Iterable[tuple[int, dict | None]]:
     """(line number, object) for each non-blank line of a JSON Lines
     stream; the object is None, with its diagnostic written, when the
-    line is not a JSON object."""
+    line is not a JSON object.  A line is read as ``json.loads`` reads
+    it: one value with only JSON whitespace around it."""
     for lineno, line in enumerate(stream, start=1):
-        if not line.strip():
+        doc = line.strip(" \t\n\r")
+        if not doc.strip():  # a blank line: only whitespace
             continue
         try:
-            obj = json.loads(line)
-        except (ValueError, RecursionError):  # bad JSON, too many digits, too deep
+            obj, end = _scan_json(doc, 0)
+        except (StopIteration, ValueError, RecursionError):
+            end = -1  # no value, bad JSON, too many digits, or too deep
+        if end != len(doc):
             diags.append(f"invalid JSON at line {lineno}")
             yield lineno, None
             continue
@@ -448,7 +463,7 @@ def _decode_thread_obj(obj: dict, lineno: int, diags: list[str],
     if not thread_id or not isinstance(thread_id, str):
         diags.append(f"missing thread_id at line {lineno}")
         return None
-    author = _decode_user(obj.get("author"), lineno, diags, "", known)
+    author = _decode_user(obj.get("author"), lineno, diags, known)
     if author is None:
         return None
     if "published_at" not in obj:
@@ -466,28 +481,26 @@ def _decode_thread_obj(obj: dict, lineno: int, diags: list[str],
     if not isinstance(title, str) or not isinstance(description, str):
         diags.append(f"invalid title/description at line {lineno}")
         return None
-    if not isinstance(tags, list) or not all(isinstance(t, str) for t in tags):
-        diags.append(f"invalid tags at line {lineno}")
-        return None
+    # the parse's threads share one tuple of interned strings per tag set,
+    # and a list found in that table is a list of strings
+    try:
+        shared = tag_sets.get(tuple(tags)) if isinstance(tags, list) else None
+    except TypeError:  # an unhashable tag, which is never a string
+        shared = None
+    if shared is None:
+        if not isinstance(tags, list) or not all(isinstance(t, str) for t in tags):
+            diags.append(f"invalid tags at line {lineno}")
+            return None
+        shared = tag_sets[tuple(tags)] = tuple(map(sys.intern, tags))
 
     comments = obj.get("comments", [])
     if not isinstance(comments, list):
         diags.append(f"invalid comments at line {lineno}")
         return None
-    decoded = (_decode_comment(c, idx, lineno, diags, known, "; comment skipped")
-               for idx, c in enumerate(comments))
-    # the parse's threads share one tuple of interned strings per tag set
-    tags = tag_sets.setdefault(tuple(tags), tuple(map(sys.intern, tags)))
-    return ThreadRecord(
-        thread_id=thread_id,
-        title=title,
-        description=description,
-        published_at=published_at,
-        tags=tags,
-        author=author,
-        comments=_finish_comments(thread_id, published_at,
-                                  [c for c in decoded if c is not None], diags),
-    )
+    decoded = [comment for idx, c in enumerate(comments) if (comment := _decode_comment(
+        c, idx, lineno, diags, known, "; comment skipped")) is not None]
+    return ThreadRecord(thread_id, title, description, published_at, shared, author,
+                        _finish_comments(thread_id, published_at, decoded, diags))
 
 
 def _decode_comment(c: object, idx: int, lineno: int, diags: list[str],
@@ -500,18 +513,17 @@ def _decode_comment(c: object, idx: int, lineno: int, diags: list[str],
     if not comment_id or not isinstance(comment_id, str):
         diags.append(f"missing comment_id at line {lineno} (comment {idx}){skipped}")
         return None
-    where = f" (comment {comment_id})"
-    author = _decode_user(c.get("author"), lineno, diags, where, known)
+    author = _decode_user(c.get("author"), lineno, diags, known, comment_id)
     if author is None:
         return None
     try:
         created_at = parse_timestamp(c.get("created_at"))
     except (ValueError, TypeError):
-        diags.append(f"invalid created_at at line {lineno}{where}{skipped}")
+        diags.append(f"invalid created_at at {_at(lineno, comment_id)}{skipped}")
         return None
     text = c.get("text", "")
     if not isinstance(text, str):
-        diags.append(f"invalid text at line {lineno}{where}{skipped}")
+        diags.append(f"invalid text at {_at(lineno, comment_id)}{skipped}")
         return None
     return comment_id, text, created_at, author, lineno
 
@@ -695,11 +707,12 @@ def _merged_users(threads: list[ThreadRecord], ratings: list[RatingEvent],
     attrs: dict[str, tuple[Role, Gender]] = {}
     merged: set[int] = set()  # ids of refs merged without a diagnostic
     for thread in threads:
-        for ref in (thread.author, *(c.author for c in thread.comments)):
+        for ref in (thread.author, *[c.author for c in thread.comments]):
             if id(ref) not in merged and _merge_attrs(attrs, ref, diags):
                 merged.add(id(ref))
+    unknown = (Role.unknown, Gender.unknown)
     for event in ratings:
-        attrs.setdefault(event.rater_id, (Role.unknown, Gender.unknown))
+        attrs.setdefault(event.rater_id, unknown)
     return tuple(UserRef(user_id, role, gender)
                  for user_id, (role, gender) in sorted(attrs.items()))
 

@@ -34,16 +34,20 @@ EPSILON_FLOOR = 1e-12
 
 
 class ConvergenceError(Exception):
-    """A layer's iteration ran out of steps or lost its finite mass; the
-    message names the ``window`` too, when the caller knows it."""
+    """A layer's iteration ran out of steps, or lost its finite mass at
+    step ``overflow_step``; the message names the ``window`` too, when the
+    caller knows it."""
 
     def __init__(self, label: str, residual: float, last_iterate: np.ndarray,
-                 window: str | None = None):
-        message = f"{label} ranking did not converge: residual {residual:.3e}"
+                 window: str | None = None, overflow_step: int | None = None):
+        message = (f"{label} ranking did not converge: residual {residual:.3e}"
+                   if overflow_step is None else
+                   f"{label} ranking weights overflowed at step {overflow_step}")
         super().__init__(message if window is None else f"{window}: {message}")
         self.label = label
         self.residual = residual
         self.last_iterate = last_iterate
+        self.overflow_step = overflow_step
 
 
 @dataclass(frozen=True)
@@ -119,12 +123,12 @@ def _power_iterate(
 ) -> np.ndarray:
     r = np.full(n, 1.0 / n)
     residual = np.inf
-    for _ in range(max_iter):
+    for step in range(1, max_iter + 1):
         moved = walk_scale * flow_product(flow, r)
         nxt = alpha * moved + teleport
         total = nxt.sum()
         if not 0.0 < total < np.inf:  # False for NaN too
-            raise ConvergenceError(label, np.inf, nxt)
+            raise ConvergenceError(label, np.inf, nxt, overflow_step=step)
         nxt /= total
         residual = float(np.abs(nxt - r).sum())
         r = nxt
@@ -142,7 +146,7 @@ def multiplex_pagerank(
     vector doubles as the leadership rank.  The first layer takes x = 1,
     which makes its walk scale 1 and its teleport (1 - alpha) / n: plain
     PageRank.  A negative exponent whose weights overflow makes a step
-    inf or NaN, and that layer raises ConvergenceError on that step."""
+    inf or NaN, and that layer raises ConvergenceError naming that step."""
     vectors: dict[str, np.ndarray] = {}
     prev = np.ones(tensor.n)
     for position, name in enumerate(params.layer_order):

@@ -116,23 +116,28 @@ def dense_pagerank(n, edges, flow, alpha):
 
 
 # ---------------------------------------------------------------------------
-# chained multiplex ranking, scripted as a direct dense fixed point
+# chained multiplex ranking as one dense eigenproblem per layer
+#
+# The renormalized iteration r <- normalize(alpha*s*(M@r) + t*sum(r)) is the
+# power method applied to A = alpha*diag(s)@M + t*ones, so its fixed point
+# is the Perron vector of A: positive, for the eigenvalue of largest real
+# part.  t > 0 everywhere, so A is positive and that vector is unique.
 
 def dense_multiplex_pagerank(n, layer_edges, layer_flows, alphas, beta, gamma,
-                             tol=1e-12, max_iter=100000, floor=1e-12):
-    """Reference for the layer-chained ranking.
+                             floor=1e-12):
+    """Reference for the layer-chained ranking, solved as eigenproblems.
 
     layer_edges/layer_flows/alphas are sequences ordered by evaluation.
     The first layer is plain PageRank; each later layer multiplies the
-    walk term by x_i**beta and teleports proportionally to x_i**gamma,
-    where x is the previous layer's converged vector (zeros floored).
-    Every iterate is L1-renormalized.
+    walk term by s = x**beta and teleports t = (1 - alpha) * x**gamma /
+    sum(x**gamma), where x is the previous layer's vector (zeros
+    floored).  Each vector is the Perron vector of its layer's A,
+    L1-normalized.
     """
     results = []
     x = None
     for edges, flow, alpha in zip(layer_edges, layer_flows, alphas):
         m = iteration_matrix(n, edges, flow)
-        r = np.full(n, 1.0 / n)
         if x is None:
             walk_scale = np.ones(n)
             teleport = np.full(n, (1.0 - alpha) / n)
@@ -141,17 +146,11 @@ def dense_multiplex_pagerank(n, layer_edges, layer_flows, alphas, beta, gamma,
             walk_scale = xf ** beta
             xg = xf ** gamma
             teleport = (1.0 - alpha) * xg / xg.sum()
-        for _ in range(max_iter):
-            nxt = alpha * walk_scale * (m @ r) + teleport
-            nxt = nxt / nxt.sum()
-            delta = np.abs(nxt - r).sum()
-            r = nxt
-            if delta < tol:
-                break
-        else:
-            raise RuntimeError("reference iteration did not converge")
-        results.append(r)
-        x = r
+        a = alpha * walk_scale[:, None] * m + np.outer(teleport, np.ones(n))
+        values, vectors = np.linalg.eig(a)
+        v = np.abs(vectors[:, np.argmax(values.real)].real)
+        x = v / v.sum()
+        results.append(x)
     return results
 
 

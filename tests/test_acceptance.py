@@ -123,7 +123,7 @@ def test_04_chained_ranking_against_dense_oracle(gate):
                 n,
                 [tensor.layer(name).edges for name in order],
                 [FLOW[name] for name in order],
-                alphas, beta, gamma, tol=1e-14,
+                alphas, beta, gamma,
             )
             for name, expected in zip(order, want):
                 gap = np.max(np.abs(getattr(result, name).scores - expected))

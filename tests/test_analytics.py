@@ -31,6 +31,11 @@ def gender_of(corpus):
     return user_codes(corpus)[0]
 
 
+def everyone(corpus):
+    """Every user's index, as the active users of a window all post in."""
+    return np.arange(corpus.n_users)
+
+
 def window_homophily(corpus, window):
     return homophily(window_events(window, corpus), gender_of(corpus))
 
@@ -131,27 +136,27 @@ class TestTopMass:
     def test_counts_women_in_the_top_k(self):
         corpus, _window = self.corpus()
         rank = self.rank([5.0, 4.0, 3.0, 2.0, 1.0])   # a, b, c, d, e
-        entry = top_mass(rank, gender_of(corpus), k=2)
+        entry = top_mass(rank, gender_of(corpus), everyone(corpus), k=2)
         assert entry.mass_w == pytest.approx(0.5)     # {a, b}
-        assert top_mass(rank, gender_of(corpus), k=3).mass_w == \
+        assert top_mass(rank, gender_of(corpus), everyone(corpus), k=3).mass_w == \
             pytest.approx(2 / 3)
 
     def test_score_ties_break_by_user_id(self):
         corpus, _window = self.corpus()
         rank = self.rank([1.0, 1.0, 1.0, 1.0, 1.0])
-        entry = top_mass(rank, gender_of(corpus), k=2)
+        entry = top_mass(rank, gender_of(corpus), everyone(corpus), k=2)
         assert entry.mass_w == pytest.approx(0.5)     # {a, b} alphabetical
 
     def test_unknown_gender_takes_a_slot_without_counting(self):
         corpus, _window = self.corpus()
         rank = self.rank([1.0, 1.0, 1.0, 1.0, 100.0])  # e on top
-        entry = top_mass(rank, gender_of(corpus), k=1)
+        entry = top_mass(rank, gender_of(corpus), everyone(corpus), k=1)
         assert entry.mass_w == 0.0
 
     def test_full_depth_equals_the_prior(self):
         corpus, _window = self.corpus()
         rank = self.rank([3.0, 1.0, 4.0, 1.0, 5.0])
-        entry = top_mass(rank, gender_of(corpus), k=corpus.n_users)
+        entry = top_mass(rank, gender_of(corpus), everyone(corpus), k=corpus.n_users)
         women = sum(u.gender is Gender.female for u in corpus.users)
         assert entry.n_active == corpus.n_users
         assert entry.mass_w == pytest.approx(women / entry.n_active) == \
@@ -160,14 +165,14 @@ class TestTopMass:
     def test_default_k_is_the_top_decile_floored_at_one(self):
         corpus, _window = self.corpus()
         rank = self.rank([5.0, 4.0, 3.0, 2.0, 1.0])
-        entry = top_mass(rank, gender_of(corpus))
+        entry = top_mass(rank, gender_of(corpus), everyone(corpus))
         assert entry.k == 1 and entry.n_active == 5
         assert entry.mass_w == pytest.approx(1.0)
 
     def test_oversized_k_clamps_to_the_active_count(self):
         corpus, _window = self.corpus()
         rank = self.rank([1.0] * 5)
-        entry = top_mass(rank, gender_of(corpus), k=12)
+        entry = top_mass(rank, gender_of(corpus), everyone(corpus), k=12)
         assert entry.k == entry.n_active == 5
 
     def test_active_subset_restricts_the_ranking(self):
@@ -188,7 +193,7 @@ class TestTopMass:
         with pytest.raises(ValueError):
             top_mass(rank, gender_of(corpus), active=set())
         with pytest.raises(ValueError):
-            top_mass(rank, gender_of(corpus), k=0)
+            top_mass(rank, gender_of(corpus), everyone(corpus), k=0)
 
 
 class TestActiveUsers:

@@ -469,7 +469,7 @@ class TestConvergenceFailure:
                        exponent, -100) == 1
         assert capsys.readouterr().err == (
             "error: window 0 (2014-01-01T00:00:00Z): credibility ranking"
-            " did not converge: residual inf\n")
+            " weights overflowed at step 1\n")
         assert len(steps) == 3 and steps[-1] == 1
         assert not out.exists()
 

@@ -126,6 +126,7 @@ class TestAnalyticsCsv:
                 multiplex_pagerank(build_tensor(window, corpus),
                                    MprParams()).leadership,
                 gender,
+                active_user_indices(events),
             ),
             response_stats(events, role, ROLE_GROUPS),
             response_stats(events, gender, GENDER_GROUPS),

@@ -97,6 +97,23 @@ class TestTimestamps:
         with pytest.raises(ValueError):
             parse_timestamp("last tuesday")
 
+    @pytest.mark.parametrize("text", ["   ", " ", "\t\n"])
+    def test_whitespace_only_is_a_value_error(self, text):
+        with pytest.raises(ValueError):
+            parse_timestamp(text)
+
+    def test_whitespace_only_fields_are_invalid(self):
+        threads, diags = parse_thread_log(jsonl(
+            {**thread_obj(),
+             "comments": [{"comment_id": "c1", "created_at": " ",
+                           "author": {"user_id": "b"}}]},
+            thread_obj(thread_id="t2", published="  "),
+            thread_obj(thread_id="t3"),
+        ))
+        assert diags == ["invalid created_at at line 1 (comment c1); comment skipped",
+                         "invalid published_at at line 2"]
+        assert [(t.thread_id, len(t.comments)) for t in threads] == [("t1", 0), ("t3", 0)]
+
 
 class TestOutOfRangeTimestamps:
     """A time that leaves datetime's range once converted to UTC is an

@@ -183,7 +183,7 @@ class TestChainedRanking:
             n,
             [tensor.layer(name).edges for name in order],
             [FLOW[name] for name in order],
-            alphas, beta, gamma, tol=1e-14,
+            alphas, beta, gamma,
         )
         for name, expected in zip(order, want):
             got = getattr(result, name).scores
