@@ -120,12 +120,11 @@ def _float(value: object) -> float:
     return number
 
 
-def _window(value: object) -> str:
+def _window(value: object) -> WindowConfig:
     try:
-        WindowConfig.from_string(str(value))
+        return WindowConfig.from_string(str(value))
     except ValueError as exc:
         raise UsageError(str(exc)) from exc
-    return str(value)
 
 
 def _format(value: object) -> str:
@@ -176,7 +175,7 @@ SETTINGS: dict[str, tuple[Callable[[object], object], object, str]] = {
     "stopwords": (str, None, "stopword list, one token per line"),
     "out": (str, None, "output directory (created if missing)"),
     "format": (_format, "jsonl", "thread log format: jsonl or csv"),
-    "window": (_window, "month", "window length: week, month, or days:N"),
+    "window": (_window, WindowConfig("month"), "window length: week, month, or days:N"),
     "alpha": (_alpha, MprParams.alpha,
               "damping per layer: one value or three comma-separated"),
     "beta": (_float, MprParams.beta,
@@ -358,6 +357,8 @@ def _json_ready(value: object) -> object:
         return [_json_ready(v) for v in value]
     if isinstance(value, Role):
         return value.value
+    if isinstance(value, WindowConfig):
+        return str(value)
     return value
 
 
@@ -425,7 +426,7 @@ def _load_corpus(cfg: dict) -> tuple[Corpus, list[str]]:
 
 def _slices(corpus: Corpus, cfg: dict) -> list[WindowSlice]:
     try:
-        return window_partition(corpus, WindowConfig.from_string(cfg["window"]))
+        return window_partition(corpus, cfg["window"])
     except OverflowError:
         raise UsageError(f"--window: {cfg['window']} windows run past the year 9999") from None
 
@@ -440,7 +441,12 @@ def _print_diags(diags: Sequence[str]) -> None:
 
 def cmd_synth(cfg: dict, ctx: RunContext) -> None:
     spec = cfg["synth_spec"]
-    corpus = generate(spec)
+    try:
+        corpus = generate(spec)
+    except (OverflowError, ZeroDivisionError) as exc:
+        raise UsageError(f"--comments-mean, --uplift, --reply-latency-mean-s,"
+                         f" --manager-latency-factor or --span-days is too"
+                         f" extreme to draw a corpus ({exc})") from None
     write_threads_jsonl(corpus.threads, ctx.path("threads.jsonl"))
     write_ratings_jsonl(corpus.ratings, ctx.path("ratings.jsonl"))
     write_lexicon_tsv(ctx.path("lexicon.tsv"))
@@ -468,8 +474,7 @@ def cmd_ingest(cfg: dict, ctx: RunContext) -> None:
                 "start": format_timestamp(s.start),
                 "end": format_timestamp(s.end),
                 "threads": len(s.threads),
-                "ratings": len(corpus.ratings_of({m for t in s.threads for m in (
-                    t.thread_id, *(c.comment_id for c in t.comments))})),
+                "ratings": len(corpus.ratings_in(s.threads)),
             }
             for s in slices
         ],
@@ -509,10 +514,8 @@ def _ranked_windows(cfg: dict, with_brokerage: bool, with_analytics: bool):
         try:
             result = multiplex_pagerank(tensor, cfg["mpr_params"])
         except ConvergenceError as exc:
-            where = (f"window {window_slice.index} "
-                     f"({format_timestamp(window_slice.start)})")
-            raise ConvergenceError(exc.label, exc.residual, exc.last_iterate, window=where,
-                                   overflow_step=exc.overflow_step) from None
+            where = f"window {window_slice.index} ({format_timestamp(window_slice.start)})"
+            raise ConvergenceError(f"{where}: {exc}") from None
         return (result, brokerage(tensor) if with_brokerage else None,
                 _window_analytics(window_slice, events, result.leadership,
                                   codes, cfg["top_k"]) if with_analytics else None)

@@ -39,7 +39,7 @@ from dataclasses import dataclass, field, replace
 from datetime import MAXYEAR, datetime, timedelta, timezone
 from operator import itemgetter
 from pathlib import Path
-from typing import IO, Container, Iterable, Iterator, Mapping
+from typing import IO, Iterable, Iterator, Mapping
 
 
 class IngestError(Exception):
@@ -177,9 +177,19 @@ class Corpus:
     def n_users(self) -> int:
         return len(self.users)
 
-    def ratings_of(self, message_ids: Container[str]) -> list[RatingEvent]:
-        """The ratings of the messages in ``message_ids``, in corpus order."""
-        return [e for e in self.ratings if e.target_message_id in message_ids]
+    def ratings_in(self, threads: Iterable[ThreadRecord]
+                   ) -> list[tuple[RatingEvent, str]]:
+        """The ratings of the messages in ``threads``, in corpus order,
+        each with the user id of its target's author.  A message id held
+        twice resolves to its first copy in ``threads``, and a rating
+        counts for every set of threads that holds a copy."""
+        author: dict[str, str] = {}
+        for thread in threads:
+            author.setdefault(thread.thread_id, thread.author.user_id)
+            for c in thread.comments:
+                author.setdefault(c.comment_id, c.author.user_id)
+        return [(e, author[e.target_message_id]) for e in self.ratings
+                if e.target_message_id in author]
 
 
 @dataclass(frozen=True)
@@ -212,13 +222,17 @@ class WindowConfig:
             return cls(length="days", days=int(text.split(":", 1)[1]))
         raise ValueError(f"bad window spec {text!r}; expected week|month|days:N")
 
+    def __str__(self) -> str:
+        """The canonical CLI form, which ``from_string`` reads back."""
+        return self.length if self.days is None else f"days:{self.days}"
+
 
 @dataclass(frozen=True)
 class WindowSlice:
     """One half-open window [start, end) with its threads.
 
     A thread belongs wholly to the window containing its published_at;
-    a window holds the ratings of its messages (``Corpus.ratings_of``).
+    a window holds the ratings of its messages (``Corpus.ratings_in``).
     Empty windows inside the corpus span are kept.
     """
 

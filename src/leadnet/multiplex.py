@@ -134,18 +134,13 @@ class WindowEvents(NamedTuple):
 
 
 def window_events(slice: WindowSlice, corpus: Corpus) -> WindowEvents:
-    """Walk the window once; the ratings are those of its messages.  A
-    message id held twice resolves to its first occurrence in the
-    window, as rating targets do in ``ingest.build_corpus``."""
+    """Walk the window once; the ratings are those of its messages, as
+    ``Corpus.ratings_in`` picks them."""
     index = corpus.user_index
     thread_author, first_reply_s = [], []
     position, commenter, recipient, order_k = [], [], [], []
-    message_ids, message_authors = [], []
     for p, thread in enumerate(slice.threads):
-        a = index[thread.author.user_id]
-        thread_author.append(a)
-        message_ids.append(thread.thread_id)
-        message_authors.append(a)
+        thread_author.append(index[thread.author.user_id])
         comments = thread.comments
         if not comments:
             first_reply_s.append(np.nan)
@@ -153,22 +148,18 @@ def window_events(slice: WindowSlice, corpus: Corpus) -> WindowEvents:
         first_reply_s.append(
             (comments[0].created_at - thread.published_at).total_seconds())
         by = [index[c.author.user_id] for c in comments]
-        message_ids += [c.comment_id for c in comments]
-        message_authors += by
         commenter += by
         order_k += [c.order_k for c in comments]
         recipient += [index[r] for r in thread.recipients]
         position += [p] * len(by)
-    # built backwards so that the first occurrence of an id is kept
-    message_author = dict(zip(reversed(message_ids), reversed(message_authors)))
-    ratings = corpus.ratings_of(message_author)
+    ratings = corpus.ratings_in(slice.threads)
     return WindowEvents(
         np.array(thread_author, dtype=np.int64), np.array(first_reply_s),
         *(np.array(column, dtype=np.int64) for column in (
             position, commenter, recipient, order_k,
-            [index[e.rater_id] for e in ratings],
-            [message_author[e.target_message_id] for e in ratings],
-            [e.value for e in ratings])),
+            [index[e.rater_id] for e, _author in ratings],
+            [index[author] for _e, author in ratings],
+            [e.value for e, _author in ratings])),
     )
 
 

@@ -34,20 +34,8 @@ EPSILON_FLOOR = 1e-12
 
 
 class ConvergenceError(Exception):
-    """A layer's iteration ran out of steps, or lost its finite mass at
-    step ``overflow_step``; the message names the ``window`` too, when the
-    caller knows it."""
-
-    def __init__(self, label: str, residual: float, last_iterate: np.ndarray,
-                 window: str | None = None, overflow_step: int | None = None):
-        message = (f"{label} ranking did not converge: residual {residual:.3e}"
-                   if overflow_step is None else
-                   f"{label} ranking weights overflowed at step {overflow_step}")
-        super().__init__(message if window is None else f"{window}: {message}")
-        self.label = label
-        self.residual = residual
-        self.last_iterate = last_iterate
-        self.overflow_step = overflow_step
+    """A layer's iteration ran out of steps or lost its finite mass; the
+    message names the layer and the residual or the step."""
 
 
 @dataclass(frozen=True)
@@ -128,13 +116,15 @@ def _power_iterate(
         nxt = alpha * moved + teleport
         total = nxt.sum()
         if not 0.0 < total < np.inf:  # False for NaN too
-            raise ConvergenceError(label, np.inf, nxt, overflow_step=step)
+            raise ConvergenceError(
+                f"{label} ranking weights overflowed at step {step}")
         nxt /= total
         residual = float(np.abs(nxt - r).sum())
         r = nxt
         if residual < tol:
             return r
-    raise ConvergenceError(label, residual, r)
+    raise ConvergenceError(
+        f"{label} ranking did not converge: residual {residual:.3e}")
 
 
 @np.errstate(over="ignore", invalid="ignore")

@@ -237,6 +237,18 @@ class TestRank:
                    "--alpha", "0.9") == 0
         assert read_manifest(out)["config"]["alpha"] == [0.9, 0.9, 0.9]
 
+    @pytest.mark.parametrize("spelling", ["days:07", "days: 7", "days:+7",
+                                          "days:7 "])
+    def test_window_spellings_write_one_tree(self, corpus_dir, tmp_path,
+                                             spelling):
+        canonical, other = tmp_path / "canonical", tmp_path / "other"
+        assert run("rank", *base_args(corpus_dir), "--out", canonical,
+                   "--window", "days:7") == 0
+        assert run("rank", *base_args(corpus_dir), "--out", other,
+                   "--window", spelling) == 0
+        assert read_manifest(other)["config"]["window"] == "days:7"
+        assert tree_bytes(other) == tree_bytes(canonical)
+
     def test_bad_layer_order_is_a_usage_error(self, corpus_dir, tmp_path):
         assert run("rank", *base_args(corpus_dir), "--out", tmp_path / "x",
                    "--layer-order", "empowerment,empowerment,credibility",

@@ -524,7 +524,7 @@ class TestWindows:
         ))
         corpus, _ = build_corpus(threads, events)
         slices = window_partition(corpus, WindowConfig.from_string("week"))
-        assert [len(corpus.ratings_of(message_ids(s))) for s in slices] == [0, 1]
+        assert [len(ratings_in(corpus, s)) for s in slices] == [0, 1]
 
     def test_whole_span_covers_everything(self):
         corpus = spread_corpus([0, 30])
@@ -532,6 +532,11 @@ class TestWindows:
         assert len(window_slice.threads) == 2
         assert window_slice.start <= corpus.threads[0].published_at
         assert window_slice.end > corpus.threads[-1].published_at
+
+
+def ratings_in(corpus, window):
+    """The ratings ``Corpus.ratings_in`` picks for the window's threads."""
+    return [rating for rating, _author in corpus.ratings_in(window.threads)]
 
 
 def message_ids(window):
@@ -570,9 +575,9 @@ def brute_force_partition(corpus, cfg):
 
 
 def assert_partition_matches_brute_force(corpus, cfg):
-    """The package's windows, and the ratings ``Corpus.ratings_of`` gives
+    """The package's windows, and the ratings ``Corpus.ratings_in`` gives
     each of them, against the nested scans."""
-    got = [(s, corpus.ratings_of(message_ids(s)))
+    got = [(s, ratings_in(corpus, s))
            for s in window_partition(corpus, cfg)]
     assert got == brute_force_partition(corpus, cfg)
 
@@ -626,7 +631,7 @@ class TestWindowPartitionAgainstBruteForce:
             ["t0", "t4"], ["t1"], [], ["t3", "t2"],
         ]
         targets = [[r.target_message_id
-                    for r in corpus.ratings_of(message_ids(s))] for s in slices]
+                    for r in ratings_in(corpus, s)] for s in slices]
         assert targets == [["c1", "c2", "c1"], ["t1"], [],
                            ["c1", "c5", "c1", "c4"]]
 

@@ -17,7 +17,7 @@ from hypothesis import example, given, settings, strategies as st  # noqa: E402
 
 from leadnet import cli  # noqa: E402
 
-EDGE = ("nan", "inf", "-inf", "-1", "0", "1", "1e-400", "abc", "",
+EDGE = ("nan", "inf", "-inf", "-1", "0", "1", "1e-400", "1e308", "abc", "",
         "days:0", "days:x")
 
 # values that work, per option; each size stays small
@@ -100,6 +100,25 @@ def _argv(command, options, corpus, out):
 @example(("synth", [("comments_mean", "nan", True)]))
 @example(("synth", [("manager_latency_factor", "inf", True)]))
 @example(("synth", [("like_rate", "nan", True)]))
+# a synthetic draw that divides by zero or leaves the calendar
+@example(("synth", [("n_users", "20", True), ("n_threads", "40", True),
+                    ("comments_mean", "1e17", True)]))
+@example(("synth", [("n_users", "20", True), ("n_threads", "40", True),
+                    ("comments_mean", "1e308", True)]))
+@example(("synth", [("n_users", "20", True), ("n_threads", "40", True),
+                    ("uplift", "1e308", True)]))
+@example(("synth", [("n_users", "20", True), ("n_threads", "40", True),
+                    ("uplift", "5e-324", True)]))
+@example(("synth", [("n_users", "20", True), ("n_threads", "40", True),
+                    ("reply_latency_mean_s", "5e-324", True)]))
+@example(("synth", [("n_users", "20", True), ("n_threads", "40", True),
+                    ("manager_latency_factor", "1e308", True)]))
+@example(("synth", [("n_users", "20", True), ("n_threads", "40", True),
+                    ("reply_latency_mean_s", "1e13", True)]))
+@example(("synth", [("n_users", "20", True), ("n_threads", "40", True),
+                    ("span_days", "4000000", True)]))
+@example(("synth", [("n_users", "20", True), ("n_threads", "40", True),
+                    ("reply_latency_mean_s", "1e308", True)]))
 @example(("rank", [("beta", "nan", True)]))
 @example(("rank", [("tol", "inf", True)]))
 @example(("rank", [("beta", "-100", False)]))

@@ -146,9 +146,9 @@ class TestPagerank:
         layer = make_layer({(0, 1): 1.0}, ORIENT_RECEIVER)
         with pytest.raises(ConvergenceError) as info:
             solo_pagerank(2, layer, max_iter=1)
-        assert info.value.label == "empowerment"
-        assert info.value.residual > 0
-        assert info.value.last_iterate.shape == (2,)
+        head, residual = str(info.value).rsplit(" ", 1)
+        assert head == "empowerment ranking did not converge: residual"
+        assert float(residual) > 0
 
 
 class TestChainedRanking:
