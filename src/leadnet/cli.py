@@ -72,6 +72,8 @@ from .ingest import (
 from .multiplex import build_tensor, events_tensor, window_events
 from .rank import ConvergenceError, MprParams, brokerage, multiplex_pagerank
 from .synth import (
+    ROLE_WEIGHTS,
+    START,
     SyntheticSpec,
     generate,
     write_lexicon_tsv,
@@ -258,13 +260,11 @@ _OPTION_OF = {"women_activity_uplift": "uplift"}
 
 
 def _from_options(cls: type, resolved: dict):
-    """A config dataclass built from the resolved options of its fields;
-    a field with no option keeps its default.  A value the class rejects
-    on its own is a usage error naming its option, and so is a
-    combination it rejects."""
+    """A config dataclass built from the resolved options of its fields,
+    each of which is an option.  A value the class rejects on its own is
+    a usage error naming its option, and so is a combination it rejects."""
     options = {f.name: _OPTION_OF.get(f.name, f.name) for f in dataclasses.fields(cls)}
-    values = {field: resolved[option] for field, option in options.items()
-              if option in resolved}
+    values = {field: resolved[option] for field, option in options.items()}
     for field, value in values.items():
         try:
             cls(**{field: value})
@@ -451,7 +451,8 @@ def cmd_synth(cfg: dict, ctx: RunContext) -> None:
     write_ratings_jsonl(corpus.ratings, ctx.path("ratings.jsonl"))
     write_lexicon_tsv(ctx.path("lexicon.tsv"))
     write_stopwords_txt(ctx.path("stopwords.txt"))
-    payload = {**dataclasses.asdict(spec), "start": format_timestamp(spec.start)}
+    payload = {**dataclasses.asdict(spec), "role_weights": ROLE_WEIGHTS,
+               "start": format_timestamp(START)}
     _write_json(ctx.path("synth_spec.json"), payload)
 
 

@@ -87,11 +87,6 @@ class CommentRecord:
     text: str
     created_at: datetime
     author: UserRef
-    order_k: int
-
-    def __post_init__(self) -> None:
-        if self.order_k < 1:
-            raise ValueError("order_k starts at 1")
 
 
 @dataclass(frozen=True, slots=True)
@@ -390,10 +385,10 @@ def _finish_comments(
     raw_comments: list[tuple[str, str, datetime, UserRef, int]],
     diags: list[str],
 ) -> tuple[CommentRecord, ...]:
-    """Clamp, order and number a thread's comments.
+    """Clamp and order a thread's comments.
 
     Comments predating the thread are clamped to published_at with a
-    diagnostic; order_k then follows (created_at, comment_id) order.
+    diagnostic; a comment's place in (created_at, comment_id) order is its k.
     """
     clamped: list[tuple[str, str, datetime, UserRef, int]] = []
     seen_ids: set[str] = set()
@@ -411,8 +406,8 @@ def _finish_comments(
             comment = (comment_id, text, published_at, author, lineno)
         clamped.append(comment)
     clamped.sort(key=itemgetter(2, 0))
-    return tuple([CommentRecord(cid, text, at, author, k)
-                  for k, (cid, text, at, author, _line) in enumerate(clamped, start=1)])
+    return tuple([CommentRecord(cid, text, at, author)
+                  for cid, text, at, author, _line in clamped])
 
 
 def _check_corrupt(total: int, malformed: int) -> None:

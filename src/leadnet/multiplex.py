@@ -118,7 +118,7 @@ class WindowEvents(NamedTuple):
     Per thread, in window order: its author and the seconds from its
     publication to its first comment (NaN without comments).  Per
     comment, in thread then comment order: the thread's position in the
-    window, the commenter, the user it answers and its order k.  Per
+    window, the commenter, the user it answers and its place k (from 1).  Per
     rating, in corpus order: the rater, the author of the rated message
     and the value."""
 
@@ -149,7 +149,7 @@ def window_events(slice: WindowSlice, corpus: Corpus) -> WindowEvents:
             (comments[0].created_at - thread.published_at).total_seconds())
         by = [index[c.author.user_id] for c in comments]
         commenter += by
-        order_k += [c.order_k for c in comments]
+        order_k += range(1, len(by) + 1)
         recipient += [index[r] for r in thread.recipients]
         position += [p] * len(by)
     ratings = corpus.ratings_in(slice.threads)

@@ -43,7 +43,7 @@ from .ingest import (
     UserRef,
 )
 
-DEFAULT_ROLE_WEIGHTS = (
+ROLE_WEIGHTS = (
     ("manager", 0.10),
     ("director", 0.05),
     ("consultant", 0.45),
@@ -51,6 +51,7 @@ DEFAULT_ROLE_WEIGHTS = (
     ("partner", 0.05),
     ("external", 0.10),
 )
+START = datetime(2014, 1, 6, tzinfo=UTC)
 
 
 @dataclass(frozen=True)
@@ -58,7 +59,6 @@ class SyntheticSpec:
     n_users: int = 120
     n_threads: int = 500
     gender_prior_w: float = 0.24
-    role_weights: tuple[tuple[str, float], ...] = DEFAULT_ROLE_WEIGHTS
     comments_mean: float = 3.0
     homophily_p_ww: float = 0.48
     women_activity_uplift: float = 1.0
@@ -66,7 +66,6 @@ class SyntheticSpec:
     reply_latency_mean_s: float = 14400.0
     like_rate: float = 0.15
     dislike_rate: float = 0.05
-    start: datetime = datetime(2014, 1, 6, tzinfo=UTC)
     span_days: int = 56
     seed: int = 42
 
@@ -85,11 +84,6 @@ class SyntheticSpec:
         if min(self.like_rate, self.dislike_rate) < 0.0 or \
                 self.like_rate + self.dislike_rate > 1.0:
             raise ValueError("like_rate + dislike_rate must stay within [0, 1]")
-        if not self.role_weights or any(w < 0 for _r, w in self.role_weights) \
-                or sum(w for _r, w in self.role_weights) <= 0:
-            raise ValueError("role_weights must contain a positive weight")
-        if self.start.tzinfo is None:
-            raise ValueError("start must be timezone-aware")
 
 
 # ---------------------------------------------------------------------------
@@ -235,7 +229,7 @@ def generate(spec: SyntheticSpec) -> Corpus:
     """Build a corpus from a SyntheticSpec; see the module docstring
     for the draw order.  Identical specs yield identical corpora."""
     rng = random.Random(spec.seed)
-    role_names, role_probs = zip(*spec.role_weights)
+    role_names, role_probs = zip(*ROLE_WEIGHTS)
     roles = [Role(name) for name in role_names]
 
     user_roles = [rng.choices(roles, weights=role_probs)[0]
@@ -284,7 +278,7 @@ def generate(spec: SyntheticSpec) -> Corpus:
     threads: list[ThreadRecord] = []
     ratings: list[RatingEvent] = []
     for ti, offset in enumerate(offsets):
-        published_at = spec.start + timedelta(seconds=offset)
+        published_at = START + timedelta(seconds=offset)
         author_at = pick_by_gender(author_deck.draw())
         author = users[author_at]
         pool = POOLS[0] if rng.random() < 0.5 else POOLS[1]
@@ -310,7 +304,6 @@ def generate(spec: SyntheticSpec) -> Corpus:
                 text=_message_text(rng, pool),
                 created_at=published_at + timedelta(seconds=int(at)),
                 author=users[commenter_at],
-                order_k=k,
             ))
         thread = ThreadRecord(
             thread_id=f"t{ti:05d}",

@@ -85,7 +85,6 @@ def make_corpus(thread_specs, rating_specs=(), users=None):
                 text=text,
                 created_at=published + timedelta(minutes=k),
                 author=ref(commenter_id),
-                order_k=k,
             )
             for k, (commenter_id, text) in enumerate(comments, start=1)
         )

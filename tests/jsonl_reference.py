@@ -100,8 +100,8 @@ def _finish_comments(
         clamped.append((comment_id, text, created_at, author))
     clamped.sort(key=lambda c: (c[2], c[0]))
     return tuple(
-        CommentRecord(comment_id=cid, text=text, created_at=at, author=author, order_k=k)
-        for k, (cid, text, at, author) in enumerate(clamped, start=1)
+        CommentRecord(comment_id=cid, text=text, created_at=at, author=author)
+        for cid, text, at, author in clamped
     )
 
 

@@ -162,7 +162,7 @@ class TestThreadParsing:
         assert thread.thread_id == "t1"
         assert thread.author.role is Role.manager
         assert thread.author.gender is Gender.female
-        assert thread.comments[0].order_k == 1
+        assert [c.comment_id for c in thread.comments] == ["c1"]
         assert thread.comments[0].author.user_id == "b"
         assert thread.comments[0].author.gender is Gender.unknown
 
@@ -172,7 +172,8 @@ class TestThreadParsing:
             ("c2", "c", "2014-01-06T10:00:00Z"),
             ("c1", "d", "2014-01-06T12:00:00Z"),
         ])))
-        ordered = [(c.comment_id, c.order_k) for c in threads[0].comments]
+        ordered = [(c.comment_id, k)
+                   for k, c in enumerate(threads[0].comments, start=1)]
         assert ordered == [("c2", 1), ("c1", 2), ("c9", 3)]
 
     def test_predating_comment_clamped(self):
@@ -827,8 +828,7 @@ def fresh_copy(thread):
         tags=thread.tags, author=ref(thread.author),
         comments=tuple(
             CommentRecord(comment_id=c.comment_id, text=c.text,
-                          created_at=c.created_at, author=ref(c.author),
-                          order_k=c.order_k)
+                          created_at=c.created_at, author=ref(c.author))
             for c in thread.comments),
     )
 
@@ -968,7 +968,7 @@ class TestRecipients:
         (thread,), _diags = parse_thread_log(jsonl(thread_obj(
             author="ann", comments=[("c1", "bob", "2014-01-06T10:00:00Z")])))
         reply = CommentRecord("c2", "@bob, thanks", thread.comments[0].created_at,
-                              thread.author, order_k=2)
+                              thread.author)
         thread = dataclasses.replace(thread, comments=(*thread.comments, reply))
         assert thread.recipients == ("ann", "bob")
         assert thread.recipients[0] is thread.author.user_id
@@ -1044,7 +1044,7 @@ class TestLeanRecords:
         thread = one_of_each_record()[0]
         assert thread.recipients == ("a",)
         reply = CommentRecord("c2", "@b ok", thread.comments[0].created_at,
-                              thread.author, order_k=2)
+                              thread.author)
         rebuilt = dataclasses.replace(
             thread, comments=(*thread.comments, reply))
         assert rebuilt.recipients == ("a", "b")

@@ -105,7 +105,7 @@ def conflicting_logs(draw):
                 comment_id=draw(st.sampled_from(
                     [f"t{t}c{k}", "t0c0", "t0", f"t{t + 1}"])),
                 text="", created_at=published + timedelta(minutes=k),
-                author=draw(pick), order_k=k)
+                author=draw(pick))
             for k in range(1, draw(st.integers(min_value=0, max_value=5)) + 1))
         threads.append(ThreadRecord(
             thread_id=f"t{t}", title="", description="",

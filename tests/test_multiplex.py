@@ -287,11 +287,12 @@ def dict_collaboration(window, corpus):
     index = corpus.user_index
     raw = defaultdict(float)
     for thread in window.threads:
-        for comment, recipient in zip(thread.comments, thread.recipients):
+        for k, (comment, recipient) in enumerate(
+                zip(thread.comments, thread.recipients), start=1):
             i = index[comment.author.user_id]
             j = index[recipient]
             if i != j:
-                raw[(i, j)] += 0.5 + 0.5 / comment.order_k
+                raw[(i, j)] += 0.5 + 0.5 / k
     return dict_receiver_normalize(raw)
 
 

@@ -48,8 +48,8 @@ def threads_and_ratings(draw):
         raw.sort(key=lambda c: (c[0], c[1]))
         comments = tuple(
             CommentRecord(comment_id=cid, text=text, created_at=at,
-                          author=author, order_k=k)
-            for k, (at, cid, text, author) in enumerate(raw, start=1)
+                          author=author)
+            for at, cid, text, author in raw
         )
         threads.append(ThreadRecord(
             thread_id=thread_id, title=draw(texts), description=draw(texts),
