@@ -239,6 +239,7 @@ def _load_config_file(path: str | None) -> dict:
     try:
         with open(path, "r", encoding="utf-8-sig") as handle:
             data = json.load(handle)
+        json.dumps(data, ensure_ascii=False).encode()  # a lone surrogate fails
     except OSError as exc:
         raise UsageError(f"config file {path}: cannot read ({exc})") from exc
     except (ValueError, RecursionError) as exc:  # JSON, UTF-8, digits, depth

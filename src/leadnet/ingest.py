@@ -264,7 +264,8 @@ def parse_timestamp(text: str) -> datetime:
 
 
 def format_timestamp(dt: datetime) -> str:
-    return dt.astimezone(UTC).strftime("%Y-%m-%dT%H:%M:%SZ")
+    """The UTC time to the second, with four year digits, then "Z"."""
+    return dt.astimezone(UTC).isoformat(timespec="seconds")[:19] + "Z"
 
 
 # ---------------------------------------------------------------------------
@@ -290,6 +291,16 @@ def decode_role(value: object) -> Role | None:
         return Role(name)
     except ValueError:
         return None
+
+
+_SURROGATE = re.compile("[\ud800-\udfff]")
+
+
+def _is_id(value: object) -> bool:
+    """A non-empty string of valid Unicode: JSON lets a lone surrogate
+    such as "\\ud800" through, and no UTF-8 writer can encode one."""
+    return bool(value) and isinstance(value, str) and (
+        value.isascii() or not _SURROGATE.search(value))
 
 
 def _at(lineno: int, comment_id: str | None) -> str:
@@ -321,7 +332,7 @@ def _decode_user(obj: object, lineno: int, diags: list[str],
     if not user_id:
         diags.append(f"missing author_id at {_at(lineno, comment_id)}")
         return None
-    if not isinstance(user_id, str):
+    if not _is_id(user_id):
         diags.append(f"invalid author_id at {_at(lineno, comment_id)}")
         return None
     gender = decode_gender(raw_gender)
@@ -469,7 +480,7 @@ def _decode_thread_obj(obj: dict, lineno: int, diags: list[str],
                        tag_sets: dict[tuple[str, ...], tuple[str, ...]],
                        ) -> ThreadRecord | None:
     thread_id = obj.get("thread_id")
-    if not thread_id or not isinstance(thread_id, str):
+    if not _is_id(thread_id):
         diags.append(f"missing thread_id at line {lineno}")
         return None
     author = _decode_user(obj.get("author"), lineno, diags, known)
@@ -519,7 +530,7 @@ def _decode_comment(c: object, idx: int, lineno: int, diags: list[str],
     ``_finish_comments`` takes, or None when it is unusable.  ``skipped``
     ends the diagnostics of the comment's own fields."""
     comment_id = c.get("comment_id") if isinstance(c, dict) else None
-    if not comment_id or not isinstance(comment_id, str):
+    if not _is_id(comment_id):
         diags.append(f"missing comment_id at line {lineno} (comment {idx}){skipped}")
         return None
     author = _decode_user(c.get("author"), lineno, diags, known, comment_id)
@@ -651,11 +662,11 @@ def parse_ratings(source: str | Path | IO[str]) -> tuple[list[RatingEvent], list
             rater_id = obj.get("rater_id")
             target_id = obj.get("target_id")
             value = obj.get("value")
-            if not rater_id or not isinstance(rater_id, str):
+            if not _is_id(rater_id):
                 diags.append(f"missing rater_id at line {lineno}")
                 malformed += 1
                 continue
-            if not target_id or not isinstance(target_id, str):
+            if not _is_id(target_id):
                 diags.append(f"missing target_id at line {lineno}")
                 malformed += 1
                 continue

@@ -1,12 +1,13 @@
 """Reference JSONL thread-log parser: the JSON Lines decode path as it
 stood before it was made to look up each distinct ref and tag set first.
 
-Kept unchanged as the oracle of ``test_decode_property.py``.  It
-validates every author object, timestamp and tag list in full before
-any table lookup and formats each comment's location text up front, so
-the package's parser is compared against code that takes no shortcut,
-record for record, ref object for ref object and diagnostic for
-diagnostic.  It reads a text stream, not a path.
+Kept as the oracle of ``test_decode_property.py``.  It validates every
+author object, timestamp and tag list in full before any table lookup
+and formats each comment's location text up front, so the package's
+parser is compared against code that takes no shortcut, record for
+record, ref object for ref object and diagnostic for diagnostic.  Its
+ids follow the package's rule, by its own test (``_valid_id``).  It
+reads a text stream, not a path.
 """
 
 from __future__ import annotations
@@ -47,13 +48,24 @@ def parse_timestamp(text: str) -> datetime:
         raise ValueError(f"timestamp {text!r} is out of range in UTC") from None
 
 
+def _valid_id(value: object) -> bool:
+    """A non-empty string that UTF-8 can encode: no lone surrogate."""
+    if not value or not isinstance(value, str):
+        return False
+    try:
+        value.encode("utf-8")
+    except UnicodeEncodeError:
+        return False
+    return True
+
+
 def _decode_user(obj: object, lineno: int, diags: list[str], where: str,
                  known: dict[tuple, UserRef]) -> UserRef | None:
     if not isinstance(obj, dict) or not obj.get("user_id"):
         diags.append(f"missing author_id at line {lineno}{where}")
         return None
     user_id = obj["user_id"]
-    if not isinstance(user_id, str):
+    if not _valid_id(user_id):
         diags.append(f"invalid author_id at line {lineno}{where}")
         return None
     raw_role, raw_gender = obj.get("role"), obj.get("gender")
@@ -150,7 +162,7 @@ def _decode_thread_obj(obj: dict, lineno: int, diags: list[str],
                        tag_sets: dict[tuple[str, ...], tuple[str, ...]],
                        ) -> ThreadRecord | None:
     thread_id = obj.get("thread_id")
-    if not thread_id or not isinstance(thread_id, str):
+    if not _valid_id(thread_id):
         diags.append(f"missing thread_id at line {lineno}")
         return None
     author = _decode_user(obj.get("author"), lineno, diags, "", known)
@@ -198,7 +210,7 @@ def _decode_comment(c: object, idx: int, lineno: int, diags: list[str],
                     known: dict[tuple, UserRef], skipped: str,
                     ) -> tuple[str, str, datetime, UserRef, int] | None:
     comment_id = c.get("comment_id") if isinstance(c, dict) else None
-    if not comment_id or not isinstance(comment_id, str):
+    if not _valid_id(comment_id):
         diags.append(f"missing comment_id at line {lineno} (comment {idx}){skipped}")
         return None
     where = f" (comment {comment_id})"

@@ -126,6 +126,22 @@ class TestIngest:
         assert run("ingest", "--out", tmp_path / "x") == 2
         assert "input" in capsys.readouterr().err
 
+    def test_times_before_the_year_1000_keep_four_year_digits(self, tmp_path):
+        log = tmp_path / "threads.jsonl"
+        log.write_text(json.dumps({
+            "thread_id": "t1", "published_at": "0999-03-02T10:00:00Z",
+            "author": {"user_id": "a"},
+            "comments": [{"comment_id": "c1", "created_at": "0999-03-02T11:00:00Z",
+                          "author": {"user_id": "b"}}]}) + "\n")
+        assert run("ingest", "--input", log, "--out", tmp_path / "i") == 0
+        summary = json.loads((tmp_path / "i" / "corpus_summary.json").read_text())
+        assert summary["span"]["start"] == "0999-03-02T10:00:00Z"
+        assert summary["windows"][0]["start"] == "0999-03-01T00:00:00Z"
+        assert run("analytics", "--input", log, "--out", tmp_path / "a") == 0
+        with open(tmp_path / "a" / "analytics.csv", newline="") as handle:
+            starts = {row["window_start"] for row in csv.DictReader(handle)}
+        assert starts == {"0999-03-01T00:00:00Z"}
+
 
 class TestPrecedence:
     def test_flag_beats_env_beats_config(self, corpus_dir, tmp_path,
@@ -190,6 +206,16 @@ class TestPrecedence:
                    "--out", tmp_path / "x", "--config", config) == 2
         assert f"error: config file {config}: invalid JSON (" \
             in capsys.readouterr().err
+
+    def test_config_string_of_invalid_unicode_is_a_usage_error(
+            self, corpus_dir, tmp_path, capsys, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        config = tmp_path / "cfg.json"
+        config.write_text('{"out": "\\ud800"}')
+        assert run("ingest", *base_args(corpus_dir), "--config", config) == 2
+        assert f"error: config file {config}: invalid JSON (" \
+            in capsys.readouterr().err
+        assert [p.name for p in tmp_path.iterdir()] == ["cfg.json"]
 
     def test_config_with_a_byte_order_mark_is_read(self, corpus_dir, tmp_path):
         config = tmp_path / "cfg.json"
@@ -1065,3 +1091,48 @@ class TestUndecodableInputs:
         assert capsys.readouterr().err.endswith(
             f"error: {broken}: not valid UTF-8 at line {bad_line}\n")
         assert not out.exists()
+
+
+class TestIdsOfInvalidUnicode:
+    """JSON lets a lone surrogate such as "\\ud800" into an id, and no
+    UTF-8 writer can encode one: such an id is malformed, reported as
+    its reader reports a non-string id."""
+
+    @staticmethod
+    def log(tmp_path, *comments):
+        path = tmp_path / "threads.jsonl"
+        path.write_text(json.dumps({
+            "thread_id": "t1", "published_at": "2014-01-06T09:00:00Z",
+            "author": {"user_id": "a"},
+            "comments": [{"comment_id": cid, "created_at": "2014-01-06T10:00:00Z",
+                          "author": {"user_id": uid}} for cid, uid in comments]}) + "\n")
+        return path
+
+    @pytest.mark.parametrize("command", ["all", "export-graph"])
+    def test_author_id(self, tmp_path, capsys, command):
+        log = self.log(tmp_path, ("c1", "b"), ("c2", "\ud800"))
+        out = tmp_path / "out"
+        assert run(command, "--input", log, "--out", out) == 0
+        assert "note: invalid author_id at line 1 (comment c2)\n" in capsys.readouterr().err
+        assert (out / "edges.csv").read_text() == (
+            "src,dst,weight,layer\na,b,1.0,empowerment\nb,a,1.0,collaboration\n")
+
+    def test_rater_id(self, tmp_path, capsys):
+        log = self.log(tmp_path, ("c1", "b"))
+        ratings = tmp_path / "ratings.jsonl"
+        ratings.write_text("".join(json.dumps(e) + "\n" for e in [
+            {"rater_id": "b", "target_id": "t1", "value": 1},
+            {"rater_id": "\ud800", "target_id": "c1", "value": 1},
+            {"rater_id": "a", "target_id": "c1", "value": -1}]))
+        out = tmp_path / "out"
+        assert run("rank", "--input", log, "--ratings", ratings, "--out", out) == 0
+        assert capsys.readouterr().err == "note: missing rater_id at line 2\n"
+        assert read_manifest(out)["artifacts"] == ["rankings_w000.csv"]
+
+    def test_duplicate_comment_id(self, tmp_path):
+        log = self.log(tmp_path, ("c1", "b"), ("\ud800", "b"), ("\ud800", "c"))
+        out = tmp_path / "out"
+        assert run("ingest", "--input", log, "--out", out) == 0
+        assert (out / "diagnostics.txt").read_text().splitlines() == [
+            "missing comment_id at line 1 (comment 1); comment skipped",
+            "missing comment_id at line 1 (comment 2); comment skipped"]

@@ -26,7 +26,7 @@ MISSING = object()  # a key left out of its object
 # per field: (good values, bad or odd values); an unrecognized role or
 # gender only writes a diagnostic, so most of them are common values
 USER_FIELDS = {
-    "user_id": (["u1", "u1", "u2"], ["", None, 5, ["u1"], MISSING]),
+    "user_id": (["u1", "u1", "u2"], ["", None, 5, ["u1"], "\ud800", MISSING]),
     "role": (["manager", "manager", "Manager", " manager ", "senior-consultant",
               "unknown", "", None, MISSING, "wizard", True, ["manager"]],
              [5, 1.0, {"role": "manager"}]),
@@ -40,7 +40,7 @@ TIMES = (["2014-01-06T09:00:00Z", "2014-01-06T10:00:00+01:00",
          ["   ", " ", "", "\t", "not a date", "0001-01-01T00:00:00+01:00",
           "9999-12-31T23:00:00-05:00", 5, None, ["2014-01-06T09:00:00Z"], MISSING])
 THREAD_FIELDS = {
-    "thread_id": (["t1", "t2", "t3", "c1"], ["", None, 5, ["t1"], MISSING]),
+    "thread_id": (["t1", "t2", "t3", "c1"], ["", None, 5, ["t1"], "t\udfff", MISSING]),
     "title": (["", "title", MISSING], [5, None]),
     "description": (["", "desc", MISSING], [["desc"]]),
     "published_at": TIMES,
@@ -48,7 +48,8 @@ THREAD_FIELDS = {
              ["x", ["x", 1], [["x"]], [None], {"x": 1}, None]),
 }
 COMMENT_FIELDS = {
-    "comment_id": (["c1", "c2", "c3", "c4", "t1"], ["", None, 5, ["c1"], MISSING]),
+    "comment_id": (["c1", "c2", "c3", "c4", "t1"],
+                   ["", None, 5, ["c1"], "\ud800c1", MISSING]),
     "text": (["", "hi", "@u1 thanks", "@u2, ok", MISSING], [5, None]),
     "created_at": TIMES,
 }

@@ -17,7 +17,9 @@ from leadnet.ingest import (  # noqa: E402
     ThreadRecord,
     UserRef,
     build_corpus,
+    format_timestamp,
     parse_ratings,
+    parse_timestamp,
     parse_thread_log,
     write_ratings_jsonl,
     write_threads_jsonl,
@@ -86,3 +88,12 @@ def test_written_logs_reparse_to_an_equal_corpus(records):
     assert rebuilt.ratings == corpus.ratings
     for ours, theirs in zip(rebuilt.threads, corpus.threads):
         assert ours.recipients == theirs.recipients
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.datetimes(min_value=datetime(1, 1, 1),
+                    max_value=datetime(9999, 12, 31, 23, 59, 59),
+                    timezones=st.just(UTC)).map(lambda dt: dt.replace(microsecond=0)))
+def test_timestamps_reparse_to_the_same_time(dt):
+    """Every whole-second time of years 1 to 9999 keeps four year digits."""
+    assert parse_timestamp(format_timestamp(dt)) == dt
