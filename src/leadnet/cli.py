@@ -545,11 +545,10 @@ def _window_at(slices: Sequence[WindowSlice], index: int) -> WindowSlice:
     return slices[index]
 
 
-def _topic_streams(slices, cfg):
-    lexicon = load_lexicon(_require(cfg, "lexicon"), cfg["stopwords"])
+def _topic_streams(slices, lexicon, cfg):
     topic_cfg = cfg["topic_config"]
     per_window = [topics_in_window(s, lexicon, topic_cfg) for s in slices]
-    return chain_streams(per_window, topic_cfg.theta_h), lexicon
+    return chain_streams(per_window, topic_cfg.theta_h)
 
 
 def cmd_topics(cfg: dict, ctx: RunContext) -> None:
@@ -557,10 +556,11 @@ def cmd_topics(cfg: dict, ctx: RunContext) -> None:
         raise UsageError("--stream needs --window-index")
     if cfg["window_index"] is not None and cfg["stream"] is None:
         raise UsageError("--window-index needs --stream")
+    lexicon = load_lexicon(_require(cfg, "lexicon"), cfg["stopwords"])
     corpus, diags = _load_corpus(cfg)
     _print_diags(diags)
     slices = _slices(corpus, cfg)
-    streams, lexicon = _topic_streams(slices, cfg)
+    streams = _topic_streams(slices, lexicon, cfg)
     write_topics_json(streams, ctx.path("topics.json"))
     if cfg["stream"] is None:
         return
@@ -601,14 +601,16 @@ def cmd_export_graph(cfg: dict, ctx: RunContext) -> None:
 
 
 def cmd_all(cfg: dict, ctx: RunContext) -> None:
+    # a bad lexicon fails the run before any window is ranked
+    lexicon = (None if cfg["lexicon"] is None
+               else load_lexicon(cfg["lexicon"], cfg["stopwords"]))
     corpus, slices, ranked = _ranked_windows(cfg, with_brokerage=True,
                                              with_analytics=True)
     _write_window_rankings(ctx, corpus, slices, ranked)
     write_analytics_csv(ctx.path("analytics.csv"),
                         [row for *_ranks, rows in ranked for row in rows])
-    if cfg["lexicon"] is not None:
-        streams, _lexicon = _topic_streams(slices, cfg)
-        write_topics_json(streams, ctx.path("topics.json"))
+    if lexicon is not None:
+        write_topics_json(_topic_streams(slices, lexicon, cfg), ctx.path("topics.json"))
     tensor = build_tensor(whole_span_slice(corpus), corpus)
     write_edges_csv(ctx.path("edges.csv"), tensor, corpus)
     write_graph_dot(ctx.path("graph.dot"), tensor, corpus)

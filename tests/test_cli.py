@@ -552,6 +552,26 @@ class TestLexiconErrors:
                "expected surface<TAB>concept_id" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("command", ["topics", "all"])
+    def test_is_read_before_the_log(self, corpus_dir, tmp_path, monkeypatch,
+                                    command):
+        """Rerun into a good tree with a bad lexicon: the run fails before
+        it parses the log or ranks a window, and leaves the tree as it was."""
+        out = tmp_path / "out"
+        args = [*base_args(corpus_dir), "--out", out, "--window", "week"]
+        assert run(command, *args, *lex_args(corpus_dir)) == 0
+        kept = tree_bytes(out)
+
+        def failing(*args, **kwargs):
+            raise AssertionError("called after a bad lexicon")
+
+        monkeypatch.setattr(cli, "parse_thread_log", failing)
+        monkeypatch.setattr(cli, "multiplex_pagerank", failing)
+        lexicon = tmp_path / "lexicon.tsv"
+        lexicon.write_text("foo\n")
+        assert run(command, *args, "--lexicon", lexicon) == 1
+        assert tree_bytes(out) == kept
+
 
 class TestStopwordTokens:
     """Stopword lines are tokenized like message text: the elided
