@@ -353,20 +353,12 @@ def _sha256(path: str) -> str:
     return digest.hexdigest()
 
 
-def _json_ready(value: object) -> object:
-    if isinstance(value, tuple):
-        return [_json_ready(v) for v in value]
-    if isinstance(value, Role):
-        return value.value
-    if isinstance(value, WindowConfig):
-        return str(value)
-    return value
-
-
 def _write_json(path: Path, payload: dict) -> None:
-    """``payload`` as JSON indented by 2 with sorted keys, then a newline."""
+    """``payload`` as JSON indented by 2 with sorted keys, then a newline;
+    a role is written as its value and a window as its CLI form."""
     with open(path, "w", encoding="utf-8") as handle:
-        json.dump(payload, handle, indent=2, sort_keys=True)
+        json.dump(payload, handle, indent=2, sort_keys=True,
+                  default=lambda o: o.value if isinstance(o, Role) else str(o))
         handle.write("\n")
 
 
@@ -380,7 +372,7 @@ def write_manifest(ctx: RunContext, command: str, cfg: dict) -> None:
         "tool": "leadnet",
         "version": __version__,
         "command": command,
-        "config": {key: _json_ready(cfg[key]) for key in MANIFEST_KEYS[command]},
+        "config": {key: cfg[key] for key in MANIFEST_KEYS[command]},
         "inputs": inputs,
         "artifacts": sorted(self_name for self_name in ctx.artifacts
                             if self_name != "manifest.json"),
