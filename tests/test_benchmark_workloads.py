@@ -22,15 +22,13 @@ PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
 
 @pytest.fixture
-def bench():
-    with pytest.MonkeyPatch.context() as patch:
-        patch.syspath_prepend(str(PERFBENCH))  # run.py imports trace_run
-        spec = importlib.util.spec_from_file_location("perfbench_run",
-                                                      PERFBENCH / "run.py")
-        module = importlib.util.module_from_spec(spec)
-        patch.setitem(sys.modules, spec.name, module)  # for its dataclasses
-        spec.loader.exec_module(module)
-        yield module
+def bench(monkeypatch):
+    monkeypatch.syspath_prepend(str(PERFBENCH))  # run.py imports trace_run
+    spec = importlib.util.spec_from_file_location("perfbench_run", PERFBENCH / "run.py")
+    module = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, module)  # for its dataclasses
+    spec.loader.exec_module(module)
+    return module
 
 
 def test_each_workload_ends_as_the_benchmark_requires(bench, tmp_path, capsys):
