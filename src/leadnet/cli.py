@@ -35,18 +35,8 @@ from pathlib import Path
 from typing import Callable, Sequence
 
 from . import __version__
-from .analytics import (
-    GENDER_GROUPS,
-    ROLE_GROUPS,
-    active_user_indices,
-    homophily,
-    response_stats,
-    role_subgraph,
-    top_mass,
-    user_codes,
-)
+from .analytics import analytics_rows, role_subgraph, user_codes
 from .export import (
-    analytics_rows,
     write_analytics_csv,
     write_edges_csv,
     write_graph_dot,
@@ -154,15 +144,16 @@ def _layer_order(value: object) -> tuple[str, ...]:
 
 
 def _roles(value: object) -> tuple[Role, ...]:
-    roles = []
+    """The named roles, each once, sorted by value."""
+    roles = set()
     for name in _items(value):
         role = decode_role(name)
         if role is None or role is Role.unknown:
             raise UsageError(f"unknown role {name!r}")
-        roles.append(role)
+        roles.add(role)
     if not roles:
         raise UsageError("role filter must name at least one role")
-    return tuple(roles)
+    return tuple(sorted(roles, key=lambda role: role.value))
 
 
 # name -> (caster, default, help); every option flows through this table
@@ -480,17 +471,6 @@ def cmd_ingest(cfg: dict, ctx: RunContext) -> None:
             handle.write(line + "\n")
 
 
-def _window_analytics(window_slice, events, leadership, codes, top_k):
-    """One window's ``analytics.csv`` rows, read off its event rows."""
-    gender, role = codes
-    active = active_user_indices(events)
-    return analytics_rows(
-        format_timestamp(window_slice.start), homophily(events, gender),
-        top_mass(leadership, gender, active, top_k) if active.size else None,
-        response_stats(events, role, ROLE_GROUPS),
-        response_stats(events, gender, GENDER_GROUPS))
-
-
 def _ranked_windows(cfg: dict, with_brokerage: bool, with_analytics: bool):
     """Load and tile the corpus, then walk and rank each window once; from
     the same walk, score its brokerage when ``with_brokerage`` and make its
@@ -511,8 +491,9 @@ def _ranked_windows(cfg: dict, with_brokerage: bool, with_analytics: bool):
             where = f"window {window_slice.index} ({format_timestamp(window_slice.start)})"
             raise ConvergenceError(f"{where}: {exc}") from None
         return (result, brokerage(tensor) if with_brokerage else None,
-                _window_analytics(window_slice, events, result.leadership,
-                                  codes, cfg["top_k"]) if with_analytics else None)
+                analytics_rows(format_timestamp(window_slice.start), events,
+                               result.leadership.scores, codes, cfg["top_k"])
+                if with_analytics else None)
 
     return corpus, slices, [work(s) for s in slices]
 
@@ -593,6 +574,8 @@ def cmd_export_graph(cfg: dict, ctx: RunContext) -> None:
 
 
 def cmd_all(cfg: dict, ctx: RunContext) -> None:
+    if cfg["stopwords"] is not None and cfg["lexicon"] is None:
+        raise UsageError("--stopwords needs --lexicon")
     # a bad lexicon fails the run before any window is ranked
     lexicon = (None if cfg["lexicon"] is None
                else load_lexicon(cfg["lexicon"], cfg["stopwords"]))

@@ -13,7 +13,7 @@ from typing import Iterable, Iterator
 
 import numpy as np
 
-from .analytics import HomophilyEntry, ResponseGroupStats, Subgraph, TopMassEntry
+from .analytics import Subgraph
 from .ingest import Corpus
 from .multiplex import LAYER_NAMES, MultiplexTensor
 from .rank import MprResult, RankVector
@@ -25,14 +25,6 @@ RANKINGS_COLUMNS = (
 )
 ANALYTICS_COLUMNS = ("window_start", "metric", "group", "value", "count")
 EDGES_COLUMNS = ("src", "dst", "weight", "layer")
-
-
-def render(value: object) -> str:
-    if value is None:
-        return ""
-    if isinstance(value, float):
-        return repr(value)
-    return str(value)
 
 
 def _writer(handle) -> csv.writer:
@@ -58,43 +50,12 @@ def write_rankings_csv(
                           user.role.value, *map(repr, scores)])
 
 
-def analytics_rows(
-    window_start: str,
-    homophily_entry: HomophilyEntry,
-    top_entry: TopMassEntry | None,
-    role_stats: Iterable[ResponseGroupStats],
-    gender_stats: Iterable[ResponseGroupStats],
-) -> list[tuple[str, str, str, str, str]]:
-    """Flatten one window's analytics into ``analytics.csv`` rows.  A
-    window without active users has no ``top_entry``: its top_mass_w row
-    reads k=0 with an empty value and a count of 0."""
-    h = homophily_entry
-    top = ("k=0", "", "0") if top_entry is None else (
-        f"k={top_entry.k}", render(top_entry.mass_w), str(top_entry.n_active))
-    rows = [
-        (window_start, "homophily_p_ww", "", render(h.p_ww), str(h.w_comments)),
-        (window_start, "homophily_p_mm", "", render(h.p_mm), str(h.m_comments)),
-        (window_start, "prior_w", "", render(h.prior_w), str(h.threads_known)),
-        (window_start, "prior_m", "", render(h.prior_m), str(h.threads_known)),
-        (window_start, "top_mass_w", *top),
-    ]
-    for stats in role_stats:
-        rows.append((window_start, "response_latency_mean_s",
-                     f"role:{stats.group}", render(stats.mean_latency_s),
-                     str(stats.comment_count)))
-    for stats in gender_stats:
-        rows.append((window_start, "response_latency_mean_s",
-                     f"gender:{stats.group}", render(stats.mean_latency_s),
-                     str(stats.comment_count)))
-    return rows
-
-
 def write_analytics_csv(path: str | Path, rows: Iterable[tuple]) -> None:
+    """The rows ``analytics.analytics_rows`` builds, under a header."""
     with open(path, "w", encoding="utf-8", newline="") as handle:
         out = _writer(handle)
         out.writerow(ANALYTICS_COLUMNS)
-        for row in rows:
-            out.writerow(list(row))
+        out.writerows(rows)
 
 
 # rows rendered per batch: enough to amortize numpy calls, few enough

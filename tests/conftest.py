@@ -13,6 +13,7 @@ import pytest
 sys.path.insert(0, str(Path(__file__).resolve().parent))
 
 from leadnet import cli
+from leadnet.analytics import analytics_rows, user_codes
 from leadnet.ingest import (
     CSV_COLUMNS,
     CommentRecord,
@@ -30,6 +31,7 @@ from leadnet.multiplex import (
     ORIENT_SENDER,
     Layer,
     MultiplexTensor,
+    window_events,
 )
 from leadnet.synth import write_lexicon_tsv, write_stopwords_txt
 from leadnet.topics import load_lexicon
@@ -241,3 +243,16 @@ def write_threads_csv(threads, path):
                 writer.writerow([t.thread_id, "", "", "", "", "", "", "",
                                  c.comment_id, c.text,
                                  format_timestamp(c.created_at), *user(c.author)])
+
+
+
+def window_figures(corpus, window, scores=None, top_k=None):
+    """The window's ``analytics.csv`` rows read back as {(metric, group):
+    (value, count)}: an empty value cell is None, any other a float, and
+    the count an int.  ``scores`` rank the users, all equal by default."""
+    scores = np.ones(corpus.n_users) if scores is None else scores
+    rows = analytics_rows("", window_events(window, corpus), scores,
+                          user_codes(corpus), top_k)
+    return {(metric, group): (None if value == "" else float(value),
+                              int(count))
+            for _start, metric, group, value, count in rows}

@@ -13,10 +13,10 @@ import numpy as np
 import pytest
 
 import oracles
-from conftest import make_corpus
+from conftest import make_corpus, window_figures
 from test_rank import FLOW, random_layer, random_tensor, solo_pagerank
 from leadnet import cli
-from leadnet.analytics import active_user_indices, homophily, top_mass, user_codes
+from leadnet.analytics import active_user_indices, top_mass, user_codes
 from leadnet.ingest import (
     WindowConfig,
     whole_span_slice,
@@ -157,10 +157,11 @@ def test_06_homophily_recovery(gate):
             corpus = generate(spec)
             comments = sum(len(t.comments) for t in corpus.threads)
             assert 9000 <= comments <= 11000
-            entry = homophily(window_events(whole_span_slice(corpus), corpus),
-                              user_codes(corpus)[0])
-            assert abs(entry.p_ww - 0.48) <= 0.02, (seed, entry.p_ww)
-            assert abs(entry.prior_w - 0.24) <= 0.01, (seed, entry.prior_w)
+            figures = window_figures(corpus, whole_span_slice(corpus))
+            p_ww, _count = figures["homophily_p_ww", ""]
+            prior_w, _count = figures["prior_w", ""]
+            assert abs(p_ww - 0.48) <= 0.02, (seed, p_ww)
+            assert abs(prior_w - 0.24) <= 0.01, (seed, prior_w)
 
 
 def _top_decile_mass(uplift, seed):
@@ -171,7 +172,9 @@ def _top_decile_mass(uplift, seed):
     tensor = build_tensor(window, corpus)
     result = multiplex_pagerank(tensor, MprParams())
     active = active_user_indices(window_events(window, corpus))
-    return top_mass(result.leadership, user_codes(corpus)[0], active).mass_w
+    _k, mass_w, _n_active = top_mass(result.leadership.scores,
+                                     user_codes(corpus)[0], active)
+    return float(mass_w)
 
 
 def test_07_leadership_uplift_property(gate):
@@ -246,8 +249,9 @@ def test_10_degenerate_inputs(gate, synth_lexicon):
         tensor = build_tensor(empty, corpus)
         result = multiplex_pagerank(tensor, MprParams())
         assert result.leadership.scores == pytest.approx([0.5, 0.5])
-        entry = homophily(window_events(empty, corpus), user_codes(corpus)[0])
-        assert entry.p_ww is None and entry.prior_w is None
+        figures = window_figures(corpus, empty, result.leadership.scores)
+        assert figures["homophily_p_ww", ""][0] is None
+        assert figures["prior_w", ""][0] is None
         assert topics_in_window(empty, synth_lexicon, TopicConfig()) == []
 
         # no ratings at all: credibility falls back to teleporting only

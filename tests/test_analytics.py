@@ -6,21 +6,16 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from conftest import make_corpus, random_corpus, union_sets
+from conftest import make_corpus, random_corpus, union_sets, window_figures
 from leadnet.analytics import (
-    GENDER_GROUPS,
-    ROLE_GROUPS,
     Subgraph,
     active_user_indices,
-    homophily,
-    response_stats,
     role_subgraph,
     top_mass,
     user_codes,
 )
 from leadnet.ingest import Gender, Role, UserRef
 from leadnet.multiplex import build_tensor, window_events
-from leadnet.rank import RankVector
 
 
 def user(uid, role=Role.consultant, gender=Gender.unknown):
@@ -36,15 +31,12 @@ def everyone(corpus):
     return np.arange(corpus.n_users)
 
 
-def window_homophily(corpus, window):
-    return homophily(window_events(window, corpus), gender_of(corpus))
-
-
-def window_response_stats(corpus, window, group_by):
-    gender, role = user_codes(corpus)
-    codes, groups = {"author_role": (role, ROLE_GROUPS),
-                     "author_gender": (gender, GENDER_GROUPS)}[group_by]
-    return response_stats(window_events(window, corpus), codes, groups)
+def latency_figures(corpus, window, kind):
+    """{group: (mean latency, comment count)} of the window's
+    response_latency_mean_s rows by author ``kind`` (role or gender)."""
+    return {group.removeprefix(kind + ":"): figure
+            for (metric, group), figure in window_figures(corpus, window).items()
+            if metric == "response_latency_mean_s" and group.startswith(kind + ":")}
 
 
 WOMEN_AND_MEN = {
@@ -64,23 +56,21 @@ class TestHomophily:
             ],
             users=WOMEN_AND_MEN,
         )
-        entry = window_homophily(corpus, window)
-        assert entry.p_ww == pytest.approx(0.5)   # W2->W1 yes, W2->M1 no
-        assert entry.p_mm == pytest.approx(0.5)   # M1->W1 no, M2->M1 yes
-        assert entry.w_comments == 2 and entry.m_comments == 2
-        assert entry.prior_w == pytest.approx(0.5)
-        assert entry.prior_m == pytest.approx(0.5)
-        assert entry.threads_known == 2
+        f = window_figures(corpus, window)
+        # W2->W1 yes, W2->M1 no; M1->W1 no, M2->M1 yes
+        assert f["homophily_p_ww", ""] == (pytest.approx(0.5), 2)
+        assert f["homophily_p_mm", ""] == (pytest.approx(0.5), 2)
+        assert f["prior_w", ""] == (pytest.approx(0.5), 2)
+        assert f["prior_m", ""] == (pytest.approx(0.5), 2)
 
     def test_mentions_redirect_the_recipient(self):
         corpus, window = make_corpus(
             [("t0", "M1", [("W1", "ciao"), ("W2", "@W1 concordo")])],
             users=WOMEN_AND_MEN,
         )
-        entry = window_homophily(corpus, window)
+        f = window_figures(corpus, window)
         # W1 answered the man; W2 answered W1 through the mention.
-        assert entry.p_ww == pytest.approx(0.5)
-        assert entry.w_comments == 2
+        assert f["homophily_p_ww", ""] == (pytest.approx(0.5), 2)
 
     def test_unknown_gender_drops_from_both_sides(self):
         users = dict(WOMEN_AND_MEN)
@@ -93,28 +83,30 @@ class TestHomophily:
             ],
             users=users,
         )
-        entry = window_homophily(corpus, window)
-        assert entry.w_comments == 1
-        assert entry.p_ww == pytest.approx(1.0)
+        f = window_figures(corpus, window)
+        assert f["homophily_p_ww", ""] == (pytest.approx(1.0), 1)
         # thread by X does not enter the authorship prior
-        assert entry.threads_known == 2
-        assert entry.prior_w == pytest.approx(1.0)
+        assert f["prior_w", ""] == (pytest.approx(1.0), 2)
 
     def test_empty_denominators_become_none(self):
         corpus, window = make_corpus(
             [("t0", "W1", [("W2", "a")])], users=WOMEN_AND_MEN)
-        entry = window_homophily(corpus, window)
-        assert entry.p_mm is None and entry.m_comments == 0
-        assert entry.p_ww == pytest.approx(1.0)
+        f = window_figures(corpus, window)
+        assert f["homophily_p_mm", ""] == (None, 0)
+        assert f["homophily_p_ww", ""] == (pytest.approx(1.0), 1)
 
     def test_no_gendered_threads_gives_none_priors(self):
         corpus, window = make_corpus([("t0", "X", [])])
-        entry = window_homophily(corpus, window)
-        assert entry.prior_w is None and entry.prior_m is None
-        assert entry.p_ww is None and entry.p_mm is None
+        f = window_figures(corpus, window)
+        for metric in ("prior_w", "prior_m", "homophily_p_ww",
+                       "homophily_p_mm"):
+            assert f[metric, ""][0] is None
 
 
 class TestTopMass:
+    """``top_mass`` rows over users a..e (a, c women; b, d men; e of
+    unknown gender), all of whom post in the window."""
+
     def corpus(self):
         users = {
             "a": user("a", gender=Gender.female),
@@ -131,69 +123,72 @@ class TestTopMass:
 
     def rank(self, scores):
         vec = np.asarray(scores, dtype=float)
-        return RankVector(scores=vec / vec.sum())
+        return vec / vec.sum()
 
     def test_counts_women_in_the_top_k(self):
         corpus, _window = self.corpus()
         rank = self.rank([5.0, 4.0, 3.0, 2.0, 1.0])   # a, b, c, d, e
-        entry = top_mass(rank, gender_of(corpus), everyone(corpus), k=2)
-        assert entry.mass_w == pytest.approx(0.5)     # {a, b}
-        assert top_mass(rank, gender_of(corpus), everyone(corpus), k=3).mass_w == \
-            pytest.approx(2 / 3)
+        # {a, b}, then {a, b, c}
+        assert top_mass(rank, gender_of(corpus), everyone(corpus), k=2) == \
+            ("k=2", repr(0.5), "5")
+        assert top_mass(rank, gender_of(corpus), everyone(corpus), k=3) == \
+            ("k=3", repr(2 / 3), "5")
 
     def test_score_ties_break_by_user_id(self):
         corpus, _window = self.corpus()
         rank = self.rank([1.0, 1.0, 1.0, 1.0, 1.0])
-        entry = top_mass(rank, gender_of(corpus), everyone(corpus), k=2)
-        assert entry.mass_w == pytest.approx(0.5)     # {a, b} alphabetical
+        # {a, b} alphabetical
+        assert top_mass(rank, gender_of(corpus), everyone(corpus), k=2) == \
+            ("k=2", repr(0.5), "5")
 
     def test_unknown_gender_takes_a_slot_without_counting(self):
         corpus, _window = self.corpus()
         rank = self.rank([1.0, 1.0, 1.0, 1.0, 100.0])  # e on top
-        entry = top_mass(rank, gender_of(corpus), everyone(corpus), k=1)
-        assert entry.mass_w == 0.0
+        assert top_mass(rank, gender_of(corpus), everyone(corpus), k=1) == \
+            ("k=1", repr(0.0), "5")
 
     def test_full_depth_equals_the_prior(self):
         corpus, _window = self.corpus()
         rank = self.rank([3.0, 1.0, 4.0, 1.0, 5.0])
-        entry = top_mass(rank, gender_of(corpus), everyone(corpus), k=corpus.n_users)
         women = sum(u.gender is Gender.female for u in corpus.users)
-        assert entry.n_active == corpus.n_users
-        assert entry.mass_w == pytest.approx(women / entry.n_active) == \
-            pytest.approx(0.4)
+        assert top_mass(rank, gender_of(corpus), everyone(corpus),
+                        k=corpus.n_users) == \
+            (f"k={corpus.n_users}", repr(women / corpus.n_users), "5")
+        assert women / corpus.n_users == pytest.approx(0.4)
 
     def test_default_k_is_the_top_decile_floored_at_one(self):
-        corpus, _window = self.corpus()
+        corpus, window = self.corpus()
         rank = self.rank([5.0, 4.0, 3.0, 2.0, 1.0])
-        entry = top_mass(rank, gender_of(corpus), everyone(corpus))
-        assert entry.k == 1 and entry.n_active == 5
-        assert entry.mass_w == pytest.approx(1.0)
+        assert top_mass(rank, gender_of(corpus), everyone(corpus)) == \
+            ("k=1", repr(1.0), "5")
+        # the window's row, with no --top-k, is that same row
+        assert window_figures(corpus, window, rank)["top_mass_w", "k=1"] == \
+            (1.0, 5)
 
     def test_oversized_k_clamps_to_the_active_count(self):
         corpus, _window = self.corpus()
         rank = self.rank([1.0] * 5)
-        entry = top_mass(rank, gender_of(corpus), everyone(corpus), k=12)
-        assert entry.k == entry.n_active == 5
+        group, _value, count = top_mass(rank, gender_of(corpus),
+                                        everyone(corpus), k=12)
+        assert group == "k=5" and count == "5"
 
     def test_active_subset_restricts_the_ranking(self):
         corpus, _window = self.corpus()
         rank = self.rank([5.0, 4.0, 3.0, 2.0, 1.0])
         idx = corpus.user_index
-        entry = top_mass(rank, gender_of(corpus), active={idx["c"], idx["d"]},
-                         k=1)
-        assert entry.n_active == 2
-        assert entry.mass_w == pytest.approx(1.0)     # c outranks d
+        # c outranks d
+        assert top_mass(rank, gender_of(corpus), active={idx["c"], idx["d"]},
+                        k=1) == ("k=1", repr(1.0), "2")
         # at full depth, the women's share among the active users only
         assert top_mass(rank, gender_of(corpus), active={idx["c"], idx["d"]},
-                        k=2).mass_w == pytest.approx(0.5)
+                        k=2) == ("k=2", repr(0.5), "2")
 
-    def test_rejects_empty_active_set_and_bad_k(self):
+    def test_no_active_users_give_the_k0_row(self):
         corpus, _window = self.corpus()
         rank = self.rank([1.0] * 5)
-        with pytest.raises(ValueError):
-            top_mass(rank, gender_of(corpus), active=set())
-        with pytest.raises(ValueError):
-            top_mass(rank, gender_of(corpus), everyone(corpus), k=0)
+        for k in (None, 1, 3):
+            assert top_mass(rank, gender_of(corpus), set(), k) == \
+                ("k=0", "", "0")
 
 
 class TestActiveUsers:
@@ -227,27 +222,22 @@ class TestResponseStats:
 
     def test_groups_by_role_with_latency_from_first_comment(self):
         corpus, window = self.corpus()
-        stats = {s.group: s for s in
-                 window_response_stats(corpus, window, "author_role")}
+        stats = latency_figures(corpus, window, "role")
         assert sorted(stats) == ["consultant", "manager"]
-        assert stats["manager"].mean_latency_s == pytest.approx(60.0)
-        assert stats["manager"].comment_count == 2
-        assert stats["consultant"].comment_count == 1
-        assert stats["consultant"].mean_latency_s == pytest.approx(60.0)
+        assert stats["manager"] == (pytest.approx(60.0), 2)
+        assert stats["consultant"] == (pytest.approx(60.0), 1)
 
     def test_commentless_group_has_none_latency(self):
         users = {"con": user("con", role=Role.consultant)}
         corpus, window = make_corpus([("t0", "con", [])], users=users)
-        (only,) = window_response_stats(corpus, window, "author_role")
-        assert only.mean_latency_s is None
-        assert only.comment_count == 0
+        assert latency_figures(corpus, window, "role") == {
+            "consultant": (None, 0)}
 
     def test_groups_by_gender(self):
         corpus, window = self.corpus()
-        stats = window_response_stats(corpus, window, "author_gender")
-        assert [s.group for s in stats] == ["female", "male"]
-        assert [s.comment_count for s in stats] == [2, 1]
-        assert [s.mean_latency_s for s in stats] == [60.0, 60.0]
+        stats = latency_figures(corpus, window, "gender")
+        assert list(stats) == ["female", "male"]
+        assert list(stats.values()) == [(60.0, 2), (60.0, 1)]
 
 
 class TestRoleSubgraph:
@@ -319,16 +309,16 @@ class TestRoleSubgraphMatchesNeighborSets:
                                                      set(wanted))
 
 
-def sorted_top_mass(rank, corpus, active, k):
-    """top_mass as it ranked with a Python sort keyed by (-score,
+def sorted_top_mass(scores, corpus, active, k):
+    """top_mass's row as it ranked with a Python sort keyed by (-score,
     user_id), the reference for its lexsort."""
     indices = sorted(active)
     effective = min(k, len(indices))
     order = sorted(
-        indices, key=lambda i: (-rank.scores[i], corpus.users[i].user_id))
+        indices, key=lambda i: (-scores[i], corpus.users[i].user_id))
     women_top = sum(corpus.users[i].gender is Gender.female
                     for i in order[:effective])
-    return effective, len(indices), women_top / effective
+    return f"k={effective}", repr(women_top / effective), str(len(indices))
 
 
 class TestTopMassMatchesSortedOrder:
@@ -344,11 +334,10 @@ class TestTopMassMatchesSortedOrder:
         raw = np.array([rng.choice([0.0, 1.0, 1.0, 2.0, 3.0])
                         for _ in corpus.users])
         raw[rng.randrange(raw.size)] += 1.0
-        rank = RankVector(scores=raw / raw.sum())
+        scores = raw / raw.sum()
         for _ in range(5):
             active = set(rng.sample(range(corpus.n_users),
                                     rng.randint(1, corpus.n_users)))
             k = rng.randint(1, corpus.n_users + 2)
-            entry = top_mass(rank, gender_of(corpus), active, k)
-            assert (entry.k, entry.n_active, entry.mass_w) == \
-                sorted_top_mass(rank, corpus, active, k)
+            assert top_mass(scores, gender_of(corpus), active, k) == \
+                sorted_top_mass(scores, corpus, active, k)

@@ -383,7 +383,21 @@ class TestExportGraph:
         text = (out / "role_graph.dot").read_text()
         assert text.startswith("graph")
         assert read_manifest(out)["config"]["role"] == \
-            ["manager", "director"]
+            ["director", "manager"]
+
+    def test_roles_are_recorded_in_one_spelling(self, corpus_s, tmp_path):
+        """Role lists naming the same set write the same tree: each role
+        is recorded once, sorted by value."""
+        trees = []
+        for spelling in ("manager,partner", "partner,Manager",
+                         "manager,manager,partner"):
+            out = tmp_path / spelling.replace(",", "_")
+            assert run("export-graph", "--input", corpus_s / "threads.jsonl",
+                       "--out", out, "--role", spelling) == 0
+            trees.append(tree_bytes(out))
+        assert trees[0] == trees[1] == trees[2]
+        assert json.loads(trees[0]["manifest.json"])["config"]["role"] == \
+            ["manager", "partner"]
 
     def test_unknown_role_is_a_usage_error(self, corpus_dir, tmp_path):
         assert run("export-graph", *base_args(corpus_dir),
@@ -432,6 +446,21 @@ class TestAll:
         monkeypatch.setattr(threading.Thread, "start", recording)
         assert self.artifacts(corpus_s, tmp_path / "jobs4", 4) == serial
         assert started == []
+
+    def test_stopwords_need_a_lexicon(self, corpus_s, tmp_path, monkeypatch,
+                                      capsys):
+        """A stopword list without a lexicon would be recorded and never
+        read: the run is refused before any input is read."""
+        def failing(*args, **kwargs):
+            raise AssertionError("the log was read")
+
+        monkeypatch.setattr(cli, "parse_thread_log", failing)
+        out = tmp_path / "all"
+        assert run("all", "--input", corpus_s / "threads.jsonl",
+                   "--stopwords", corpus_s / "stopwords.txt",
+                   "--out", out, "--window", "week") == 2
+        assert "error: --stopwords needs --lexicon" in capsys.readouterr().err
+        assert not out.exists()
 
 
 @pytest.fixture(scope="module")

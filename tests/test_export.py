@@ -8,19 +8,8 @@ import pytest
 
 from conftest import make_corpus
 from leadnet import export
-from leadnet.analytics import (
-    GENDER_GROUPS,
-    ROLE_GROUPS,
-    active_user_indices,
-    homophily,
-    response_stats,
-    role_subgraph,
-    top_mass,
-    user_codes,
-)
+from leadnet.analytics import analytics_rows, role_subgraph, user_codes
 from leadnet.export import (
-    analytics_rows,
-    render,
     write_analytics_csv,
     write_edges_csv,
     write_graph_dot,
@@ -30,20 +19,6 @@ from leadnet.export import (
 from leadnet.ingest import Gender, Role, UserRef
 from leadnet.multiplex import build_tensor, window_events
 from leadnet.rank import MprParams, brokerage, multiplex_pagerank
-
-
-class TestRender:
-    def test_none_becomes_the_empty_string(self):
-        assert render(None) == ""
-
-    def test_floats_round_trip_through_repr(self):
-        value = 1.0 / 3.0
-        assert float(render(value)) == value
-        assert render(0.5) == "0.5"
-
-    def test_other_values_pass_through(self):
-        assert render(7) == "7"
-        assert render("k=3") == "k=3"
 
 
 @pytest.fixture()
@@ -88,17 +63,9 @@ class TestRankingsCsv:
 class TestAnalyticsCsv:
     def test_row_layout_and_none_rendering(self, ranked, tmp_path):
         corpus, window, _tensor, result = ranked
-        events = window_events(window, corpus)
-        gender, role = user_codes(corpus)
-        top = top_mass(result.leadership, gender,
-                       active_user_indices(events), 2)
-        rows = analytics_rows(
-            "2014-01-06T00:00:00Z",
-            homophily(events, gender),
-            top,
-            response_stats(events, role, ROLE_GROUPS),
-            response_stats(events, gender, GENDER_GROUPS),
-        )
+        rows = analytics_rows("2014-01-06T00:00:00Z",
+                              window_events(window, corpus),
+                              result.leadership.scores, user_codes(corpus), 2)
         path = tmp_path / "analytics.csv"
         write_analytics_csv(path, rows)
         with open(path, newline="") as handle:
@@ -117,20 +84,11 @@ class TestAnalyticsCsv:
 
     def test_empty_rates_render_as_empty_cells(self, tmp_path):
         corpus, window = make_corpus([("t0", "a", [])])
-        events = window_events(window, corpus)
-        gender, role = user_codes(corpus)
         rows = analytics_rows(
-            "2014-01-06T00:00:00Z",
-            homophily(events, gender),
-            top_mass(
-                multiplex_pagerank(build_tensor(window, corpus),
-                                   MprParams()).leadership,
-                gender,
-                active_user_indices(events),
-            ),
-            response_stats(events, role, ROLE_GROUPS),
-            response_stats(events, gender, GENDER_GROUPS),
-        )
+            "2014-01-06T00:00:00Z", window_events(window, corpus),
+            multiplex_pagerank(build_tensor(window, corpus),
+                               MprParams()).leadership.scores,
+            user_codes(corpus), None)
         path = tmp_path / "analytics.csv"
         write_analytics_csv(path, rows)
         with open(path, newline="") as handle:
@@ -139,6 +97,21 @@ class TestAnalyticsCsv:
         assert read["prior_w"]["value"] == ""
         assert read["prior_w"]["count"] == "0"
 
+    def test_floats_round_trip_through_repr(self, tmp_path):
+        users = {uid: UserRef(user_id=uid, role=Role.consultant, gender=g)
+                 for uid, g in (("w", Gender.female), ("m", Gender.male))}
+        corpus, window = make_corpus(
+            [("t0", "w", []), ("t1", "m", []), ("t2", "m", [])], users=users)
+        rows = analytics_rows("2014-01-06T00:00:00Z",
+                              window_events(window, corpus),
+                              np.ones(corpus.n_users), user_codes(corpus), None)
+        path = tmp_path / "analytics.csv"
+        write_analytics_csv(path, rows)
+        with open(path, newline="") as handle:
+            read = {r["metric"]: r for r in csv.DictReader(handle)}
+        assert read["prior_w"]["value"] == repr(1 / 3)
+        assert float(read["prior_w"]["value"]) == 1 / 3
+        assert float(read["prior_m"]["value"]) == 2 / 3
 
 class TestEdgesCsv:
     def test_grouped_by_layer_then_sorted(self, ranked, tmp_path):

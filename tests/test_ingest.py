@@ -15,10 +15,10 @@ from conftest import (
     message_author_map,
     random_corpus,
     resolve_like_package,
+    window_figures,
     write_threads_csv,
 )
 from leadnet import cli
-from leadnet.analytics import homophily, user_codes
 from leadnet.ingest import (
     CSV_COLUMNS,
     CommentRecord,
@@ -96,6 +96,20 @@ class TestTimestamps:
     def test_garbage_rejected(self):
         with pytest.raises(ValueError):
             parse_timestamp("last tuesday")
+
+    @pytest.mark.parametrize("text", [
+        "20140102T134120Z", "2014-W01-4T13:41:20Z", "2014-01-02 13:41:20Z",
+        "2014-01-02T13:41:20,5Z", "2014-01-02T13:41:20.1234567Z",
+        "2014-002T13:41:20Z"])
+    def test_the_grammar_is_python_3_11_fromisoformat(self, text):
+        """Basic, week-date, space-separated and comma-fraction forms
+        and a fraction past six digits read; an ordinal date does not."""
+        if text == "2014-002T13:41:20Z":
+            with pytest.raises(ValueError):
+                parse_timestamp(text)
+        else:
+            assert parse_timestamp(text) == \
+                datetime(2014, 1, 2, 13, 41, 20, tzinfo=UTC)
 
     @pytest.mark.parametrize("text", ["   ", " ", "\t\n"])
     def test_whitespace_only_is_a_value_error(self, text):
@@ -998,10 +1012,9 @@ class TestRecipients:
         canonical = corpus.users[corpus.user_index["x"]]
         assert canonical.gender is Gender.female
         assert corpus.threads[0].recipients == ("x", "m")
-        entry = homophily(window_events(whole_span_slice(corpus), corpus),
-                          user_codes(corpus)[0])
-        assert entry.m_comments == 1 and entry.p_mm == 0.0
-        assert entry.w_comments == 1 and entry.p_ww == 0.0
+        figures = window_figures(corpus, whole_span_slice(corpus))
+        assert figures["homophily_p_mm", ""] == (0.0, 1)
+        assert figures["homophily_p_ww", ""] == (0.0, 1)
 
 
 def one_of_each_record():

@@ -2,8 +2,8 @@
 
 import pytest
 
-from conftest import message_author_map
-from leadnet.ingest import Gender
+from conftest import message_author_map, window_figures
+from leadnet.ingest import Gender, whole_span_slice
 from leadnet.synth import (
     POOLS,
     START,
@@ -164,36 +164,27 @@ class TestLexiconFiles:
 
 
 class TestHomophilyKnob:
-    def measure(self, uplift):
-        from leadnet.analytics import homophily, user_codes
-        from leadnet.ingest import whole_span_slice
-        from leadnet.multiplex import window_events
+    def p_ww(self, uplift):
         spec = SyntheticSpec(n_users=200, n_threads=4000, comments_mean=0.5,
                              women_activity_uplift=uplift, seed=17)
         corpus = generate(spec)
-        return homophily(window_events(whole_span_slice(corpus), corpus),
-                         user_codes(corpus)[0])
+        return window_figures(corpus, whole_span_slice(corpus))[
+            "homophily_p_ww", ""][0]
 
     def test_recipient_side_rate_matches_the_knob(self):
-        entry = self.measure(1.0)
-        assert entry.p_ww == pytest.approx(0.48, abs=0.04)
+        assert self.p_ww(1.0) == pytest.approx(0.48, abs=0.04)
 
     def test_uplift_keeps_the_planted_rate(self):
-        entry = self.measure(2.0)
-        assert entry.p_ww == pytest.approx(0.48, abs=0.04)
+        assert self.p_ww(2.0) == pytest.approx(0.48, abs=0.04)
 
 
 class TestLatencyKnob:
     def test_manager_threads_answered_faster(self):
-        from leadnet.analytics import ROLE_GROUPS, response_stats, user_codes
-        from leadnet.ingest import whole_span_slice
-        from leadnet.multiplex import window_events
         spec = SyntheticSpec(n_users=150, n_threads=3000, seed=23,
                              manager_latency_factor=0.5)
         corpus = generate(spec)
-        events = window_events(whole_span_slice(corpus), corpus)
-        stats = {s.group: s for s in response_stats(
-            events, user_codes(corpus)[1], ROLE_GROUPS)}
-        ratio = (stats["manager"].mean_latency_s /
-                 stats["consultant"].mean_latency_s)
+        figures = window_figures(corpus, whole_span_slice(corpus))
+        latency = "response_latency_mean_s"
+        ratio = (figures[latency, "role:manager"][0] /
+                 figures[latency, "role:consultant"][0])
         assert ratio == pytest.approx(0.5, rel=0.2)

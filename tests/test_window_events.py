@@ -2,16 +2,16 @@
 
 The analytics used to walk each window's thread, comment and rating
 objects themselves.  ``ParentWalkers`` keeps those walks as they were,
-and every analytics figure read off ``window_events`` rows must equal
-theirs field for field, with the same Python types, on random corpora,
-on the daily windows of synthetic corpora, and on the hand-built edge
-cases of ``data/analytics_edges.jsonl``.  The last tests count the
+and the ``analytics.csv`` rows read off ``window_events`` rows must
+equal the rows rendered from theirs, as the same text, on random
+corpora, on the daily windows of synthetic corpora, and on the
+hand-built edge cases of ``data/analytics_edges.jsonl``.  The last tests count the
 walks a run makes.
 """
 
 import random
 from collections import defaultdict
-from dataclasses import astuple, replace
+from dataclasses import replace
 from datetime import timedelta
 from pathlib import Path
 
@@ -20,28 +20,20 @@ import pytest
 
 from conftest import T0, random_corpus, window_ratings
 from leadnet import cli, multiplex
-from leadnet.analytics import (
-    GENDER_GROUPS,
-    ROLE_GROUPS,
-    active_user_indices,
-    homophily,
-    response_stats,
-    top_mass,
-    user_codes,
-)
+from leadnet.analytics import active_user_indices, analytics_rows, user_codes
 from leadnet.ingest import (
     Gender,
     Role,
     UserRef,
     WindowConfig,
     build_corpus,
+    format_timestamp,
     parse_ratings,
     parse_thread_log,
     whole_span_slice,
     window_partition,
 )
 from leadnet.multiplex import window_events
-from leadnet.rank import RankVector
 from leadnet.synth import SyntheticSpec, generate
 
 DATA = Path(__file__).parent / "data"
@@ -102,12 +94,12 @@ class ParentWalkers:
         return active
 
     @staticmethod
-    def top_mass(rank, corpus, active, k):
+    def top_mass(scores, corpus, active, k):
         indices = sorted(active)
         wanted = k if k is not None else max(1, len(indices) // 10)
         effective = min(wanted, len(indices))
         idx = np.asarray(indices)
-        top = idx[np.lexsort((idx, -rank.scores[idx]))[:effective]].tolist()
+        top = idx[np.lexsort((idx, -scores[idx]))[:effective]].tolist()
         women_top = sum(1 for i in top
                         if corpus.users[i].gender is Gender.female)
         return effective, len(indices), women_top / effective
@@ -140,35 +132,53 @@ class ParentWalkers:
                 for group in sorted(threads)]
 
 
-def same(got, want):
-    """Equal, and of the same Python type field by field."""
-    assert got == want
-    assert [type(value) for value in got] == [type(value) for value in want]
+def cell(value):
+    """A figure as ``analytics.csv`` writes it: a float by its repr, None
+    as an empty cell."""
+    return "" if value is None else repr(value)
+
+
+def parent_rows(window, corpus, scores, k):
+    """The window's ``analytics.csv`` rows, less their window start,
+    rendered from the figures of ``ParentWalkers``."""
+    p_ww, p_mm, prior_w, prior_m, w_all, m_all, known = \
+        ParentWalkers.homophily(window, corpus)
+    active = ParentWalkers.active_user_indices(window, corpus)
+    top = ("k=0", "", "0")
+    if active:
+        effective, n_active, mass = ParentWalkers.top_mass(
+            scores, corpus, active, k)
+        top = (f"k={effective}", cell(mass), str(n_active))
+    rows = [("homophily_p_ww", "", cell(p_ww), str(w_all)),
+            ("homophily_p_mm", "", cell(p_mm), str(m_all)),
+            ("prior_w", "", cell(prior_w), str(known)),
+            ("prior_m", "", cell(prior_m), str(known)),
+            ("top_mass_w", *top)]
+    for kind, group_by in (("role", "author_role"),
+                           ("gender", "author_gender")):
+        rows += [("response_latency_mean_s", f"{kind}:{group}", cell(mean),
+                  str(comments)) for group, mean, comments in
+                 ParentWalkers.response_stats(window, corpus, group_by)]
+    return rows
 
 
 def check_window(corpus, window, rng):
     events = window_events(window, corpus)
-    gender, role = user_codes(corpus)
-    same(astuple(homophily(events, gender)), ParentWalkers.homophily(window, corpus))
-    for codes, groups, group_by in ((role, ROLE_GROUPS, "author_role"),
-                                    (gender, GENDER_GROUPS, "author_gender")):
-        got = [astuple(s) for s in response_stats(events, codes, groups)]
-        want = ParentWalkers.response_stats(window, corpus, group_by)
-        assert len(got) == len(want)
-        for got_row, want_row in zip(got, want):
-            same(got_row, want_row)
     active = active_user_indices(events)
     assert active.tolist() == sorted(
         ParentWalkers.active_user_indices(window, corpus))
-    if not active.size:
-        return
-    # few distinct scores, so most users tie
-    raw = np.array([rng.choice([0.0, 1.0, 1.0, 2.0]) for _ in corpus.users])
-    raw[rng.randrange(raw.size)] += 1.0
-    rank = RankVector(scores=raw / raw.sum())
-    for k in (None, 1, rng.randint(1, active.size + 2)):
-        same(astuple(top_mass(rank, gender, active, k)),
-             ParentWalkers.top_mass(rank, corpus, active.tolist(), k))
+    scores, top_ks = np.zeros(corpus.n_users), (None,)
+    if active.size:
+        # few distinct scores, so most users tie
+        raw = np.array([rng.choice([0.0, 1.0, 1.0, 2.0]) for _ in corpus.users])
+        raw[rng.randrange(raw.size)] += 1.0
+        scores = raw / raw.sum()
+        top_ks = (None, 1, rng.randint(1, active.size + 2))
+    start = format_timestamp(window.start)
+    for k in top_ks:
+        got = analytics_rows(start, events, scores, user_codes(corpus), k)
+        assert got == [(start, *row)
+                       for row in parent_rows(window, corpus, scores, k)]
 
 
 def windows(corpus):
