@@ -10,13 +10,12 @@ not a zero, when its denominator is empty.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Iterable
 
 import numpy as np
 
 from .ingest import Corpus, Role
-from .multiplex import MultiplexTensor, WindowEvents, union_adjacency
+from .multiplex import WindowEvents
 
 # A user's gender code indexes GENDER_GROUPS and their role code
 # ROLE_GROUPS; -1 is unknown.  Both are sorted, as grouped rows are.
@@ -124,33 +123,3 @@ def analytics_rows(window_start: str, events: WindowEvents,
         *_latency_rows(events, gender, GENDER_GROUPS, "gender"),
     ]
     return [(window_start, *row) for row in rows]
-
-
-@dataclass(frozen=True)
-class Subgraph:
-    """An undirected induced subgraph over corpus user indices; matching
-    users stay as nodes even when isolated."""
-
-    nodes: tuple[int, ...]
-    edges: tuple[tuple[int, int], ...]
-
-
-def role_subgraph(
-    tensor: MultiplexTensor, corpus: Corpus, roles: Iterable[Role]
-) -> tuple[Subgraph, list[str]]:
-    """Layer-union graph restricted to users holding one of the roles.
-    Returns the subgraph plus warnings (e.g. when nothing matches)."""
-    wanted = set(roles)
-    nodes = tuple(
-        i for i, ref in enumerate(corpus.users) if ref.role in wanted
-    )
-    warnings: list[str] = []
-    if not nodes:
-        names = ", ".join(sorted(r.value for r in wanted)) or "(none)"
-        warnings.append(f"role filter [{names}] matches no users; empty subgraph")
-    member = np.zeros(tensor.n, dtype=bool)
-    member[list(nodes)] = True
-    lo, hi = union_adjacency(tensor)
-    both = member[lo] & member[hi]
-    edges = tuple(zip(lo[both].tolist(), hi[both].tolist()))
-    return Subgraph(nodes=nodes, edges=edges), warnings

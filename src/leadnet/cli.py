@@ -35,7 +35,7 @@ from pathlib import Path
 from typing import Callable, Sequence
 
 from . import __version__
-from .analytics import analytics_rows, role_subgraph, user_codes
+from .analytics import analytics_rows, user_codes
 from .export import (
     write_analytics_csv,
     write_edges_csv,
@@ -243,6 +243,10 @@ def _load_config_file(path: str | None) -> dict:
     return data
 
 
+# the options naming an input file, which the manifest records by digest
+_INPUT_FILES = ("input", "ratings", "lexicon", "stopwords")
+
+
 def _flag(name: str) -> str:
     return "--" + name.replace("_", "-")
 
@@ -298,6 +302,14 @@ def resolve_settings(args: argparse.Namespace) -> dict:
     for key, cls in _CONFIGS.items():
         if dataclasses.fields(cls)[0].name in resolved:
             resolved[key] = _from_options(cls, resolved)
+    named = {}  # the manifest keys each input by its file name
+    for key in _INPUT_FILES:
+        if resolved.get(key) is not None:
+            name = Path(resolved[key]).name
+            if name in named:
+                raise UsageError(f"{_flag(named[name])} and {_flag(key)} both"
+                                 f" name a file called {name!r}")
+            named[name] = key
     return resolved
 
 
@@ -355,7 +367,7 @@ def _write_json(path: Path, payload: dict) -> None:
 
 def write_manifest(ctx: RunContext, command: str, cfg: dict) -> None:
     inputs = {}
-    for key in ("input", "ratings", "lexicon", "stopwords"):
+    for key in _INPUT_FILES:
         value = cfg.get(key)
         if value is not None:
             inputs[Path(value).name] = _sha256(value)
@@ -533,19 +545,19 @@ def cmd_topics(cfg: dict, ctx: RunContext) -> None:
     corpus, diags = _load_corpus(cfg)
     _print_diags(diags)
     slices = _slices(corpus, cfg)
+    if cfg["stream"] is not None:
+        window = _window_at(slices, cfg["window_index"])
     streams = _topic_streams(slices, lexicon, cfg)
     write_topics_json(streams, ctx.path("topics.json"))
     if cfg["stream"] is None:
         return
-    window = _window_at(slices, cfg["window_index"])
-    wanted = [s for s in streams if s.stream_id == cfg["stream"]]
-    if not wanted:
+    if cfg["stream"] not in streams:
         raise UsageError(f"no stream named {cfg['stream']!r}")
-    try:
-        filtered = topic_network(wanted[0], window, lexicon)
-    except ValueError as exc:
-        raise UsageError(str(exc)) from exc
-    tensor = build_tensor(filtered, corpus)
+    topic = dict(streams[cfg["stream"]]).get(window.index)
+    if topic is None:
+        raise UsageError(
+            f"stream {cfg['stream']} has no topic in window {window.index}")
+    tensor = build_tensor(topic_network(topic, window, lexicon), corpus)
     name = f"stream_{cfg['stream']}_w{window.index:03d}_edges.csv"
     write_edges_csv(ctx.path(name), tensor, corpus)
 
@@ -567,10 +579,9 @@ def cmd_export_graph(cfg: dict, ctx: RunContext) -> None:
     write_edges_csv(ctx.path("edges.csv"), tensor, corpus)
     write_graph_dot(ctx.path("graph.dot"), tensor, corpus)
     if cfg["role"] is not None:
-        subgraph, warnings = role_subgraph(tensor, corpus, cfg["role"])
-        for line in warnings:
+        for line in write_role_graph_dot(ctx.path("role_graph.dot"), tensor,
+                                         corpus, cfg["role"]):
             print(f"warning: {line}", file=sys.stderr)
-        write_role_graph_dot(ctx.path("role_graph.dot"), subgraph, corpus)
 
 
 def cmd_all(cfg: dict, ctx: RunContext) -> None:
@@ -630,7 +641,7 @@ COMMAND_OPTIONS = {
 # the semantic options a command records in its manifest: everything it
 # accepts except paths and the ignored --jobs, so identical inputs yield
 # identical manifests.
-_NOT_RECORDED = ("input", "ratings", "lexicon", "stopwords", "out", "jobs")
+_NOT_RECORDED = _INPUT_FILES + ("out", "jobs")
 MANIFEST_KEYS = {
     command: tuple(name for name in options if name not in _NOT_RECORDED)
     for command, options in COMMAND_OPTIONS.items()

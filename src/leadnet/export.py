@@ -13,9 +13,8 @@ from typing import Iterable, Iterator
 
 import numpy as np
 
-from .analytics import Subgraph
-from .ingest import Corpus
-from .multiplex import LAYER_NAMES, MultiplexTensor
+from .ingest import Corpus, Role
+from .multiplex import LAYER_NAMES, MultiplexTensor, union_adjacency
 from .rank import MprResult, RankVector
 
 RANKINGS_COLUMNS = (
@@ -119,16 +118,24 @@ def write_graph_dot(path: str | Path, tensor: MultiplexTensor,
         out.write("}\n")
 
 
-def write_role_graph_dot(path: str | Path, subgraph: Subgraph,
-                         corpus: Corpus) -> None:
-    """The role-filtered layer union as an undirected graph."""
-    lines = ["graph leadnet_roles {"]
-    for i in subgraph.nodes:
-        lines.append(f"  {_dot_quote(corpus.users[i].user_id)};")
-    for i, j in subgraph.edges:
-        lines.append(
-            f"  {_dot_quote(corpus.users[i].user_id)} -- "
-            f"{_dot_quote(corpus.users[j].user_id)};"
-        )
-    lines.append("}")
+def write_role_graph_dot(path: str | Path, tensor: MultiplexTensor,
+                         corpus: Corpus, roles: Iterable[Role]) -> list[str]:
+    """The layer union among the users holding one of ``roles``, as an
+    undirected graph: each such user is a node, an isolated one too, in
+    user order, then the union's edges between two of them.  Returns the
+    warning lines: one when no user holds a role."""
+    wanted = set(roles)
+    member = np.array([user.role in wanted for user in corpus.users], dtype=bool)
+    lo, hi = union_adjacency(tensor)
+    both = member[lo] & member[hi]
+    quoted = [_dot_quote(user.user_id) for user in corpus.users]
+    lines = ["graph leadnet_roles {",
+             *(f"  {quoted[i]};" for i in np.flatnonzero(member).tolist()),
+             *(f"  {quoted[i]} -- {quoted[j]};"
+               for i, j in zip(lo[both].tolist(), hi[both].tolist())),
+             "}"]
     Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+    if member.any():
+        return []
+    names = ", ".join(sorted(role.value for role in wanted)) or "(none)"
+    return [f"role filter [{names}] matches no users; empty subgraph"]

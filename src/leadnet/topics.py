@@ -189,18 +189,12 @@ def _emit_chunk(chunk: list[str], names: list[str], grams: list[str]) -> None:
     grams.extend(names)
 
 
-@dataclass(frozen=True)
-class CooccurrenceGraph:
-    """freq: window occurrence count of each kept n-gram.
-    adj: undirected adjacency among kept n-grams (same-thread edges)."""
-
-    freq: dict[str, int]
-    adj: dict[str, set[str]]
-
-
 def cooccurrence_graph(
     slice: WindowSlice, lexicon: ConceptLexicon, cfg: TopicConfig = TopicConfig()
-) -> CooccurrenceGraph:
+) -> tuple[dict[str, int], dict[str, set[str]]]:
+    """(freq, adj): the window occurrence count of each kept n-gram, by
+    n-gram, and the undirected adjacency among the kept n-grams, an edge
+    joining two that occur in one thread."""
     per_thread = [thread_grams(t, lexicon) for t in slice.threads]
     freq = Counter()
     for grams in per_thread:
@@ -213,9 +207,7 @@ def cooccurrence_graph(
     for a, b in pairs:
         adj[a].add(b)
         adj[b].add(a)
-    return CooccurrenceGraph(
-        freq={gram: freq[gram] for gram in sorted(kept)}, adj=adj
-    )
+    return {gram: freq[gram] for gram in sorted(kept)}, adj
 
 
 def bron_kerbosch(adj: Mapping[str, set[str]]) -> list[tuple[str, ...]]:
@@ -251,20 +243,6 @@ class Topic:
             raise ValueError("a topic needs at least two n-grams")
 
 
-@dataclass(frozen=True)
-class TopicStream:
-    """One topic chained through consecutive windows."""
-
-    stream_id: str
-    entries: tuple[tuple[int, Topic], ...]
-
-    def topic_at(self, window: int) -> Topic | None:
-        for w, topic in self.entries:
-            if w == window:
-                return topic
-        return None
-
-
 def cosine(a: Mapping[str, float], b: Mapping[str, float]) -> float:
     """Cosine similarity over the union n-gram space; 0 for empty input."""
     dot = sum(value * b[key] for key, value in a.items() if key in b)
@@ -280,13 +258,13 @@ def topics_in_window(
 ) -> list[Topic]:
     """Cliques of the window's co-occurrence graph, vertically merged.
     Topic ids are canonical: w<window>.t<position in clique order>."""
-    graph = cooccurrence_graph(slice, lexicon, cfg)
+    freq, adj = cooccurrence_graph(slice, lexicon, cfg)
     topics = [
         Topic(
             topic_id=f"w{slice.index:03d}.t{position:03d}",
-            members={gram: graph.freq[gram] for gram in clique},
+            members={gram: freq[gram] for gram in clique},
         )
-        for position, clique in enumerate(bron_kerbosch(graph.adj))
+        for position, clique in enumerate(bron_kerbosch(adj))
     ]
     return merge_vertical(topics, cfg.theta_v)
 
@@ -316,8 +294,9 @@ def merge_vertical(topics: Sequence[Topic], theta_v: float) -> list[Topic]:
 
 def chain_streams(
     topics_per_window: Sequence[Sequence[Topic]], theta_h: float
-) -> list[TopicStream]:
-    """Greedy best-match chaining between consecutive windows.
+) -> dict[str, list[tuple[int, Topic]]]:
+    """Greedy best-match chaining between consecutive windows, as
+    {stream id: [(window, topic), ...]} in creation order.
 
     Pairs (topic of window w, stream that last grew at window w-1) with
     cosine >= theta_h are taken in descending cosine order (ties by
@@ -325,49 +304,35 @@ def chain_streams(
     window and each topic joins at most one stream.  Leftover topics
     start new streams, numbered in creation order.
     """
-    streams: list[dict] = []
-    counter = 0
+    streams: dict[str, list[tuple[int, Topic]]] = {}
     for window, window_topics in enumerate(topics_per_window):
-        open_streams = [
-            s for s in streams if s["entries"][-1][0] == window - 1
-        ]
+        ordered = sorted(window_topics, key=lambda t: t.topic_id)
         candidates = []
-        for topic in sorted(window_topics, key=lambda t: t.topic_id):
-            for stream in open_streams:
-                sim = cosine(topic.members, stream["entries"][-1][1].members)
-                if sim >= theta_h:
-                    candidates.append((sim, topic.topic_id, stream["id"], topic, stream))
-        candidates.sort(key=lambda item: (-item[0], item[1], item[2]))
+        for topic in ordered:
+            for stream_id, entries in streams.items():
+                if entries[-1][0] == window - 1:
+                    sim = cosine(topic.members, entries[-1][1].members)
+                    if sim >= theta_h:
+                        candidates.append((-sim, topic.topic_id, stream_id, topic))
+        candidates.sort(key=lambda item: item[:3])
         claimed_topics: set[str] = set()
         claimed_streams: set[str] = set()
-        for sim, topic_id, stream_id, topic, stream in candidates:
-            if topic_id in claimed_topics or stream_id in claimed_streams:
-                continue
-            stream["entries"].append((window, topic))
-            claimed_topics.add(topic_id)
-            claimed_streams.add(stream_id)
-        for topic in sorted(window_topics, key=lambda t: t.topic_id):
+        for _sim, topic_id, stream_id, topic in candidates:
+            if topic_id not in claimed_topics and stream_id not in claimed_streams:
+                streams[stream_id].append((window, topic))
+                claimed_topics.add(topic_id)
+                claimed_streams.add(stream_id)
+        for topic in ordered:
             if topic.topic_id not in claimed_topics:
-                streams.append({"id": f"s{counter:04d}", "entries": [(window, topic)]})
-                counter += 1
-    return [
-        TopicStream(stream_id=s["id"], entries=tuple(s["entries"]))
-        for s in streams
-    ]
+                streams[f"s{len(streams):04d}"] = [(window, topic)]
+    return streams
 
 
 def topic_network(
-    stream: TopicStream,
-    slice: WindowSlice,
-    lexicon: ConceptLexicon,
+    topic: Topic, slice: WindowSlice, lexicon: ConceptLexicon
 ) -> WindowSlice:
-    """The sub-slice of threads mentioning at least one n-gram of the
-    stream's topic in this window."""
-    topic = stream.topic_at(slice.index)
-    if topic is None:
-        raise ValueError(
-            f"stream {stream.stream_id} has no topic in window {slice.index}"
-        )
+    """The sub-slice of threads mentioning at least one n-gram of
+    ``topic``, a topic of this window."""
     members = set(topic.members)
     threads = tuple(
         t for t in slice.threads
@@ -377,27 +342,15 @@ def topic_network(
                        threads=threads)
 
 
-def streams_to_rows(streams: Sequence[TopicStream]) -> list[dict]:
-    """JSON-ready rows: one per (window, topic), sorted by window then
-    topic id, members sorted by n-gram."""
-    rows = []
-    for stream in streams:
-        for window, topic in stream.entries:
-            rows.append({
-                "window": window,
-                "topic_id": topic.topic_id,
-                "stream_id": stream.stream_id,
-                "members": [
-                    {"ngram": gram, "freq": topic.members[gram]}
-                    for gram in sorted(topic.members)
-                ],
-            })
+def write_topics_json(streams: Mapping[str, Sequence[tuple[int, Topic]]],
+                      path: str | Path) -> None:
+    """One row per (window, topic), sorted by window then topic id, its
+    members sorted by n-gram."""
+    rows = [{"window": window, "topic_id": topic.topic_id, "stream_id": stream_id,
+             "members": [{"ngram": gram, "freq": topic.members[gram]}
+                         for gram in sorted(topic.members)]}
+            for stream_id, entries in streams.items() for window, topic in entries]
     rows.sort(key=lambda row: (row["window"], row["topic_id"]))
-    return rows
-
-
-def write_topics_json(streams: Sequence[TopicStream], path: str | Path) -> None:
     with open(path, "w", encoding="utf-8") as out:
-        json.dump(streams_to_rows(streams), out, sort_keys=True,
-                  ensure_ascii=False, indent=2)
+        json.dump(rows, out, sort_keys=True, ensure_ascii=False, indent=2)
         out.write("\n")

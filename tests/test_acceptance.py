@@ -197,10 +197,10 @@ def test_08_planted_topic_streams(gate, synth_lexicon):
         streams = chain_streams(per_window, config.theta_h)
         assert len(streams) == 2
         pools = []
-        for stream in streams:
+        for entries in streams.values():
             labels = {
                 pool_of_ngram(gram)
-                for _w, topic in stream.entries
+                for _w, topic in entries
                 for gram in topic.members
             }
             assert len(labels) == 1 and None not in labels

@@ -7,13 +7,8 @@ import numpy as np
 import pytest
 
 from conftest import make_corpus, random_corpus, union_sets, window_figures
-from leadnet.analytics import (
-    Subgraph,
-    active_user_indices,
-    role_subgraph,
-    top_mass,
-    user_codes,
-)
+from leadnet.analytics import active_user_indices, top_mass, user_codes
+from leadnet.export import write_role_graph_dot
 from leadnet.ingest import Gender, Role, UserRef
 from leadnet.multiplex import build_tensor, window_events
 
@@ -257,44 +252,62 @@ class TestRoleSubgraph:
         )
         return corpus, build_tensor(window, corpus)
 
-    def test_induced_union_keeps_isolated_members(self):
+    def written(self, tmp_path, roles):
+        """The corpus, the role_graph.dot text written for ``roles`` and
+        the warning lines."""
         corpus, tensor = self.corpus()
-        sub, warnings = role_subgraph(tensor, corpus, [Role.manager])
+        path = tmp_path / "role_graph.dot"
+        warnings = write_role_graph_dot(path, tensor, corpus, roles)
+        return corpus, path.read_text(encoding="utf-8"), warnings
+
+    def test_induced_union_keeps_isolated_members(self, tmp_path):
+        corpus, text, warnings = self.written(tmp_path, [Role.manager])
         idx = corpus.user_index
-        assert sub.nodes == (idx["a"], idx["b"], idx["d"])
-        assert sub.edges == ((idx["a"], idx["b"]),)
+        assert text == rendered_role_graph(
+            corpus, (idx["a"], idx["b"], idx["d"]), ((idx["a"], idx["b"]),))
         assert warnings == []
 
-    def test_empty_match_warns(self):
-        corpus, tensor = self.corpus()
-        sub, warnings = role_subgraph(tensor, corpus, [Role.partner])
-        assert sub.nodes == () and sub.edges == ()
+    def test_empty_match_warns(self, tmp_path):
+        corpus, text, warnings = self.written(tmp_path, [Role.partner])
+        assert text == rendered_role_graph(corpus, (), ())
         assert len(warnings) == 1 and "partner" in warnings[0]
 
-    def test_multiple_roles_union(self):
-        corpus, tensor = self.corpus()
-        sub, _ = role_subgraph(
-            tensor, corpus, [Role.manager, Role.consultant])
-        assert len(sub.nodes) == 4
-        idx = corpus.user_index
-        assert (idx["c"], idx["d"]) in sub.edges
-        assert (idx["a"], idx["c"]) in sub.edges
+    def test_multiple_roles_union(self, tmp_path):
+        corpus, text, _ = self.written(
+            tmp_path, [Role.manager, Role.consultant])
+        lines = text.splitlines()[1:-1]
+        assert len([line for line in lines if " -- " not in line]) == 4
+        assert '  "c" -- "d";' in lines
+        assert '  "a" -- "c";' in lines
+
+
+def rendered_role_graph(corpus, nodes, edges):
+    """role_graph.dot as it renders the given user indices and index
+    pairs, each id quoted with its backslashes and quotes escaped."""
+    def dot_id(i):
+        text = corpus.users[i].user_id
+        return '"' + text.replace("\\", "\\\\").replace('"', '\\"') + '"'
+    return "".join(["graph leadnet_roles {\n",
+                    *(f"  {dot_id(i)};\n" for i in nodes),
+                    *(f"  {dot_id(i)} -- {dot_id(j)};\n" for i, j in edges),
+                    "}\n"])
 
 
 def neighbor_set_role_subgraph(tensor, corpus, roles):
-    """The role subgraph read off neighbor sets built from the stored
-    edges: a reference that shares no code with the sparse union."""
+    """The role subgraph's (nodes, edges) read off neighbor sets built
+    from the stored edges: a reference that shares no code with the
+    sparse union."""
     neighbors = union_sets(tensor)
     nodes = tuple(i for i, ref in enumerate(corpus.users) if ref.role in roles)
     keep = set(nodes)
     edges = sorted((i, j) for i in nodes for j in neighbors[i]
                    if j in keep and i < j)
-    return Subgraph(nodes=nodes, edges=tuple(edges))
+    return nodes, tuple(edges)
 
 
 class TestRoleSubgraphMatchesNeighborSets:
     @pytest.mark.parametrize("seed", range(15))
-    def test_random_windows_and_role_sets(self, seed):
+    def test_random_windows_and_role_sets(self, seed, tmp_path):
         rng = random.Random(9700 + seed)
         corpus, window, _t, _r = random_corpus(rng, n_users=12, n_threads=10)
         tensor = build_tensor(window, corpus)
@@ -304,9 +317,13 @@ class TestRoleSubgraphMatchesNeighborSets:
             replace(ref, role=rng.choice(roles)) for ref in corpus.users))
         for wanted in ([rng.choice(roles)], rng.sample(roles, 2),
                        rng.sample(roles, 4), roles):
-            sub, _warnings = role_subgraph(tensor, corpus, wanted)
-            assert sub == neighbor_set_role_subgraph(tensor, corpus,
-                                                     set(wanted))
+            path = tmp_path / "role_graph.dot"
+            warnings = write_role_graph_dot(path, tensor, corpus, wanted)
+            nodes, edges = neighbor_set_role_subgraph(tensor, corpus,
+                                                      set(wanted))
+            assert path.read_text(encoding="utf-8") == \
+                rendered_role_graph(corpus, nodes, edges)
+            assert (warnings == []) == bool(nodes)
 
 
 def sorted_top_mass(scores, corpus, active, k):

@@ -4,6 +4,7 @@ import csv
 import gc
 import json
 import os
+import shutil
 import threading
 import warnings
 import weakref
@@ -348,6 +349,72 @@ class TestTopics:
         assert run("topics", *base_args(corpus_dir),
                    "--out", tmp_path / "x") == 2
 
+    def test_window_index_out_of_range_fails_before_topic_work(
+            self, corpus_s, tmp_path, monkeypatch, capsys):
+        calls = []
+        thread_grams = topics.thread_grams
+
+        def counting(*args):
+            calls.append(args)
+            return thread_grams(*args)
+
+        monkeypatch.setattr(topics, "thread_grams", counting)
+        out = tmp_path / "x"
+        assert run("topics", "--input", corpus_s / "threads.jsonl",
+                   *lex_args(corpus_s), "--out", out, "--window", "week",
+                   "--stream", "s0000", "--window-index", 99) == 2
+        assert capsys.readouterr().err == \
+            "error: window index 99 out of range (have 8 windows)\n"
+        assert calls == []
+        assert not out.exists()
+
+
+class TestStreamErrors:
+    """Two weeks of threads: the stream of alpha and beta runs through
+    both, and the stream of gamma and delta, s0001, starts in week 1."""
+
+    @pytest.fixture()
+    def two_weeks(self, tmp_path):
+        def thread(thread_id, published, title):
+            return json.dumps({
+                "thread_id": thread_id, "title": title, "description": "",
+                "published_at": published, "tags": [], "comments": [],
+                "author": {"user_id": "u1", "role": "manager", "gender": 0},
+            }) + "\n"
+
+        log = tmp_path / "threads.jsonl"
+        log.write_text(thread("t0", "2014-01-06T09:00:00Z", "alpha beta")
+                       + thread("t1", "2014-01-13T09:00:00Z", "alpha beta")
+                       + thread("t2", "2014-01-14T09:00:00Z", "gamma delta"))
+        lexicon = tmp_path / "lexicon.tsv"
+        lexicon.write_text("".join(f"{word}\tc.{word}\ten\n" for word in
+                                   ("alpha", "beta", "gamma", "delta")))
+        return ["topics", "--input", log, "--lexicon", lexicon,
+                "--window", "week", "--min-freq", 1]
+
+    def test_unknown_stream_is_named(self, two_weeks, tmp_path, capsys):
+        out = tmp_path / "out"
+        assert run(*two_weeks, "--out", out, "--stream", "s9999",
+                   "--window-index", 0) == 2
+        assert capsys.readouterr().err == \
+            "error: no stream named 's9999'\n"
+        assert not out.exists()
+
+    def test_stream_without_a_topic_in_the_window(self, two_weeks, tmp_path,
+                                                  capsys):
+        assert run(*two_weeks, "--out", tmp_path / "w1", "--stream", "s0001",
+                   "--window-index", 1) == 0
+        rows = json.loads((tmp_path / "w1" / "topics.json").read_text())
+        assert [(r["window"], r["stream_id"]) for r in rows] == [
+            (0, "s0000"), (1, "s0000"), (1, "s0001")]
+        capsys.readouterr()
+        out = tmp_path / "out"
+        assert run(*two_weeks, "--out", out, "--stream", "s0001",
+                   "--window-index", 0) == 2
+        assert capsys.readouterr().err == \
+            "error: stream s0001 has no topic in window 0\n"
+        assert not out.exists()
+
 
 class TestAnalytics:
     def test_rows_per_window(self, corpus_dir, tmp_path):
@@ -566,6 +633,27 @@ class TestManifestKeys:
         recorded = set(read_manifest(out)["config"])
         assert recorded == accepted - self.NOT_RECORDED
         assert not recorded & self.NOT_RECORDED
+
+
+class TestManifestInputs:
+    def test_inputs_of_one_file_name_are_refused_before_any_is_read(
+            self, corpus_s, tmp_path, monkeypatch, capsys):
+        """The manifest keys each input by its file name, so two inputs
+        of one name would leave one digest out: the run is refused."""
+        def failing(*args, **kwargs):
+            raise AssertionError("the log was read")
+
+        monkeypatch.setattr(cli, "parse_thread_log", failing)
+        for folder, source in (("a", "threads.jsonl"), ("b", "ratings.jsonl")):
+            (tmp_path / folder).mkdir()
+            shutil.copy(corpus_s / source, tmp_path / folder / "log.jsonl")
+        out = tmp_path / "out"
+        assert run("rank", "--input", tmp_path / "a" / "log.jsonl",
+                   "--ratings", tmp_path / "b" / "log.jsonl",
+                   "--out", out, "--window", "week") == 2
+        assert capsys.readouterr().err == ("error: --input and --ratings both"
+                                           " name a file called 'log.jsonl'\n")
+        assert not out.exists()
 
 
 class TestLexiconErrors:

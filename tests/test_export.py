@@ -8,7 +8,7 @@ import pytest
 
 from conftest import make_corpus
 from leadnet import export
-from leadnet.analytics import analytics_rows, role_subgraph, user_codes
+from leadnet.analytics import analytics_rows, user_codes
 from leadnet.export import (
     write_analytics_csv,
     write_edges_csv,
@@ -158,10 +158,9 @@ class TestRoleGraphDot:
         }
         corpus, window = make_corpus(
             [("t0", 'a"b', [("c", "x"), ("d", "y")])], users=users)
-        subgraph, _warnings = role_subgraph(build_tensor(window, corpus),
-                                            corpus, [Role.manager])
         path = tmp_path / "role_graph.dot"
-        write_role_graph_dot(path, subgraph, corpus)
+        assert write_role_graph_dot(path, build_tensor(window, corpus),
+                                    corpus, [Role.manager]) == []
         assert path.read_text() == (
             "graph leadnet_roles {\n"
             '  "a\\"b";\n'

@@ -160,15 +160,15 @@ class TestCooccurrence:
             window, LEX, TopicConfig(min_freq=min_freq))
 
     def test_vertices_filtered_by_frequency(self):
-        graph = self.build(
+        freq, _adj = self.build(
             ["analisi", "analisi", "marketing"], min_freq=2)
-        assert set(graph.freq) == {"analisi"}
-        assert graph.freq["analisi"] == 2
+        assert set(freq) == {"analisi"}
+        assert freq["analisi"] == 2
 
     def test_edges_need_a_shared_thread(self):
-        graph = self.build(["analisi performance", "marketing"])
-        assert graph.adj["analisi"] == {"analisi_performance", "performance"}
-        assert graph.adj["marketing"] == set()
+        _freq, adj = self.build(["analisi performance", "marketing"])
+        assert adj["analisi"] == {"analisi_performance", "performance"}
+        assert adj["marketing"] == set()
 
 
 class TestBronKerbosch:
@@ -251,9 +251,9 @@ class TestChaining:
             [topic("w000.t000", a=3, b=1)],
             [topic("w001.t000", a=2, b=1)],
         ], theta_h=0.3)
-        (stream,) = streams
-        assert stream.stream_id == "s0000"
-        assert [w for w, _t in stream.entries] == [0, 1]
+        ((stream_id, entries),) = streams.items()
+        assert stream_id == "s0000"
+        assert [w for w, _t in entries] == [0, 1]
 
     def test_gap_breaks_the_stream(self):
         streams = chain_streams([
@@ -261,7 +261,7 @@ class TestChaining:
             [],
             [topic("w002.t000", a=3, b=1)],
         ], theta_h=0.3)
-        assert [s.stream_id for s in streams] == ["s0000", "s0001"]
+        assert list(streams) == ["s0000", "s0001"]
 
     def test_dissimilar_topics_open_new_streams(self):
         streams = chain_streams([
@@ -275,9 +275,9 @@ class TestChaining:
             [topic("w000.t000", a=3, b=3)],
             [topic("w001.t000", a=3, b=3), topic("w001.t001", a=3, b=2)],
         ], theta_h=0.3)
-        first = streams[0]
-        assert first.topic_at(1).topic_id == "w001.t000"
-        assert streams[1].entries[0][1].topic_id == "w001.t001"
+        first, second = streams.values()
+        assert dict(first)[1].topic_id == "w001.t000"
+        assert second[0][1].topic_id == "w001.t001"
 
 
 class TestWindowTopics:
@@ -323,23 +323,14 @@ class TestWindowTopics:
         topics = topics_in_window(window, self.LEXICON,
                                   TopicConfig(min_freq=2))
         streams = chain_streams([topics], theta_h=0.3)
-        alpha_stream = next(
-            s for s in streams if "alpha" in s.entries[0][1].members)
-        filtered = topic_network(alpha_stream, window, self.LEXICON)
+        alpha_topic = next(
+            entries[0][1] for entries in streams.values()
+            if "alpha" in entries[0][1].members)
+        filtered = topic_network(alpha_topic, window, self.LEXICON)
         assert [t.thread_id for t in filtered.threads] == ["t0", "t1"]
         events = window_events(filtered, corpus)   # C rated B's t0m1 only
         assert (events.rater.tolist(), events.rated.tolist()) == \
             ([corpus.user_index["C"]], [corpus.user_index["B"]])
-
-    def test_topic_network_requires_presence_in_window(self):
-        _corpus, window = self.corpus()
-        topics = topics_in_window(window, self.LEXICON,
-                                  TopicConfig(min_freq=3))
-        streams = chain_streams([topics], theta_h=0.3)
-        other = type(window)(index=5, start=window.start, end=window.end,
-                             threads=window.threads)
-        with pytest.raises(ValueError):
-            topic_network(streams[0], other, self.LEXICON)
 
 
 class TestSerialization:
@@ -466,11 +457,12 @@ def assert_walks_like_reference(window, lexicon, min_freq=1):
                 ref_extract_concepts(text, lexicon), text
         assert thread_grams(thread, lexicon) == \
             ref_thread_grams(thread, lexicon)
-    graph = cooccurrence_graph(window, lexicon, TopicConfig(min_freq=min_freq))
+    got_freq, got_adj = cooccurrence_graph(
+        window, lexicon, TopicConfig(min_freq=min_freq))
     freq, adj = ref_cooccurrence_graph(window, lexicon, min_freq)
-    assert graph.freq == freq
-    assert list(graph.freq) == list(freq)
-    assert graph.adj == adj
+    assert got_freq == freq
+    assert list(got_freq) == list(freq)
+    assert got_adj == adj
 
 
 def tsv_lexicon(surfaces, stopwords=()):
