@@ -101,7 +101,9 @@ def analytics_rows(window_start: str, events: WindowEvents,
     woman, over the women's comments whose recipient's gender is known;
     ``homophily_p_mm`` mirrors it for men.  A comment answers the user
     the collaboration layer reads: the first @-mention of an earlier
-    participant, else the thread author.  ``prior_w`` and ``prior_m``
+    participant, else the thread author.  Unlike the layers, homophily
+    keeps a comment that answers its own author, as a same-gender
+    answer.  ``prior_w`` and ``prior_m``
     are the shares of thread authorships by women and men, over the
     threads whose author's gender is known.  Then come the
     ``top_mass_w`` row of the window's active users and the

@@ -471,7 +471,7 @@ def cmd_ingest(cfg: dict, ctx: RunContext) -> None:
                 "start": format_timestamp(s.start),
                 "end": format_timestamp(s.end),
                 "threads": len(s.threads),
-                "ratings": len(corpus.ratings_in(s.threads)),
+                "ratings": window_events(s, corpus).rater.size,
             }
             for s in slices
         ],

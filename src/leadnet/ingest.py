@@ -35,11 +35,11 @@ import re
 import sys
 from bisect import bisect_right
 from contextlib import contextmanager
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from datetime import MAXYEAR, datetime, timedelta, timezone
 from operator import itemgetter
 from pathlib import Path
-from typing import IO, Iterable, Iterator, Mapping
+from typing import IO, Iterable, Iterator
 
 
 class IngestError(Exception):
@@ -98,44 +98,6 @@ class ThreadRecord:
     tags: tuple[str, ...]
     author: UserRef
     comments: tuple[CommentRecord, ...]
-    _recipients: tuple[str, ...] | None = field(
-        default=None, init=False, repr=False, compare=False)
-
-    @property
-    def recipients(self) -> tuple[str, ...]:
-        """The user id each comment answers, aligned with ``comments``: the
-        first @-mention naming a participant already active in the thread
-        (the author or an earlier commenter), else the thread author.
-        Computed on first use and kept, so every window holding the thread
-        shares one resolution; a ``replace`` copy computes its own."""
-        if self._recipients is None:
-            author = self.author.user_id
-            active = {author: author}
-            answered = []
-            for comment in self.comments:
-                answered.append(_mentioned(comment.text, active) or author)
-                commenter = comment.author.user_id
-                active.setdefault(commenter, commenter)
-            object.__setattr__(self, "_recipients", tuple(answered))
-        return self._recipients
-
-
-_MENTION = re.compile(r"(?<!\S)@(\S+)")
-_TRAILING_PUNCT = ".,;:!?)('\"`>]}"
-
-
-def _mentioned(text: str, active: Mapping[str, str]) -> str | None:
-    """The id of the participant named by the first @-mention token in
-    ``text`` (a token starting with "@"), as written or with its trailing
-    punctuation stripped; None when no mention names one.  ``active``
-    maps each participant's id to itself, so the id returned is the
-    participant's own string, not a piece of ``text``."""
-    for match in _MENTION.finditer(text):
-        token = match.group(1)
-        for candidate in (token, token.rstrip(_TRAILING_PUNCT)):
-            if candidate in active:
-                return active[candidate]
-    return None
 
 
 @dataclass(frozen=True, slots=True)
@@ -171,20 +133,6 @@ class Corpus:
     @property
     def n_users(self) -> int:
         return len(self.users)
-
-    def ratings_in(self, threads: Iterable[ThreadRecord]
-                   ) -> list[tuple[RatingEvent, str]]:
-        """The ratings of the messages in ``threads``, in corpus order,
-        each with the user id of its target's author.  A message id held
-        twice resolves to its first copy in ``threads``, and a rating
-        counts for every set of threads that holds a copy."""
-        author: dict[str, str] = {}
-        for thread in threads:
-            author.setdefault(thread.thread_id, thread.author.user_id)
-            for c in thread.comments:
-                author.setdefault(c.comment_id, c.author.user_id)
-        return [(e, author[e.target_message_id]) for e in self.ratings
-                if e.target_message_id in author]
 
 
 @dataclass(frozen=True)
@@ -227,7 +175,7 @@ class WindowSlice:
     """One half-open window [start, end) with its threads.
 
     A thread belongs wholly to the window containing its published_at;
-    a window holds the ratings of its messages (``Corpus.ratings_in``).
+    a window holds the ratings of its messages (``multiplex.window_events``).
     Empty windows inside the corpus span are kept.
     """
 

@@ -15,14 +15,16 @@ Self-loops never appear in any layer; ``Layer`` rejects one.
 
 A window is walked once, by ``window_events``, into integer event rows:
 one per thread (its author and first-reply latency), one per comment and
-one per rating.  Each layer is a group-by over those rows, and the
-per-window analytics read the same rows.  Every floating-point sum adds
-its terms in the order the window lists them, so the weights are
-bit-identical to accumulating them in dicts.
+one per rating.  That walk alone decides whom each comment answers and
+whose message each rating credits.  Each layer is a group-by over those
+rows, and the per-window analytics read the same rows.  Every
+floating-point sum adds its terms in the order the window lists them, so
+the weights are bit-identical to accumulating them in dicts.
 """
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from functools import cached_property
 from types import MappingProxyType
@@ -133,14 +135,44 @@ class WindowEvents(NamedTuple):
     value: np.ndarray
 
 
+_MENTION = re.compile(r"(?<!\S)@(\S+)")
+_TRAILING_PUNCT = ".,;:!?)('\"`>]}"
+
+
+def _mentioned(text: str, active: Mapping[str, int]) -> int | None:
+    """The index ``active`` gives the participant named by the first
+    @-mention token in ``text`` (a token starting with "@"), as written or
+    with its trailing punctuation stripped; None when no mention names
+    one, at once for a text without "@"."""
+    if "@" not in text:
+        return None
+    for match in _MENTION.finditer(text):
+        token = match.group(1)
+        for candidate in (token, token.rstrip(_TRAILING_PUNCT)):
+            if candidate in active:
+                return active[candidate]
+    return None
+
+
 def window_events(slice: WindowSlice, corpus: Corpus) -> WindowEvents:
-    """Walk the window once; the ratings are those of its messages, as
-    ``Corpus.ratings_in`` picks them."""
+    """Walk the window once, deciding on the way whom each comment
+    answers and whose message each rating credits.
+
+    A comment answers the participant its first @-mention names, where
+    the participants are the thread author and the thread's earlier
+    commenters (``_mentioned``), else the thread author.  The window's
+    ratings are those of ``corpus.ratings`` whose target is one of its
+    messages, in corpus order; a message id held twice in the window
+    credits the author of its first copy, and a rating counts in every
+    window that holds a copy of its target."""
     index = corpus.user_index
     thread_author, first_reply_s = [], []
     position, commenter, recipient, order_k = [], [], [], []
+    author_of: dict[str, int] = {}  # message id -> author, first copy
     for p, thread in enumerate(slice.threads):
-        thread_author.append(index[thread.author.user_id])
+        author = index[thread.author.user_id]
+        thread_author.append(author)
+        author_of.setdefault(thread.thread_id, author)
         comments = thread.comments
         if not comments:
             first_reply_s.append(np.nan)
@@ -150,16 +182,22 @@ def window_events(slice: WindowSlice, corpus: Corpus) -> WindowEvents:
         by = [index[c.author.user_id] for c in comments]
         commenter += by
         order_k += range(1, len(by) + 1)
-        recipient += [index[r] for r in thread.recipients]
         position += [p] * len(by)
-    ratings = corpus.ratings_in(slice.threads)
+        active = {thread.author.user_id: author}
+        for c, i in zip(comments, by):
+            named = _mentioned(c.text, active)
+            recipient.append(author if named is None else named)
+            active.setdefault(c.author.user_id, i)
+            author_of.setdefault(c.comment_id, i)
+    ratings = [(e, rated) for e in corpus.ratings
+               if (rated := author_of.get(e.target_message_id)) is not None]
     return WindowEvents(
         np.array(thread_author, dtype=np.int64), np.array(first_reply_s),
         *(np.array(column, dtype=np.int64) for column in (
             position, commenter, recipient, order_k,
-            [index[e.rater_id] for e, _author in ratings],
-            [index[author] for _e, author in ratings],
-            [e.value for e, _author in ratings])),
+            [index[e.rater_id] for e, _rated in ratings],
+            [rated for _e, rated in ratings],
+            [e.value for e, _rated in ratings])),
     )
 
 

@@ -207,6 +207,17 @@ def resolve_like_package(text, author, prior):
     return author
 
 
+def reference_recipients(thread):
+    """Recipient ids from the test-side resolver, one per comment."""
+    prior = {thread.author.user_id}
+    answered = []
+    for comment in thread.comments:
+        answered.append(resolve_like_package(comment.text,
+                                             thread.author.user_id, prior))
+        prior.add(comment.author.user_id)
+    return answered
+
+
 def message_author_map(threads):
     """Map every message id (thread or comment) to its author; on
     duplicate ids the first occurrence wins, matching build_corpus."""
@@ -218,11 +229,14 @@ def message_author_map(threads):
     return authors
 
 
-def window_ratings(corpus, window):
-    """The ratings a window holds, as a filter of its own: those of
-    ``corpus`` whose target is a message of the window, in corpus order."""
+def reference_ratings(corpus, window):
+    """The ratings a window holds, each with the user id of the author it
+    credits: those of ``corpus`` whose target is a message of the window,
+    in corpus order, a message id held twice resolving to its first copy
+    in the window."""
     authors = message_author_map(window.threads)
-    return [e for e in corpus.ratings if e.target_message_id in authors]
+    return [(e, authors[e.target_message_id].user_id) for e in corpus.ratings
+            if e.target_message_id in authors]
 
 
 def write_threads_csv(threads, path):

@@ -67,6 +67,23 @@ class TestHomophily:
         # W1 answered the man; W2 answered W1 through the mention.
         assert f["homophily_p_ww", ""] == (pytest.approx(0.5), 2)
 
+    def test_a_comment_answering_its_own_author_counts(self):
+        corpus, window = make_corpus(
+            [
+                ("t0", "W1", [("W1", "bump"), ("M1", "hello")]),
+                ("t1", "M1", [("W2", "ciao"), ("M1", "@M1 me")]),
+            ],
+            users=WOMEN_AND_MEN,
+        )
+        f = window_figures(corpus, window)
+        # W1->W1 (her own thread) yes, W2->M1 no; M1->W1 no, M1->M1 yes:
+        # the layers drop both self-answers, homophily counts them
+        assert f["homophily_p_ww", ""] == (0.5, 2)
+        assert f["homophily_p_mm", ""] == (0.5, 2)
+        at = corpus.user_index
+        assert set(build_tensor(window, corpus).collaboration.edges) == {
+            (at["M1"], at["W1"]), (at["W2"], at["M1"])}
+
     def test_unknown_gender_drops_from_both_sides(self):
         users = dict(WOMEN_AND_MEN)
         users["X"] = user("X")

@@ -12,8 +12,8 @@ from pathlib import Path
 
 import pytest
 
-from conftest import write_threads_csv
-from leadnet import __version__, cli, ingest, rank, topics
+from conftest import make_corpus, write_threads_csv
+from leadnet import __version__, cli, ingest, multiplex, rank, topics
 from leadnet.rank import MprParams
 from leadnet.synth import SyntheticSpec
 from leadnet.topics import TopicConfig
@@ -770,22 +770,39 @@ class TestTokenizeOnce:
 
 
 class TestRecipientResolution:
-    def test_all_resolves_each_comment_once(self, corpus_dir, tmp_path,
-                                            monkeypatch):
+    def test_all_resolves_each_comment_in_its_window_and_in_the_span(
+            self, corpus_dir, tmp_path, monkeypatch):
         threads, _diags = ingest.parse_thread_log(corpus_dir / "threads.jsonl")
-        comments = sum(len(t.comments) for t in threads)
+        texts = [c.text for t in threads for c in t.comments]
         resolved = []
-        mentioned = ingest._mentioned
+        mentioned = multiplex._mentioned
 
         def counting(text, participants):
             resolved.append(text)
             return mentioned(text, participants)
 
-        monkeypatch.setattr(ingest, "_mentioned", counting)
+        monkeypatch.setattr(multiplex, "_mentioned", counting)
         assert run("all", *base_args(corpus_dir), *lex_args(corpus_dir),
                    "--out", tmp_path / "all", "--window", "week") == 0
-        assert comments > 0
-        assert len(resolved) == comments
+        assert texts
+        assert sorted(resolved) == sorted(texts * 2)
+
+    def test_a_text_without_at_never_reaches_the_mention_regex(
+            self, monkeypatch):
+        scanned = []
+        pattern = multiplex._MENTION
+
+        class Recording:
+            def finditer(self, text):
+                scanned.append(text)
+                return pattern.finditer(text)
+
+        monkeypatch.setattr(multiplex, "_MENTION", Recording())
+        corpus, window = make_corpus([("t0", "a", [
+            ("b", "plain"), ("c", "@b, yes"), ("d", "mail a@b")])])
+        recipient = multiplex.window_events(window, corpus).recipient
+        assert [corpus.users[i].user_id for i in recipient] == ["a", "b", "a"]
+        assert scanned == ["@b, yes", "mail a@b"]
 
 
 class TestBrokerageScoring:
@@ -841,13 +858,13 @@ class TestFailingDailyRun:
         first_day = sum(len(t.comments) for t in daily[0].threads)
         assert 0 < first_day < sum(len(t.comments) for t in threads)
         resolved = []
-        mentioned = ingest._mentioned
+        mentioned = multiplex._mentioned
 
         def counting(text, participants):
             resolved.append(text)
             return mentioned(text, participants)
 
-        monkeypatch.setattr(ingest, "_mentioned", counting)
+        monkeypatch.setattr(multiplex, "_mentioned", counting)
         out = tmp_path / "all"
         assert run("all", *base_args(corpus_dir), *lex_args(corpus_dir),
                    "--out", out, "--window", "days:1", "--max-iter", 1) == 1

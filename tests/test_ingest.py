@@ -14,7 +14,7 @@ from conftest import (
     make_corpus,
     message_author_map,
     random_corpus,
-    resolve_like_package,
+    reference_recipients,
     window_figures,
     write_threads_csv,
 )
@@ -539,7 +539,7 @@ class TestWindows:
         ))
         corpus, _ = build_corpus(threads, events)
         slices = window_partition(corpus, WindowConfig.from_string("week"))
-        assert [len(ratings_in(corpus, s)) for s in slices] == [0, 1]
+        assert [len(rating_rows(corpus, s)) for s in slices] == [0, 1]
 
     def test_whole_span_covers_everything(self):
         corpus = spread_corpus([0, 30])
@@ -549,9 +549,13 @@ class TestWindows:
         assert window_slice.end > corpus.threads[-1].published_at
 
 
-def ratings_in(corpus, window):
-    """The ratings ``Corpus.ratings_in`` picks for the window's threads."""
-    return [rating for rating, _author in corpus.ratings_in(window.threads)]
+def rating_rows(corpus, window):
+    """The window's ratings as ``window_events`` picks and credits them:
+    (rater, rated author, value) rows by user id."""
+    events = window_events(window, corpus)
+    ids = [u.user_id for u in corpus.users]
+    return [(ids[i], ids[j], value) for i, j, value in zip(
+        events.rater.tolist(), events.rated.tolist(), events.value.tolist())]
 
 
 def message_ids(window):
@@ -590,11 +594,16 @@ def brute_force_partition(corpus, cfg):
 
 
 def assert_partition_matches_brute_force(corpus, cfg):
-    """The package's windows, and the ratings ``Corpus.ratings_in`` gives
-    each of them, against the nested scans."""
-    got = [(s, ratings_in(corpus, s))
-           for s in window_partition(corpus, cfg)]
-    assert got == brute_force_partition(corpus, cfg)
+    """The package's windows, and the rating rows ``window_events`` gives
+    each of them, against the nested scans; a rating credits the author
+    of its target's first copy in the window."""
+    want = brute_force_partition(corpus, cfg)
+    assert window_partition(corpus, cfg) == [window for window, _r in want]
+    for window, ratings in want:
+        authors = message_author_map(window.threads)
+        assert rating_rows(corpus, window) == [
+            (r.rater_id, authors[r.target_message_id].user_id, r.value)
+            for r in ratings]
 
 
 def boundary_corpus():
@@ -645,10 +654,12 @@ class TestWindowPartitionAgainstBruteForce:
         assert [[t.thread_id for t in s.threads] for s in slices] == [
             ["t0", "t4"], ["t1"], [], ["t3", "t2"],
         ]
-        targets = [[r.target_message_id
-                    for r in ratings_in(corpus, s)] for s in slices]
-        assert targets == [["c1", "c2", "c1"], ["t1"], [],
-                           ["c1", "c5", "c1", "c4"]]
+        # the rated targets are c1, c2, c1 | t1 | none | c1, c5, c1, c4:
+        # b wrote every comment and a every thread
+        rows = [[(rater, rated) for rater, rated, _value
+                 in rating_rows(corpus, s)] for s in slices]
+        assert rows == [[("d", "b"), ("d", "b"), ("f", "b")], [("e", "a")],
+                        [], [("d", "b"), ("e", "b"), ("f", "b"), ("d", "b")]]
 
     @pytest.mark.parametrize("seed", range(4))
     @pytest.mark.parametrize("cfg", CONFIGS)
@@ -866,7 +877,8 @@ class TestCanonicalRecords:
         # t3 holds b as written, without a role or gender
         assert_threads_kept(corpus, threads)
         assert corpus.threads[2].comments[0].author == UserRef("b")
-        assert corpus.threads[2].recipients == ("a", "a")
+        # t1's comments answer a, t2's its author b, and t3's two a
+        assert answered(corpus) == ["a", "a", "b", "a", "a"]
 
     def test_filled_in_attribute_keeps_threads(self):
         threads, _diags = parse_thread_log(jsonl(
@@ -885,7 +897,7 @@ class TestCanonicalRecords:
         # x is first seen without attributes; its record keeps that ref
         assert_threads_kept(corpus, threads)
         assert corpus.threads[0].author == UserRef("x")
-        assert corpus.threads[0].recipients == ("x",)
+        assert answered(corpus) == ["x"]
 
     def test_conflicting_attribute_keeps_threads(self):
         threads, _diags = parse_thread_log(jsonl(
@@ -903,7 +915,7 @@ class TestCanonicalRecords:
         assert (b.role, b.gender) == (Role.manager, Gender.female)
         assert_threads_kept(corpus, threads)
         assert corpus.threads[1].author == UserRef("b", Role.director, Gender.male)
-        assert corpus.threads[1].recipients == ("b",)
+        assert answered(corpus) == ["b"]
 
     @pytest.mark.parametrize("seed", [3, 11])
     def test_equals_corpus_of_unshared_copies(self, tmp_path, seed):
@@ -925,18 +937,14 @@ class TestCanonicalRecords:
             for field in ("thread_id", "title", "description",
                           "published_at", "tags", "author", "comments"):
                 assert getattr(ours, field) == getattr(theirs, field)
-            assert ours.recipients == theirs.recipients
+        assert answered(corpus) == answered(fresh)
 
 
-def reference_recipients(thread):
-    """Recipient ids from the test-side resolver, one per comment."""
-    prior = {thread.author.user_id}
-    answered = []
-    for comment in thread.comments:
-        answered.append(resolve_like_package(comment.text,
-                                             thread.author.user_id, prior))
-        prior.add(comment.author.user_id)
-    return answered
+def answered(corpus):
+    """The user id each comment of the corpus answers, in thread then
+    comment order, as ``window_events`` resolves it over the whole span."""
+    events = window_events(whole_span_slice(corpus), corpus)
+    return [corpus.users[i].user_id for i in events.recipient.tolist()]
 
 
 class TestRecipients:
@@ -944,9 +952,9 @@ class TestRecipients:
     def test_random_corpora_match_reference(self, seed):
         corpus, _window, _threads, _ratings = random_corpus(
             random.Random(9000 + seed), n_threads=10, p_mention=0.5)
-        for thread in corpus.threads:
-            assert len(thread.recipients) == len(thread.comments)
-            assert list(thread.recipients) == reference_recipients(thread)
+        assert answered(corpus) == [
+            user_id for thread in corpus.threads
+            for user_id in reference_recipients(thread)]
 
     def test_random_corpora_cover_ghosts_and_punctuation(self):
         texts = [
@@ -970,28 +978,12 @@ class TestRecipients:
             ("a", "@b) and @c"),
             ("c", "mail a@b"),
         ])])
-        thread = corpus.threads[0]
         # a later commenter (e, for b's comment) is not yet active, so
         # that comment falls back to the thread author; an "@" inside a
         # word starts no mention, so "mail a@b" answers the author too
         expected = ["a", "b", "c", "a", "d", "b", "a"]
-        assert list(thread.recipients) == expected
-        assert reference_recipients(thread) == expected
-
-    def test_recipients_are_the_participants_own_id_strings(self):
-        (thread,), _diags = parse_thread_log(jsonl(thread_obj(
-            author="ann", comments=[("c1", "bob", "2014-01-06T10:00:00Z")])))
-        reply = CommentRecord("c2", "@bob, thanks", thread.comments[0].created_at,
-                              thread.author)
-        thread = dataclasses.replace(thread, comments=(*thread.comments, reply))
-        assert thread.recipients == ("ann", "bob")
-        assert thread.recipients[0] is thread.author.user_id
-        assert thread.recipients[1] is thread.comments[0].author.user_id
-
-    def test_recipients_are_computed_once(self):
-        corpus, _window = make_corpus([("t0", "a", [("b", "hi")])])
-        thread = corpus.threads[0]
-        assert thread.recipients is thread.recipients
+        assert answered(corpus) == expected
+        assert reference_recipients(corpus.threads[0]) == expected
 
     def test_recipient_is_the_canonical_merged_user(self):
         # x's gender is only known from the second thread; the analytics
@@ -1011,7 +1003,7 @@ class TestRecipients:
         corpus, _diags = build_corpus(threads)
         canonical = corpus.users[corpus.user_index["x"]]
         assert canonical.gender is Gender.female
-        assert corpus.threads[0].recipients == ("x", "m")
+        assert answered(corpus) == ["x", "m"]
         figures = window_figures(corpus, whole_span_slice(corpus))
         assert figures["homophily_p_mm", ""] == (0.0, 1)
         assert figures["homophily_p_ww", ""] == (0.0, 1)
@@ -1039,29 +1031,8 @@ class TestLeanRecords:
                 setattr(record, name, "other")
 
     def test_records_survive_a_pickle_round_trip(self):
-        thread, *others = one_of_each_record()
-        assert thread.recipients
-        copy = pickle.loads(pickle.dumps(thread))
-        assert copy == thread and copy.recipients == thread.recipients
-        for record in others:
+        for record in one_of_each_record():
             assert pickle.loads(pickle.dumps(record)) == record
-
-    def test_equality_and_hash_ignore_the_recipients(self):
-        thread = one_of_each_record()[0]
-        copy = dataclasses.replace(thread)
-        assert thread.recipients == ("a",)
-        assert copy == thread and hash(copy) == hash(thread)
-        assert "recipients" not in repr(thread)
-
-    def test_replaced_comments_get_their_own_recipients(self):
-        thread = one_of_each_record()[0]
-        assert thread.recipients == ("a",)
-        reply = CommentRecord("c2", "@b ok", thread.comments[0].created_at,
-                              thread.author)
-        rebuilt = dataclasses.replace(
-            thread, comments=(*thread.comments, reply))
-        assert rebuilt.recipients == ("a", "b")
-        assert thread.recipients == ("a",)
 
     @pytest.mark.parametrize("fmt", ["jsonl", "csv"])
     def test_equal_tags_share_one_tuple_and_string(self, fmt):

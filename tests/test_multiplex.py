@@ -12,10 +12,10 @@ from conftest import (
     T0,
     make_corpus,
     make_layer,
-    message_author_map,
     random_corpus,
+    reference_ratings,
+    reference_recipients,
     resolve_like_package,
-    window_ratings,
 )
 from leadnet.ingest import (
     WindowConfig,
@@ -288,7 +288,7 @@ def dict_collaboration(window, corpus):
     raw = defaultdict(float)
     for thread in window.threads:
         for k, (comment, recipient) in enumerate(
-                zip(thread.comments, thread.recipients), start=1):
+                zip(thread.comments, reference_recipients(thread)), start=1):
             i = index[comment.author.user_id]
             j = index[recipient]
             if i != j:
@@ -304,12 +304,11 @@ def dict_receiver_normalize(raw):
 
 
 def dict_credibility(window, corpus):
-    authors = message_author_map(window.threads)
     index = corpus.user_index
     deltas = defaultdict(list)
-    for event in window_ratings(corpus, window):
+    for event, author in reference_ratings(corpus, window):
         i = index[event.rater_id]
-        j = index[authors[event.target_message_id].user_id]
+        j = index[author]
         if i != j:
             deltas[(i, j)].append(event.value)
     trust = defaultdict(dict)
@@ -410,6 +409,18 @@ class TestArraysMatchDicts:
         day0, day1 = (build_tensor(s, corpus).credibility for s in slices[1:])
         assert (at["R"], at["B"]) in day0.edges   # t0m1 is B's comment
         assert (at["R"], at["H"]) in day1.edges   # t1m1 is H's thread
+
+    def test_a_repeated_comment_id_credits_its_first_copy(self):
+        # the second "t0" thread repeats both the thread id and, in its
+        # comment "t0m1", the id of B's comment
+        corpus, window = make_corpus(
+            [("t0", "A", [("B", "x")]), ("t0", "C", [("D", "y")])],
+            [("R", "t0m1", 1), ("R", "t0", -1)],
+        )
+        assert_layers_match_dicts(window, corpus)
+        at = corpus.user_index
+        assert set(build_tensor(window, corpus).credibility.edges) == {
+            (at["R"], at["A"]), (at["R"], at["B"])}
 
     def test_thread_log_out_of_time_order(self):
         rng = random.Random(9300)

@@ -18,7 +18,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from conftest import T0, random_corpus, window_ratings
+from conftest import T0, random_corpus, reference_ratings, reference_recipients
 from leadnet import cli, multiplex
 from leadnet.analytics import active_user_indices, analytics_rows, user_codes
 from leadnet.ingest import (
@@ -47,7 +47,8 @@ def merged(corpus, user_id):
 class ParentWalkers:
     """The analytics as they walked a window's objects before they read
     its event rows; each returns the fields of the entry it made.  A
-    user's role and gender are the merged ones of ``corpus.users``."""
+    user's role and gender are the merged ones of ``corpus.users``, and
+    recipients and ratings come from the test-side references."""
 
     @staticmethod
     def homophily(slice, corpus):
@@ -59,7 +60,8 @@ class ParentWalkers:
                 threads_w += 1
             elif thread_gender is Gender.male:
                 threads_m += 1
-            for comment, recipient in zip(thread.comments, thread.recipients):
+            for comment, recipient in zip(thread.comments,
+                                          reference_recipients(thread)):
                 author_gender = merged(corpus, comment.author.user_id).gender
                 recipient_gender = merged(corpus, recipient).gender
                 if author_gender is Gender.unknown \
@@ -89,7 +91,7 @@ class ParentWalkers:
             active.add(corpus.user_index[thread.author.user_id])
             for comment in thread.comments:
                 active.add(corpus.user_index[comment.author.user_id])
-        for event in window_ratings(corpus, slice):
+        for event, _author in reference_ratings(corpus, slice):
             active.add(corpus.user_index[event.rater_id])
         return active
 
