@@ -332,11 +332,10 @@ class RunContext:
         self.out_dir = out_dir
         self.created = not out_dir.exists()
         out_dir.mkdir(parents=True, exist_ok=True)
-        self.artifacts: list[str] = []
+        self.artifacts: dict[str, None] = {}  # names in registration order
 
     def path(self, name: str) -> Path:
-        if name not in self.artifacts:
-            self.artifacts.append(name)
+        self.artifacts[name] = None
         return self.out_dir / name
 
     def discard_partial(self) -> None:

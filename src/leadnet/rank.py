@@ -137,7 +137,7 @@ def multiplex_pagerank(
     which makes its walk scale 1 and its teleport (1 - alpha) / n: plain
     PageRank.  A negative exponent whose weights overflow makes a step
     inf or NaN, and that layer raises ConvergenceError naming that step."""
-    vectors: dict[str, np.ndarray] = {}
+    ranked: dict[str, RankVector] = {}
     prev = np.ones(tensor.n)
     for position, name in enumerate(params.layer_order):
         alpha = params.alpha[position]
@@ -149,14 +149,9 @@ def multiplex_pagerank(
             tensor.layer(name).flow, tensor.n, alpha, params.tol,
             params.max_iter, name, walk_scale=walk_scale, teleport=teleport,
         )
-        vectors[name] = scores
+        ranked[name] = RankVector(scores)
         prev = scores
-    return MprResult(
-        empowerment=RankVector(vectors["empowerment"]),
-        collaboration=RankVector(vectors["collaboration"]),
-        credibility=RankVector(vectors["credibility"]),
-        leadership=RankVector(prev.copy()),
-    )
+    return MprResult(**ranked, leadership=ranked[params.layer_order[-1]])
 
 
 def brokerage(tensor: MultiplexTensor) -> RankVector:

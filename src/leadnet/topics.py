@@ -305,26 +305,29 @@ def chain_streams(
     start new streams, numbered in creation order.
     """
     streams: dict[str, list[tuple[int, Topic]]] = {}
+    grown: dict[str, Topic] = {}  # stream id -> its topic of window w-1
     for window, window_topics in enumerate(topics_per_window):
         ordered = sorted(window_topics, key=lambda t: t.topic_id)
         candidates = []
         for topic in ordered:
-            for stream_id, entries in streams.items():
-                if entries[-1][0] == window - 1:
-                    sim = cosine(topic.members, entries[-1][1].members)
-                    if sim >= theta_h:
-                        candidates.append((-sim, topic.topic_id, stream_id, topic))
+            for stream_id, last in grown.items():
+                sim = cosine(topic.members, last.members)
+                if sim >= theta_h:
+                    candidates.append((-sim, topic.topic_id, stream_id, topic))
         candidates.sort(key=lambda item: item[:3])
         claimed_topics: set[str] = set()
-        claimed_streams: set[str] = set()
+        grown_now: dict[str, Topic] = {}
         for _sim, topic_id, stream_id, topic in candidates:
-            if topic_id not in claimed_topics and stream_id not in claimed_streams:
+            if topic_id not in claimed_topics and stream_id not in grown_now:
                 streams[stream_id].append((window, topic))
                 claimed_topics.add(topic_id)
-                claimed_streams.add(stream_id)
+                grown_now[stream_id] = topic
         for topic in ordered:
             if topic.topic_id not in claimed_topics:
-                streams[f"s{len(streams):04d}"] = [(window, topic)]
+                stream_id = f"s{len(streams):04d}"
+                streams[stream_id] = [(window, topic)]
+                grown_now[stream_id] = topic
+        grown = grown_now
     return streams
 
 

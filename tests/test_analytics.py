@@ -177,6 +177,13 @@ class TestTopMass:
         assert window_figures(corpus, window, rank)["top_mass_w", "k=1"] == \
             (1.0, 5)
 
+    @pytest.mark.parametrize("n, k", [(19, 1), (20, 2), (29, 2)])
+    def test_default_k_floors_the_decile(self, n, k):
+        scores = np.arange(n, 0, -1, dtype=float)
+        women = np.zeros(n, dtype=np.int64)  # code 0 is female
+        assert top_mass(scores / scores.sum(), women, range(n)) == \
+            (f"k={k}", repr(1.0), str(n))
+
     def test_oversized_k_clamps_to_the_active_count(self):
         corpus, _window = self.corpus()
         rank = self.rank([1.0] * 5)

@@ -873,6 +873,50 @@ class TestFailingDailyRun:
         assert not out.exists()
 
 
+class TestLongDailyRun:
+    """``rank --window days:1`` on two threads four years apart: one
+    rankings file per day, 1,461 of them, nearly all of empty days."""
+
+    @pytest.fixture()
+    def log(self, tmp_path):
+        users = {"a": {"user_id": "a", "role": "manager", "gender": 0},
+                 "b": {"user_id": "b", "role": "consultant", "gender": 1}}
+        lines = [json.dumps({
+            "thread_id": thread_id, "author": users[author],
+            "published_at": f"{day}T09:00:00Z", "title": "t",
+            "description": "d", "tags": [],
+            "comments": [{"comment_id": f"{thread_id}c1", "text": "ok",
+                          "author": users[commenter],
+                          "created_at": f"{day}T10:00:00Z"}]}) + "\n"
+            for thread_id, day, author, commenter in [
+                ("t1", "2014-01-06", "a", "b"), ("t2", "2018-01-05", "b", "a")]]
+        path = tmp_path / "threads.jsonl"
+        path.write_text("".join(lines))
+        return path
+
+    def test_manifest_lists_every_file_written(self, log, tmp_path):
+        out = tmp_path / "out"
+        assert run("rank", "--input", log, "--out", out,
+                   "--window", "days:1") == 0
+        written = sorted(p.name for p in out.iterdir())
+        assert len(written) == 1461 + 1
+        assert read_manifest(out)["artifacts"] == [
+            name for name in written if name != "manifest.json"]
+
+    def test_a_failing_last_writer_leaves_nothing(self, log, tmp_path,
+                                                  monkeypatch, capsys):
+        def failing(path, payload):
+            path.write_text("{")  # a partial manifest
+            raise OSError("disk full")
+
+        monkeypatch.setattr(cli, "_write_json", failing)
+        out = tmp_path / "out"
+        assert run("rank", "--input", log, "--out", out,
+                   "--window", "days:1") == 1
+        assert "error: disk full" in capsys.readouterr().err
+        assert not out.exists()
+
+
 class TestRatingsKeepParsedEvents:
     def test_load_corpus_keeps_every_parsed_rating(self, corpus_dir,
                                                    monkeypatch):

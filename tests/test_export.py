@@ -150,6 +150,43 @@ class TestGraphDot:
         assert '"b" -> "we\\"ird" [layer="collaboration"' in text
 
 
+class TestBackslashIds:
+    """DOT reads a backslash inside a quoted id as an escape, so each one
+    is doubled; an id ending in one would otherwise escape its closing
+    quote."""
+
+    @pytest.fixture()
+    def graph(self):
+        users = {uid: UserRef(user_id=uid, role=Role.manager,
+                              gender=Gender.female)
+                 for uid in ("back\\slash", "ends\\")}
+        return make_corpus([("t0", "back\\slash", [("ends\\", "x")])],
+                           users=users)
+
+    def test_graph_dot(self, graph, tmp_path):
+        corpus, window = graph
+        path = tmp_path / "graph.dot"
+        write_graph_dot(path, build_tensor(window, corpus), corpus)
+        text = path.read_text()
+        assert '  "back\\\\slash" [gender="female", role="manager"];\n' in text
+        assert '  "ends\\\\" [gender="female", role="manager"];\n' in text
+        assert '  "back\\\\slash" -> "ends\\\\" [layer="empowerment", ' \
+            'weight="1.0"];\n' in text
+
+    def test_role_graph_dot(self, graph, tmp_path):
+        corpus, window = graph
+        path = tmp_path / "role_graph.dot"
+        write_role_graph_dot(path, build_tensor(window, corpus), corpus,
+                             [Role.manager])
+        assert path.read_text() == (
+            "graph leadnet_roles {\n"
+            '  "back\\\\slash";\n'
+            '  "ends\\\\";\n'
+            '  "back\\\\slash" -- "ends\\\\";\n'
+            "}\n"
+        )
+
+
 class TestRoleGraphDot:
     def test_ids_are_quoted_and_escaped(self, tmp_path):
         users = {
@@ -211,7 +248,9 @@ class TestEdgeFilesInBatches:
         corpus, tensor = odd_ids
         path = tmp_path / "graph.dot"
         write_graph_dot(path, tensor, corpus)
-        q = export._dot_quote
+        def q(text):  # DOT's quoted id, escaped independently of the package
+            return '"' + text.replace("\\", "\\\\").replace('"', '\\"') + '"'
+
         edges = "".join(f"  {q(src)} -> {q(dst)} [layer={q(name)}, "
                         f"weight={q(weight)}];\n"
                         for src, dst, weight, name in self.rows(corpus, tensor))

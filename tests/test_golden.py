@@ -13,13 +13,22 @@ genders and roles, threads without comments, a clamped comment, an
 @-mention, an empty week, a message id held in two windows, raters who
 posted nothing) are pinned on ``data/analytics_edges.jsonl``, with the
 whole-span graph files of ``all`` and the window summary of ``ingest``.
-Any drift in the bytes the pipeline writes fails here without a second
-checkout to diff against.  A change that alters output on purpose
+Corpus M, ``synth --n-users 2000 --n-threads 20000 --seed 7``, the
+corpus of the benchmark, is pinned in ``golden_M.json``: its files and
+every artifact of ``all --window week`` on it.  One more run of
+``all --window week`` on S goes through a separate process with another
+hash seed and numpy's SIMD dispatch cut to the host's baseline, so the
+digests hold across processes and vector units, not only within this
+one.  Any drift in the bytes the pipeline writes fails here without a
+second checkout to diff against.  A change that alters output on purpose
 records the new digests in those files and says why.
 """
 
 import hashlib
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -28,6 +37,7 @@ from leadnet import cli
 
 HERE = Path(__file__).parent
 GOLDEN = json.loads((HERE / "golden_S.json").read_text())
+GOLDEN_M = json.loads((HERE / "golden_M.json").read_text())
 GOLDEN_COMMANDS = json.loads((HERE / "golden_S_commands.json").read_text())
 MULTIWORD = HERE / "data" / "lexicon_multiword.tsv"
 EDGES = HERE / "data" / "analytics_edges.jsonl"
@@ -112,3 +122,48 @@ def test_edge_case_ingest_matches_pinned_digests(tmp_path):
                      "--input", str(EDGES), "--ratings", str(EDGE_RATINGS)]) == 0
     assert_pinned(digests(out), GOLDEN_COMMANDS[
         f"ingest --window week --input {EDGES.name}"])
+
+
+def test_corpus_m_artifacts_match_pinned_digests(tmp_path):
+    corpus_m, out = tmp_path / "M", tmp_path / "all"
+    assert cli.main(["synth", "--out", str(corpus_m), "--n-users", "2000",
+                     "--n-threads", "20000", "--seed", "7"]) == 0
+    assert_pinned(digests(corpus_m), GOLDEN_M["synth"])
+    assert cli.main(["all", "--out", str(out), "--window", "week",
+                     *corpus_args(corpus_m)]) == 0
+    assert_pinned(digests(out), GOLDEN_M["all --window week"])
+
+
+# runs one command line and exits with its code, after checking that
+# numpy runs none of the dispatched features named in argv[1]
+CHILD = """
+import sys
+try:
+    from numpy._core._multiarray_umath import __cpu_features__
+except ImportError:  # numpy 1.x
+    from numpy.core._multiarray_umath import __cpu_features__
+from leadnet import cli
+assert not any(__cpu_features__[f] for f in sys.argv[1].split())
+sys.exit(cli.main(sys.argv[2:]))
+"""
+
+
+def test_all_in_another_process_matches_pinned_digests(corpus_s, tmp_path):
+    try:
+        from numpy._core import _multiarray_umath as umath
+    except ImportError:  # numpy 1.x
+        from numpy.core import _multiarray_umath as umath
+    above_baseline = " ".join(f for f in umath.__cpu_dispatch__
+                              if umath.__cpu_features__.get(f))
+    src = str(Path(cli.__file__).parents[1])
+    env = {**os.environ, "PYTHONHASHSEED": "12345",
+           "NPY_DISABLE_CPU_FEATURES": above_baseline,
+           "PYTHONPATH": os.pathsep.join(
+               filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    out = tmp_path / "all"
+    child = subprocess.run(
+        [sys.executable, "-c", CHILD, above_baseline, "all", "--out", str(out),
+         "--window", "week", *corpus_args(corpus_s)],
+        env=env, capture_output=True, text=True, timeout=120)
+    assert child.returncode == 0, child.stderr
+    assert_pinned(digests(out), GOLDEN["week"])

@@ -103,6 +103,17 @@ class TestCollaboration:
         assert layer.edges[(at["C"], at["B"])] == 1.0
         assert layer.edges[(at["B"], at["A"])] == 1.0
 
+    # every character the README lists as trailing punctuation, and a run
+    @pytest.mark.parametrize("tail", [*".,;:!?)('\"`>]}", ")}.]"])
+    def test_trailing_punctuation_is_stripped_from_a_mention(self, tail):
+        corpus, window = make_corpus([
+            ("t1", "A", [("B", "first"), ("C", f"@B{tail} agreed")]),
+        ])
+        layer = build_tensor(window, corpus).collaboration
+        at = corpus.user_index
+        assert (at["C"], at["B"]) in layer.edges
+        assert (at["C"], at["A"]) not in layer.edges
+
     def test_mention_of_outsider_falls_back_to_author(self):
         corpus, window = make_corpus([
             ("t1", "A", [("B", "@Z hello"), ("C", "@ghost @B ok")]),

@@ -1,5 +1,6 @@
 """Ranking: per-layer PageRank, the chained variant, and brokerage."""
 
+import itertools
 import random
 
 import numpy as np
@@ -192,10 +193,13 @@ class TestChainedRanking:
     def test_leadership_is_the_last_layer(self):
         rng = random.Random(77)
         tensor = random_tensor(rng, 6)
-        order = ("credibility", "empowerment", "collaboration")
-        result = multiplex_pagerank(tensor, MprParams(layer_order=order))
-        assert np.array_equal(result.leadership.scores,
-                              result.collaboration.scores)
+        for order in itertools.permutations(LAYER_NAMES):
+            result = multiplex_pagerank(tensor, MprParams(layer_order=order))
+            last = getattr(result, order[-1])
+            assert result.leadership is last, order  # the vector, not a copy
+            for name in order[:-1]:
+                assert not np.array_equal(result.leadership.scores,
+                                          getattr(result, name).scores), order
 
     def test_deterministic_across_runs(self):
         rng = random.Random(78)

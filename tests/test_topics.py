@@ -244,6 +244,31 @@ class TestMergeVertical:
         by_id = {t.topic_id: t for t in merged}
         assert by_id["w000.t000"].members["x"] >= 20
 
+    def test_a_tie_merges_the_smallest_id_pair_first(self):
+        # (t000, t001) and (t001, t002) tie exactly; either merge leaves
+        # the merged topic below theta_v against the third
+        a = topic("w000.t000", x=1, y=1)
+        b = topic("w000.t001", y=1, z=1)
+        c = topic("w000.t002", z=1, w=1)
+        sim = cosine(a.members, b.members)
+        assert sim == cosine(b.members, c.members)
+        merged = merge_vertical([c, b, a], theta_v=sim)
+        assert [(t.topic_id, t.members) for t in merged] == [
+            ("w000.t000", {"x": 1, "y": 2, "z": 1}),
+            ("w000.t002", {"z": 1, "w": 1})]
+
+    def test_a_pair_at_exactly_theta_v_merges(self):
+        a = topic("w000.t000", x=3, y=4)
+        b = topic("w000.t001", x=3, z=4)
+        assert cosine(a.members, b.members) == 0.36
+        (only,) = merge_vertical([a, b], theta_v=0.36)
+        assert only.members == {"x": 6, "y": 4, "z": 4}
+
+    def test_theta_v_zero_merges_disjoint_topics(self):
+        merged = merge_vertical([topic("w000.t000", x=1, y=1),
+                                 topic("w000.t001", z=1, q=1)], theta_v=0.0)
+        assert [t.members for t in merged] == [{"x": 1, "y": 1, "z": 1, "q": 1}]
+
 
 class TestChaining:
     def test_consecutive_windows_chain(self):
