@@ -162,20 +162,6 @@ def write_stopwords_txt(path: str | Path) -> None:
             out.write(f"{token}\t{lang}\n")
 
 
-def pool_of_ngram(gram: str) -> str | None:
-    """Which pool an extracted n-gram belongs to; None when it mixes
-    pools or contains tokens outside every pool."""
-    stops = {token for token, _lang in STOP_TOKENS}
-    core = [t for t in gram.split("_") if t not in stops]
-    if not core:
-        return None
-    for pool in POOLS:
-        surfaces = {surface for surface, _cid, _lang in pool.concepts}
-        if all(t in surfaces for t in core):
-            return pool.name
-    return None
-
-
 # ---------------------------------------------------------------------------
 # generation
 

@@ -1,11 +1,13 @@
 """Mixed-lingual topic extraction from thread texts.
 
-A hand-maintained lexicon maps surface forms (possibly multiword, any
-language) to concept ids, plus a set of connector tokens (stop tokens)
-such as prepositions and determiners.  Extraction lowercases, tokenizes
-and longest-matches the lexicon; adjacent concepts, allowing intervening
+A hand-maintained lexicon lists surface forms (possibly multiword, any
+language), plus a set of connector tokens (stop tokens) such as
+prepositions and determiners.  Extraction lowercases, tokenizes and
+longest-matches the surfaces; adjacent concepts, allowing intervening
 stop tokens, join into "_"-separated n-grams, so "analisi delle
 performance" and "digital marketing" each come out as one n-gram.
+N-grams are named by their surfaces: a lexicon line's concept id must
+be present, but no stage reads it.
 
 Per window, n-grams occurring at least min_freq times become vertices of
 a co-occurrence graph (an edge means two n-grams appeared in the same
@@ -20,10 +22,8 @@ import json
 import re
 from collections import Counter, defaultdict
 from dataclasses import dataclass
-from functools import cached_property
-from itertools import combinations
 from pathlib import Path
-from typing import IO, Iterable, Mapping, Sequence
+from typing import IO, Iterable, Mapping, NamedTuple, Sequence
 
 from .ingest import IngestError, ThreadRecord, WindowSlice, open_text
 
@@ -46,27 +46,13 @@ class TopicConfig:
             raise ValueError("theta_v and theta_h must be in [0, 1]")
 
 
-@dataclass(frozen=True)
-class ConceptLexicon:
-    """entries: lowercased surface token tuple -> concept id.
+class ConceptLexicon(NamedTuple):
+    """surfaces_by_first: first token -> the distinct surfaces (lowercased
+    token tuples) it starts, longest first.
     stop_tokens: connector tokens, of every language alike."""
 
-    entries: dict[tuple[str, ...], str]
+    surfaces_by_first: dict[str, tuple[tuple[str, ...], ...]]
     stop_tokens: frozenset[str]
-
-    def __post_init__(self) -> None:
-        for surface in self.entries:
-            if not surface or any(not t for t in surface):
-                raise ValueError("lexicon surfaces must be non-empty token tuples")
-
-    @cached_property
-    def surfaces_by_first(self) -> dict[str, tuple[tuple[str, ...], ...]]:
-        """First token -> the surfaces it starts, longest first."""
-        index: dict[str, list[tuple[str, ...]]] = defaultdict(list)
-        for surface in self.entries:
-            index[surface[0]].append(surface)
-        return {first: tuple(sorted(surfaces, key=len, reverse=True))
-                for first, surfaces in index.items()}
 
 
 def tokenize(text: str) -> list[str]:
@@ -79,24 +65,20 @@ def load_lexicon(
 ) -> ConceptLexicon:
     """Read the TSV lexicon (surface_form<TAB>concept_id<TAB>language) and
     the stopwords file (one token per line; a <TAB>language is ignored).
-    Surfaces and stopwords are tokenized like message text.  Duplicate
-    surfaces keep the lexicographically smallest concept id.  A malformed
-    lexicon line, or a stopword line that is not exactly one token,
-    raises IngestError naming its line number."""
-    entries: dict[tuple[str, ...], str] = {}
+    Surfaces and stopwords are tokenized like message text; a surface
+    listed twice counts once.  A lexicon line without a surface token or
+    without a non-empty concept id, or a stopword line that is not
+    exactly one token, raises IngestError naming its line number."""
+    index: dict[str, dict[tuple[str, ...], None]] = defaultdict(dict)
     for lineno, line in _read_lines(lexicon_source):
         parts = line.split("\t")
         if len(parts) < 2:
             raise IngestError(f"bad lexicon line {lineno} {line!r}:"
                               " expected surface<TAB>concept_id")
         surface = tuple(tokenize(parts[0]))
-        concept_id = parts[1].strip()
-        if not surface or not concept_id:
+        if not surface or not parts[1].strip():
             raise IngestError(f"bad lexicon line {lineno} {line!r}")
-        if surface in entries:
-            entries[surface] = min(entries[surface], concept_id)
-        else:
-            entries[surface] = concept_id
+        index[surface[0]][surface] = None
 
     stop_tokens: set[str] = set()
     if stopwords_source is not None:
@@ -106,7 +88,9 @@ def load_lexicon(
                 raise IngestError(f"bad stopwords line {lineno} {line!r}:"
                                   f" expected one token, found {len(tokens)}")
             stop_tokens.add(tokens[0])
-    return ConceptLexicon(entries=entries, stop_tokens=frozenset(stop_tokens))
+    surfaces_by_first = {first: tuple(sorted(surfaces, key=len, reverse=True))
+                         for first, surfaces in index.items()}
+    return ConceptLexicon(surfaces_by_first, frozenset(stop_tokens))
 
 
 def _read_lines(source: str | Path | IO[str]) -> Iterable[tuple[int, str]]:
@@ -200,13 +184,13 @@ def cooccurrence_graph(
     for grams in per_thread:
         freq.update(grams)
     kept = {gram for gram, count in freq.items() if count >= cfg.min_freq}
-    pairs: set[tuple[str, str]] = set()
-    for grams in per_thread:
-        pairs.update(combinations(sorted(kept.intersection(grams)), 2))
     adj: dict[str, set[str]] = {gram: set() for gram in kept}
-    for a, b in pairs:
-        adj[a].add(b)
-        adj[b].add(a)
+    for grams in per_thread:
+        here = kept.intersection(grams)
+        for gram in here:
+            adj[gram] |= here
+    for gram, neighbors in adj.items():
+        neighbors.discard(gram)
     return {gram: freq[gram] for gram in sorted(kept)}, adj
 
 

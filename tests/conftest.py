@@ -33,7 +33,12 @@ from leadnet.multiplex import (
     MultiplexTensor,
     window_events,
 )
-from leadnet.synth import write_lexicon_tsv, write_stopwords_txt
+from leadnet.synth import (
+    POOLS,
+    STOP_TOKENS,
+    write_lexicon_tsv,
+    write_stopwords_txt,
+)
 from leadnet.topics import load_lexicon
 
 T0 = datetime(2014, 1, 6, tzinfo=timezone.utc)
@@ -58,6 +63,20 @@ def synth_lexicon(tmp_path_factory):
     write_lexicon_tsv(out / "lexicon.tsv")
     write_stopwords_txt(out / "stopwords.txt")
     return load_lexicon(out / "lexicon.tsv", out / "stopwords.txt")
+
+
+def pool_of_ngram(gram):
+    """Which of synth's concept pools an extracted n-gram belongs to;
+    None when it mixes pools or holds tokens outside every pool."""
+    stops = {token for token, _lang in STOP_TOKENS}
+    core = [t for t in gram.split("_") if t not in stops]
+    if not core:
+        return None
+    for pool in POOLS:
+        surfaces = {surface for surface, _cid, _lang in pool.concepts}
+        if all(t in surfaces for t in core):
+            return pool.name
+    return None
 
 
 def make_corpus(thread_specs, rating_specs=(), users=None):

@@ -88,6 +88,16 @@ MUTANTS = (
                       " absolute differences, does not occur in practice"),
     Mutant("chaining against every stream ever made", "topics.py",
            "grown = grown_now", "grown.update(grown_now)", TOPIC_TESTS),
+    Mutant("lexicon line without a concept id", "topics.py",
+           "if not surface or not parts[1].strip():", "if not surface:",
+           TOPIC_TESTS),
+    Mutant("lexicon line without a surface token", "topics.py",
+           "if not surface or not parts[1].strip():",
+           "if not parts[1].strip():", TOPIC_TESTS),
+    Mutant("surfaces indexed shortest first", "topics.py",
+           "key=len, reverse=True", "key=len", TOPIC_TESTS),
+    Mutant("each n-gram its own neighbor", "topics.py",
+           "neighbors.discard(gram)", "neighbors.add(gram)", TOPIC_TESTS),
     Mutant("leadership from the first layer", "rank.py",
            "leadership=ranked[params.layer_order[-1]]",
            "leadership=ranked[params.layer_order[0]]", ("test_rank.py",)),

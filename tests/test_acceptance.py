@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 import oracles
-from conftest import make_corpus, window_figures
+from conftest import make_corpus, pool_of_ngram, window_figures
 from test_rank import FLOW, random_layer, random_tensor, solo_pagerank
 from leadnet import cli
 from leadnet.analytics import active_user_indices, top_mass, user_codes
@@ -24,7 +24,7 @@ from leadnet.ingest import (
 )
 from leadnet.multiplex import ORIENT_RECEIVER, ORIENT_SENDER, build_tensor, window_events
 from leadnet.rank import MprParams, brokerage, multiplex_pagerank
-from leadnet.synth import SyntheticSpec, generate, pool_of_ngram
+from leadnet.synth import SyntheticSpec, generate
 from leadnet.topics import TopicConfig, bron_kerbosch, chain_streams, topics_in_window
 
 

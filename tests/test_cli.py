@@ -670,6 +670,20 @@ class TestLexiconErrors:
         assert not out.exists()
 
     @pytest.mark.parametrize("command", ["topics", "all"])
+    @pytest.mark.parametrize("line", ["carta\t \tit", "?!\tc.x"],
+                             ids=["blank concept id", "no surface token"])
+    def test_a_line_needs_a_surface_token_and_a_concept_id(
+            self, corpus_dir, tmp_path, capsys, command, line):
+        lexicon = tmp_path / "lexicon.tsv"
+        lexicon.write_text(f"data\tc.data\ten\n{line}\n", encoding="utf-8")
+        out = tmp_path / "out"
+        assert run(command, *base_args(corpus_dir), "--lexicon", lexicon,
+                   "--out", out, "--window", "week") == 1
+        assert capsys.readouterr().err.endswith(
+            f"error: bad lexicon line 2 {line!r}\n")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["topics", "all"])
     def test_is_read_before_the_log(self, corpus_dir, tmp_path, monkeypatch,
                                     command):
         """Rerun into a good tree with a bad lexicon: the run fails before

@@ -2,7 +2,7 @@
 
 import pytest
 
-from conftest import message_author_map, window_figures
+from conftest import message_author_map, pool_of_ngram, window_figures
 from leadnet.ingest import Gender, whole_span_slice
 from leadnet.synth import (
     POOLS,
@@ -10,7 +10,7 @@ from leadnet.synth import (
     STOP_TOKENS,
     SyntheticSpec,
     generate,
-    pool_of_ngram,
+    write_lexicon_tsv,
 )
 
 SMALL = SyntheticSpec(n_users=20, n_threads=40, seed=7)
@@ -148,19 +148,28 @@ class TestTopicsPlanted:
 
 
 class TestLexiconFiles:
+    @pytest.fixture
+    def rows(self, tmp_path):
+        """The rows of the lexicon.tsv that synth writes."""
+        write_lexicon_tsv(tmp_path / "lexicon.tsv")
+        text = (tmp_path / "lexicon.tsv").read_text(encoding="utf-8")
+        return [line.split("\t") for line in text.splitlines()]
+
     def test_written_files_reload_to_the_generator_vocabulary(
-            self, synth_lexicon):
-        assert synth_lexicon.entries == {
-            (surface,): concept_id
-            for pool in POOLS for surface, concept_id, _lang in pool.concepts}
+            self, rows, synth_lexicon):
+        assert rows == [[surface, concept_id, lang] for pool in POOLS
+                        for surface, concept_id, lang in pool.concepts]
+        assert synth_lexicon.surfaces_by_first == {
+            surface: ((surface,),) for surface, _concept_id, _lang in rows}
         assert synth_lexicon.stop_tokens == {t for t, _lang in STOP_TOKENS}
 
-    def test_written_lexicon_knows_the_planted_phrases(self, synth_lexicon):
-        lexicon = synth_lexicon
-        assert ("carta", "credito") not in lexicon.entries
-        assert lexicon.entries[("carta",)].startswith("pay.")
-        assert lexicon.entries[("cloud",)].startswith("cld.")
-        assert "delle" in lexicon.stop_tokens
+    def test_written_lexicon_knows_the_planted_phrases(
+            self, rows, synth_lexicon):
+        concept_ids = {surface: concept_id for surface, concept_id, _ in rows}
+        assert concept_ids["carta"].startswith("pay.")
+        assert concept_ids["cloud"].startswith("cld.")
+        assert synth_lexicon.surfaces_by_first["carta"] == (("carta",),)
+        assert "delle" in synth_lexicon.stop_tokens
 
 
 class TestHomophilyKnob:

@@ -15,7 +15,6 @@ from leadnet.ingest import IngestError
 from leadnet.multiplex import window_events
 from leadnet.topics import (
     MAX_NGRAM,
-    ConceptLexicon,
     Topic,
     TopicConfig,
     _concept_grams,
@@ -32,17 +31,19 @@ from leadnet.topics import (
     write_topics_json,
 )
 
-LEX = ConceptLexicon(
-    entries={
-        ("analisi",): "c.analysis",
-        ("performance",): "c.performance",
-        ("digital",): "c.digital",
-        ("marketing",): "c.marketing",
-        ("data", "lake"): "c.datalake",
-        ("data",): "c.data",
-    },
-    stop_tokens=frozenset({"delle", "di", "del", "the", "of"}),
-)
+
+def tsv_lexicon(surfaces, stopwords=()):
+    """The lexicon load_lexicon reads from these surfaces, each given
+    its own concept id, and these stopwords."""
+    return load_lexicon(
+        io.StringIO("".join(f"{surface}\tc{k}\n"
+                            for k, surface in enumerate(surfaces))),
+        io.StringIO("".join(f"{word}\n" for word in stopwords)))
+
+
+LEX = tsv_lexicon(
+    ["analisi", "performance", "digital", "marketing", "data lake", "data"],
+    ["delle", "di", "del", "the", "of"])
 
 
 class TestTokenize:
@@ -62,14 +63,35 @@ class TestLexiconLoading:
                         "data lake\tc.datalake\ten\n"),
             io.StringIO("delle\tit\n# x\nthe\n"),
         )
-        assert lexicon.entries[("analisi",)] == "c.analysis"
-        assert lexicon.entries[("data", "lake")] == "c.datalake"
+        assert lexicon.surfaces_by_first == {
+            "analisi": (("analisi",),), "data": (("data", "lake"),)}
         assert lexicon.stop_tokens == {"delle", "the"}
 
-    def test_duplicate_surface_keeps_smallest_concept(self):
-        lexicon = load_lexicon(
-            io.StringIO("carta\tz.late\tit\ncarta\ta.early\tit\n"), None)
-        assert lexicon.entries[("carta",)] == "a.early"
+    def test_a_surface_listed_twice_counts_once(self):
+        twice = load_lexicon(io.StringIO(
+            "carta\tz.late\tit\ncarta di credito\tpay.cc\tit\n"
+            "Carta\ta.early\tit\n"), io.StringIO("di\n"))
+        once = tsv_lexicon(["carta", "carta di credito"], ["di"])
+        assert twice.surfaces_by_first == once.surfaces_by_first == {
+            "carta": (("carta", "di", "credito"), ("carta",))}
+        tokens = tokenize("carta di credito carta di carta")
+        assert _concept_grams(tokens, twice) == _concept_grams(tokens, once) \
+            == ["carta_di_credito_carta_di_carta", "carta_di_credito",
+                "carta", "carta"]
+
+    def test_a_shorter_surface_listed_first_still_loses(self):
+        lexicon = tsv_lexicon(["data", "data lake"])
+        assert lexicon.surfaces_by_first == {
+            "data": (("data", "lake"), ("data",))}
+        assert _concept_grams(tokenize("data lake data"), lexicon) == \
+            ["data_lake_data", "data_lake", "data"]
+
+    @pytest.mark.parametrize("line", ["carta\t \tit", "carta\t", "?!\tc.x",
+                                      "\tc.x\tit"])
+    def test_a_line_needs_a_surface_token_and_a_concept_id(self, line):
+        message = f"bad lexicon line 2 {line!r}"
+        with pytest.raises(IngestError, match=re.escape(message)):
+            load_lexicon(io.StringIO(f"# concepts\n{line}\ndata\tc.data\n"))
 
     def test_stopwords_are_tokenized_like_text(self):
         lexicon = load_lexicon(io.StringIO(""),
@@ -93,7 +115,7 @@ class TestLexiconLoading:
         with pytest.raises(IngestError, match="bad lexicon line 2 'broken'"):
             load_lexicon(path)
         path.write_text(f"a{sep}b\tc.x\tit\n", encoding="utf-8")
-        assert load_lexicon(path).entries == {("a", "b"): "c.x"}
+        assert load_lexicon(path).surfaces_by_first == {"a": (("a", "b"),)}
 
     @pytest.mark.parametrize("sep", SEPARATORS,
                              ids=lambda c: f"U+{ord(c):04X}")
@@ -306,11 +328,7 @@ class TestChaining:
 
 
 class TestWindowTopics:
-    LEXICON = ConceptLexicon(
-        entries={("alpha",): "a", ("beta",): "b", ("gamma",): "g",
-                 ("delta",): "d"},
-        stop_tokens=frozenset(),
-    )
+    LEXICON = tsv_lexicon(["alpha", "beta", "gamma", "delta"])
 
     def corpus(self):
         texts_by_thread = [
@@ -391,7 +409,9 @@ REF_TOKEN = re.compile(r"\w+", re.UNICODE)
 def ref_extract_concepts(text, lexicon):
     tokens = REF_TOKEN.findall(text.lower())
     stop_tokens = lexicon.stop_tokens
-    longest = max((len(s) for s in lexicon.entries), default=0)
+    surfaces = {s for group in lexicon.surfaces_by_first.values()
+                for s in group}
+    longest = max((len(s) for s in surfaces), default=0)
     runs = []
     current = []
     gap = []
@@ -400,7 +420,7 @@ def ref_extract_concepts(text, lexicon):
         matched = None
         for length in range(min(longest, len(tokens) - i), 0, -1):
             candidate = tuple(tokens[i : i + length])
-            if candidate in lexicon.entries:
+            if candidate in surfaces:
                 matched = candidate
                 break
         if matched is not None:
@@ -488,13 +508,6 @@ def assert_walks_like_reference(window, lexicon, min_freq=1):
     assert got_freq == freq
     assert list(got_freq) == list(freq)
     assert got_adj == adj
-
-
-def tsv_lexicon(surfaces, stopwords=()):
-    return load_lexicon(
-        io.StringIO("".join(f"{surface}\tc{k}\n"
-                            for k, surface in enumerate(surfaces))),
-        io.StringIO("".join(f"{word}\n" for word in stopwords)))
 
 
 class TestWalkerAgainstReference:
@@ -585,10 +598,8 @@ class TestWalkerAgainstReference:
                 if rng.random() < 0.7:
                     surfaces.add(tuple(tail))
                 tail.append(rng.choice(tokens))
-        lexicon = ConceptLexicon(
-            entries={s: f"c{k}" for k, s in enumerate(sorted(surfaces))},
-            stop_tokens=frozenset(stops),
-        )
+        lexicon = tsv_lexicon([" ".join(s) for s in sorted(surfaces)],
+                              sorted(stops))
 
         def message():
             if rng.random() < 0.15:
