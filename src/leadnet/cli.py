@@ -56,8 +56,6 @@ from .ingest import (
     parse_thread_log,
     whole_span_slice,
     window_partition,
-    write_ratings_jsonl,
-    write_threads_jsonl,
 )
 from .multiplex import build_tensor, events_tensor, window_events
 from .rank import ConvergenceError, MprParams, brokerage, multiplex_pagerank
@@ -66,6 +64,7 @@ from .synth import (
     START,
     SyntheticSpec,
     generate,
+    write_jsonl,
     write_lexicon_tsv,
     write_stopwords_txt,
 )
@@ -437,13 +436,13 @@ def _print_diags(diags: Sequence[str]) -> None:
 def cmd_synth(cfg: dict, ctx: RunContext) -> None:
     spec = cfg["synth_spec"]
     try:
-        corpus = generate(spec)
+        threads, ratings = generate(spec)
     except (OverflowError, ZeroDivisionError) as exc:
         raise UsageError(f"--comments-mean, --uplift, --reply-latency-mean-s,"
                          f" --manager-latency-factor or --span-days is too"
                          f" extreme to draw a corpus ({exc})") from None
-    write_threads_jsonl(corpus.threads, ctx.path("threads.jsonl"))
-    write_ratings_jsonl(corpus.ratings, ctx.path("ratings.jsonl"))
+    write_jsonl(threads, ctx.path("threads.jsonl"))
+    write_jsonl(ratings, ctx.path("ratings.jsonl"))
     write_lexicon_tsv(ctx.path("lexicon.tsv"))
     write_stopwords_txt(ctx.path("stopwords.txt"))
     payload = {**dataclasses.asdict(spec), "role_weights": ROLE_WEIGHTS,

@@ -24,6 +24,9 @@ Parsers do not raise on a bad record: the record is skipped and a
 human-readable diagnostic naming the line number and cause is returned
 alongside the good records.  Only an unreadable stream, or an input
 where more than half of the records are malformed, is fatal.
+
+Records and ``Corpus`` are made only by ``parse_thread_log``,
+``parse_ratings`` and ``build_corpus``; ``synth`` writes the logs.
 """
 
 from __future__ import annotations
@@ -162,7 +165,12 @@ class WindowConfig:
         if text in ("week", "month"):
             return cls(length=text)
         if text.startswith("days:"):
-            return cls(length="days", days=int(text.split(":", 1)[1]))
+            try:
+                days = int(text[len("days:"):])
+            except ValueError:
+                pass
+            else:
+                return cls(length="days", days=days)
         raise ValueError(f"bad window spec {text!r}; expected week|month|days:N")
 
     def __str__(self) -> str:
@@ -793,52 +801,3 @@ def whole_span_slice(corpus: Corpus) -> WindowSlice:
                           f" published at {format_timestamp(max(times))}") from None
     return WindowSlice(index=0, start=min(times), end=end, threads=corpus.threads)
 
-
-# ---------------------------------------------------------------------------
-# canonical serialization (round-trips through parse_thread_log/parse_ratings)
-
-def user_to_dict(ref: UserRef) -> dict:
-    return {"user_id": ref.user_id, "role": ref.role.value,
-            "gender": ref.gender.value}
-
-
-def thread_to_dict(thread: ThreadRecord) -> dict:
-    return {
-        "thread_id": thread.thread_id,
-        "title": thread.title,
-        "description": thread.description,
-        "published_at": format_timestamp(thread.published_at),
-        "tags": list(thread.tags),
-        "author": user_to_dict(thread.author),
-        "comments": [
-            {
-                "comment_id": c.comment_id,
-                "text": c.text,
-                "created_at": format_timestamp(c.created_at),
-                "author": user_to_dict(c.author),
-            }
-            for c in thread.comments
-        ],
-    }
-
-
-def rating_to_dict(event: RatingEvent) -> dict:
-    return {"rater_id": event.rater_id,
-            "target_id": event.target_message_id,
-            "value": event.value}
-
-
-def write_threads_jsonl(threads: Iterable[ThreadRecord], path: str | Path) -> None:
-    with open(path, "w", encoding="utf-8") as out:
-        for thread in threads:
-            out.write(json.dumps(thread_to_dict(thread), sort_keys=True,
-                                 ensure_ascii=False))
-            out.write("\n")
-
-
-def write_ratings_jsonl(ratings: Iterable[RatingEvent], path: str | Path) -> None:
-    with open(path, "w", encoding="utf-8") as out:
-        for event in ratings:
-            out.write(json.dumps(rating_to_dict(event), sort_keys=True,
-                                 ensure_ascii=False))
-            out.write("\n")

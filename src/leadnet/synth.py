@@ -1,6 +1,11 @@
-"""Seeded synthetic corpora with planted, recoverable ground truth.
+"""Seeded synthetic discussion logs with planted, recoverable ground truth.
 
-Planted effects: the share of women among users, a homophily rate
+``generate`` draws the JSON objects of both logs in the form ``ingest``
+documents, and ``write_jsonl`` writes them one sorted-key line each; the
+logs parse with no diagnostic.  A drawn user who never posts or rates
+appears in no log.
+
+Planted effects: the share of women among the users drawn, a homophily rate
 p(reply lands on a woman | the replier is a woman), an activity uplift
 making women author threads more often, faster replies to manager
 threads, and like/dislike rates.  Replies always target the thread
@@ -14,7 +19,7 @@ groups; ``write_lexicon_tsv`` and ``write_stopwords_txt`` write that vocabulary.
 Gender-valued draws go through shuffled quota blocks of 50, so planted
 proportions are hit almost exactly instead of drifting binomially; all
 other draws are plain pseudo-random.  Everything derives from one seeded
-generator with a fixed draw order, making corpora byte-reproducible:
+generator with a fixed draw order, making logs byte-reproducible:
 
 1. per user: role, then one shuffled gender quota over all users;
 2. thread publication offsets (one uniform draw each, then sorted);
@@ -26,22 +31,15 @@ generator with a fixed draw order, making corpora byte-reproducible:
 
 from __future__ import annotations
 
+import json
 import math
 import random
 from dataclasses import dataclass
 from datetime import datetime, timedelta
 from pathlib import Path
+from typing import Iterable
 
-from .ingest import (
-    UTC,
-    CommentRecord,
-    Corpus,
-    Gender,
-    RatingEvent,
-    Role,
-    ThreadRecord,
-    UserRef,
-)
+from .ingest import UTC, format_timestamp
 
 ROLE_WEIGHTS = (
     ("manager", 0.10),
@@ -52,6 +50,7 @@ ROLE_WEIGHTS = (
     ("external", 0.10),
 )
 START = datetime(2014, 1, 6, tzinfo=UTC)
+FEMALE, MALE = 1, 0  # the log's gender codes
 
 
 @dataclass(frozen=True)
@@ -211,25 +210,21 @@ def _pick_other(rng: random.Random, n: int, avoid: int) -> int:
     return at + 1 if at >= avoid else at
 
 
-def generate(spec: SyntheticSpec) -> Corpus:
-    """Build a corpus from a SyntheticSpec; see the module docstring
-    for the draw order.  Identical specs yield identical corpora."""
+def generate(spec: SyntheticSpec) -> tuple[list[dict], list[dict]]:
+    """The JSON objects of the thread log and of the ratings log, each in
+    log order, drawn from a SyntheticSpec; see the module docstring for
+    the draw order.  Identical specs yield identical logs."""
     rng = random.Random(spec.seed)
     role_names, role_probs = zip(*ROLE_WEIGHTS)
-    roles = [Role(name) for name in role_names]
-
-    user_roles = [rng.choices(roles, weights=role_probs)[0]
-                  for _ in range(spec.n_users)]
+    roles = [rng.choices(role_names, weights=role_probs)[0]
+             for _ in range(spec.n_users)]
     women_quota = round(spec.n_users * spec.gender_prior_w)
-    genders = [Gender.female] * women_quota + \
-              [Gender.male] * (spec.n_users - women_quota)
+    genders = [FEMALE] * women_quota + [MALE] * (spec.n_users - women_quota)
     rng.shuffle(genders)
-    users = tuple(
-        UserRef(user_id=f"u{i:05d}", role=user_roles[i], gender=genders[i])
-        for i in range(spec.n_users)
-    )
-    women = [i for i, u in enumerate(users) if u.gender is Gender.female]
-    men = [i for i, u in enumerate(users) if u.gender is Gender.male]
+    users = [{"user_id": f"u{i:05d}", "role": roles[i], "gender": genders[i]}
+             for i in range(spec.n_users)]
+    women = [i for i, gender in enumerate(genders) if gender == FEMALE]
+    men = [i for i, gender in enumerate(genders) if gender == MALE]
     everyone = list(range(spec.n_users))
 
     def pick_by_gender(female: bool) -> int:
@@ -261,51 +256,41 @@ def generate(spec: SyntheticSpec) -> Corpus:
     span_s = spec.span_days * 86400
     offsets = sorted(int(rng.random() * span_s) for _ in range(spec.n_threads))
 
-    threads: list[ThreadRecord] = []
-    ratings: list[RatingEvent] = []
+    threads: list[dict] = []
+    ratings: list[dict] = []
     for ti, offset in enumerate(offsets):
         published_at = START + timedelta(seconds=offset)
+        thread_id = f"t{ti:05d}"
         author_at = pick_by_gender(author_deck.draw())
-        author = users[author_at]
         pool = POOLS[0] if rng.random() < 0.5 else POOLS[1]
         title = _message_text(rng, pool)
         description = _message_text(rng, pool)
         n_comments = _geometric(rng, spec.comments_mean)
 
         latency_mean = spec.reply_latency_mean_s
-        if author.role is Role.manager:
+        if roles[author_at] == "manager":
             latency_mean *= spec.manager_latency_factor
+        deck = commenter_deck_w if genders[author_at] == FEMALE \
+            else commenter_deck_m
 
-        comments: list[CommentRecord] = []
-        comment_authors: list[int] = []
+        comments: list[dict] = []
+        messages = [(thread_id, author_at)]  # (message id, its author)
         at = 0.0
         for k in range(1, n_comments + 1):
-            deck = commenter_deck_w if author.gender is Gender.female \
-                else commenter_deck_m
             commenter_at = pick_by_gender(deck.draw())
-            comment_authors.append(commenter_at)
             at += rng.expovariate(1.0 / latency_mean)
-            comments.append(CommentRecord(
-                comment_id=f"t{ti:05d}c{k:03d}",
-                text=_message_text(rng, pool),
-                created_at=published_at + timedelta(seconds=int(at)),
-                author=users[commenter_at],
-            ))
-        thread = ThreadRecord(
-            thread_id=f"t{ti:05d}",
-            title=title,
-            description=description,
-            published_at=published_at,
-            tags=(pool.name,),
-            author=author,
-            comments=tuple(comments),
-        )
-        threads.append(thread)
+            comment_id = f"{thread_id}c{k:03d}"
+            messages.append((comment_id, commenter_at))
+            comments.append({"comment_id": comment_id, "text": _message_text(rng, pool),
+                             "created_at": format_timestamp(
+                                 published_at + timedelta(seconds=int(at))),
+                             "author": users[commenter_at]})
+        threads.append({"thread_id": thread_id, "title": title,
+                        "description": description, "tags": [pool.name],
+                        "published_at": format_timestamp(published_at),
+                        "author": users[author_at], "comments": comments})
 
         if spec.n_users > 1:
-            messages = [(thread.thread_id, author_at)] + \
-                       [(c.comment_id, at_) for c, at_ in
-                        zip(comments, comment_authors)]
             for message_id, message_author_at in messages:
                 u = rng.random()
                 if u < spec.like_rate:
@@ -314,12 +299,17 @@ def generate(spec: SyntheticSpec) -> Corpus:
                     value = -1
                 else:
                     continue
-                rater = users[_pick_other(rng, spec.n_users, message_author_at)]
-                ratings.append(RatingEvent(rater.user_id, message_id, value))
+                rater_at = _pick_other(rng, spec.n_users, message_author_at)
+                ratings.append({"rater_id": users[rater_at]["user_id"],
+                                "target_id": message_id, "value": value})
+    return threads, ratings
 
-    return Corpus(
-        users=users,
-        user_index={u.user_id: i for i, u in enumerate(users)},
-        threads=tuple(threads),
-        ratings=tuple(ratings),
-    )
+
+def write_jsonl(objects: Iterable[dict], path: str | Path) -> None:
+    """One object a line, as JSON with sorted keys and non-ASCII text
+    written as it is: the canonical form of both logs."""
+    encode = json.JSONEncoder(sort_keys=True, ensure_ascii=False).encode
+    with open(path, "w", encoding="utf-8") as out:
+        for obj in objects:
+            out.write(encode(obj))
+            out.write("\n")

@@ -3,7 +3,10 @@
 from __future__ import annotations
 
 import csv
+import functools
+import json
 import sys
+import tempfile
 from datetime import datetime, timedelta, timezone
 from pathlib import Path
 
@@ -23,7 +26,10 @@ from leadnet.ingest import (
     Role,
     ThreadRecord,
     UserRef,
+    build_corpus,
     format_timestamp,
+    parse_ratings,
+    parse_thread_log,
     whole_span_slice,
 )
 from leadnet.multiplex import (
@@ -36,6 +42,8 @@ from leadnet.multiplex import (
 from leadnet.synth import (
     POOLS,
     STOP_TOKENS,
+    generate,
+    write_jsonl,
     write_lexicon_tsv,
     write_stopwords_txt,
 )
@@ -63,6 +71,24 @@ def synth_lexicon(tmp_path_factory):
     write_lexicon_tsv(out / "lexicon.tsv")
     write_stopwords_txt(out / "stopwords.txt")
     return load_lexicon(out / "lexicon.tsv", out / "stopwords.txt")
+
+
+@functools.lru_cache(maxsize=4)
+def synth_corpus(spec):
+    """The corpus of ``spec``'s logs as every command reads them: the
+    logs ``generate`` draws, written by ``write_jsonl``, then parsed and
+    assembled, which must report no diagnostic.  Cached per spec, which
+    is frozen; callers must not change what it returns."""
+    threads, ratings = generate(spec)
+    with tempfile.TemporaryDirectory() as tmp:
+        thread_log, rating_log = Path(tmp) / "threads.jsonl", Path(tmp) / "ratings.jsonl"
+        write_jsonl(threads, thread_log)
+        write_jsonl(ratings, rating_log)
+        parsed, diags = parse_thread_log(thread_log)
+        events, rating_diags = parse_ratings(rating_log)
+    corpus, corpus_diags = build_corpus(parsed, events)
+    assert diags + rating_diags + corpus_diags == []
+    return corpus
 
 
 def pool_of_ngram(gram):
@@ -277,6 +303,57 @@ def write_threads_csv(threads, path):
                                  c.comment_id, c.text,
                                  format_timestamp(c.created_at), *user(c.author)])
 
+
+# the canonical JSON Lines form of records, written independently of
+# synth as the reference that the parsers must invert
+
+
+def user_json(ref):
+    return {"user_id": ref.user_id, "role": ref.role.value,
+            "gender": ref.gender.value}
+
+
+def thread_json(thread):
+    return {
+        "thread_id": thread.thread_id,
+        "title": thread.title,
+        "description": thread.description,
+        "published_at": format_timestamp(thread.published_at),
+        "tags": list(thread.tags),
+        "author": user_json(thread.author),
+        "comments": [
+            {
+                "comment_id": c.comment_id,
+                "text": c.text,
+                "created_at": format_timestamp(c.created_at),
+                "author": user_json(c.author),
+            }
+            for c in thread.comments
+        ],
+    }
+
+
+def rating_json(event):
+    return {"rater_id": event.rater_id,
+            "target_id": event.target_message_id,
+            "value": event.value}
+
+
+def canonical_jsonl(objects):
+    """The text of a log of ``objects``: one sorted-key JSON object a
+    line, non-ASCII text as it is."""
+    return "".join(json.dumps(obj, sort_keys=True, ensure_ascii=False) + "\n"
+                   for obj in objects)
+
+
+def write_canonical_logs(threads, ratings, directory):
+    """``threads.jsonl`` and ``ratings.jsonl`` in ``directory`` holding
+    the records in canonical form; returns the two paths."""
+    paths = Path(directory) / "threads.jsonl", Path(directory) / "ratings.jsonl"
+    for path, objects in zip(paths, (map(thread_json, threads),
+                                     map(rating_json, ratings))):
+        path.write_text(canonical_jsonl(objects), encoding="utf-8")
+    return paths
 
 
 def window_figures(corpus, window, scores=None, top_k=None):

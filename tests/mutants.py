@@ -70,6 +70,10 @@ MUTANTS = (
            "for g, name in enumerate(groups) if threads[g]]",
            "for g, name in enumerate(groups) if n_replied[g]]",
            ANALYTICS_TESTS),
+    Mutant("a bad days:N window spec keeps int's message", "ingest.py",
+           "days = int(text[len(\"days:\"):])\n            except ValueError:",
+           "days = int(text[len(\"days:\"):])\n            except TypeError:",
+           ("test_cli.py",)),
     Mutant("comments ordered by time alone", "ingest.py",
            "clamped.sort(key=itemgetter(2, 0))",
            "clamped.sort(key=itemgetter(2))", ("test_ingest.py",)),
@@ -101,6 +105,17 @@ MUTANTS = (
     Mutant("leadership from the first layer", "rank.py",
            "leadership=ranked[params.layer_order[-1]]",
            "leadership=ranked[params.layer_order[0]]", ("test_rank.py",)),
+    Mutant("synth lines without sorted keys", "synth.py",
+           "json.JSONEncoder(sort_keys=True, ensure_ascii=False)",
+           "json.JSONEncoder(ensure_ascii=False)", ("test_golden.py",)),
+    Mutant("synth rater may rate their own message", "synth.py",
+           "rater_at = _pick_other(rng, spec.n_users, message_author_at)",
+           "rater_at = rng.randrange(spec.n_users)", ("test_synth.py",)),
+    Mutant("synth tags written as a string", "synth.py",
+           '"tags": [pool.name],', '"tags": pool.name,', ("test_synth.py",)),
+    Mutant("synth comment time without its reply gap", "synth.py",
+           "published_at + timedelta(seconds=int(at))", "published_at",
+           ("test_synth.py",)),
     Mutant("run context keeps only the last artifact", "cli.py",
            "self.artifacts[name] = None", "self.artifacts = {name: None}",
            ("test_cli.py",)),

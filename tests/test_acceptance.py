@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 import oracles
-from conftest import make_corpus, pool_of_ngram, window_figures
+from conftest import make_corpus, pool_of_ngram, synth_corpus, window_figures
 from test_rank import FLOW, random_layer, random_tensor, solo_pagerank
 from leadnet import cli
 from leadnet.analytics import active_user_indices, top_mass, user_codes
@@ -24,7 +24,7 @@ from leadnet.ingest import (
 )
 from leadnet.multiplex import ORIENT_RECEIVER, ORIENT_SENDER, build_tensor, window_events
 from leadnet.rank import MprParams, brokerage, multiplex_pagerank
-from leadnet.synth import SyntheticSpec, generate
+from leadnet.synth import SyntheticSpec
 from leadnet.topics import TopicConfig, bron_kerbosch, chain_streams, topics_in_window
 
 
@@ -50,7 +50,7 @@ def gate(capfd):
 def test_01_layer_stochasticity(gate):
     with gate(1, "synthetic layers are properly normalized in < 5 s"):
         began = time.perf_counter()
-        corpus = generate(SyntheticSpec(n_users=200, n_threads=1000, seed=101))
+        corpus = synth_corpus(SyntheticSpec(n_users=200, n_threads=1000, seed=101))
         tensor = build_tensor(whole_span_slice(corpus), corpus)
         for layer in (tensor.empowerment, tensor.collaboration):
             assert layer.orientation == ORIENT_RECEIVER
@@ -154,7 +154,7 @@ def test_06_homophily_recovery(gate):
             spec = SyntheticSpec(n_users=400, n_threads=40000,
                                  comments_mean=0.25, homophily_p_ww=0.48,
                                  gender_prior_w=0.24, seed=seed)
-            corpus = generate(spec)
+            corpus = synth_corpus(spec)
             comments = sum(len(t.comments) for t in corpus.threads)
             assert 9000 <= comments <= 11000
             figures = window_figures(corpus, whole_span_slice(corpus))
@@ -167,7 +167,7 @@ def test_06_homophily_recovery(gate):
 def _top_decile_mass(uplift, seed):
     spec = SyntheticSpec(n_users=200, n_threads=1000,
                          women_activity_uplift=uplift, seed=seed)
-    corpus = generate(spec)
+    corpus = synth_corpus(spec)
     window = whole_span_slice(corpus)
     tensor = build_tensor(window, corpus)
     result = multiplex_pagerank(tensor, MprParams())
@@ -189,7 +189,7 @@ def test_07_leadership_uplift_property(gate):
 def test_08_planted_topic_streams(gate, synth_lexicon):
     with gate(8, "two disjoint concept pools come out as exactly "
                       "two pure topic streams"):
-        corpus = generate(SyntheticSpec())
+        corpus = synth_corpus(SyntheticSpec())
         slices = window_partition(corpus, WindowConfig.from_string("week"))
         lexicon = synth_lexicon
         config = TopicConfig()
@@ -263,7 +263,7 @@ def test_10_degenerate_inputs(gate, synth_lexicon):
         assert np.all(result.leadership.scores > 0)
 
         # one lonely user: every score concentrates on them
-        solo = generate(SyntheticSpec(n_users=1, n_threads=10, seed=3))
+        solo = synth_corpus(SyntheticSpec(n_users=1, n_threads=10, seed=3))
         assert solo.ratings == ()
         window = whole_span_slice(solo)
         tensor = build_tensor(window, solo)

@@ -276,6 +276,17 @@ class TestRank:
         assert read_manifest(other)["config"]["window"] == "days:7"
         assert tree_bytes(other) == tree_bytes(canonical)
 
+    @pytest.mark.parametrize("spelling", ["days:abc", "days:", "Week"])
+    def test_bad_window_spec_is_named(self, corpus_dir, tmp_path, capsys,
+                                      spelling):
+        out = tmp_path / "x"
+        assert run("rank", *base_args(corpus_dir), "--out", out,
+                   "--window", spelling) == 2
+        assert capsys.readouterr().err == (
+            f"error: --window: bad window spec {spelling!r};"
+            " expected week|month|days:N\n")
+        assert not out.exists()
+
     def test_bad_layer_order_is_a_usage_error(self, corpus_dir, tmp_path):
         assert run("rank", *base_args(corpus_dir), "--out", tmp_path / "x",
                    "--layer-order", "empowerment,empowerment,credibility",

@@ -17,7 +17,8 @@ Corpus M, ``synth --n-users 2000 --n-threads 20000 --seed 7``, the
 corpus of the benchmark, is pinned in ``golden_M.json``: its files and
 every artifact of ``all --window week`` on it.  One more run of
 ``all --window week`` on S goes through a separate process with another
-hash seed and numpy's SIMD dispatch cut to the host's baseline, so the
+hash seed and numpy's SIMD dispatch cut to the host's baseline, and one
+more ``synth`` of S through a process with another hash seed, so the
 digests hold across processes and vector units, not only within this
 one.  Any drift in the bytes the pipeline writes fails here without a
 second checkout to diff against.  A change that alters output on purpose
@@ -148,6 +149,15 @@ sys.exit(cli.main(sys.argv[2:]))
 """
 
 
+def child_env(**extra):
+    """This process's environment with another hash seed, this package's
+    source on the path, and ``extra``."""
+    src = str(Path(cli.__file__).parents[1])
+    return {**os.environ, "PYTHONHASHSEED": "12345", **extra,
+            "PYTHONPATH": os.pathsep.join(
+                filter(None, [src, os.environ.get("PYTHONPATH")]))}
+
+
 def test_all_in_another_process_matches_pinned_digests(corpus_s, tmp_path):
     try:
         from numpy._core import _multiarray_umath as umath
@@ -155,15 +165,21 @@ def test_all_in_another_process_matches_pinned_digests(corpus_s, tmp_path):
         from numpy.core import _multiarray_umath as umath
     above_baseline = " ".join(f for f in umath.__cpu_dispatch__
                               if umath.__cpu_features__.get(f))
-    src = str(Path(cli.__file__).parents[1])
-    env = {**os.environ, "PYTHONHASHSEED": "12345",
-           "NPY_DISABLE_CPU_FEATURES": above_baseline,
-           "PYTHONPATH": os.pathsep.join(
-               filter(None, [src, os.environ.get("PYTHONPATH")]))}
     out = tmp_path / "all"
     child = subprocess.run(
         [sys.executable, "-c", CHILD, above_baseline, "all", "--out", str(out),
          "--window", "week", *corpus_args(corpus_s)],
-        env=env, capture_output=True, text=True, timeout=120)
+        env=child_env(NPY_DISABLE_CPU_FEATURES=above_baseline),
+        capture_output=True, text=True, timeout=120)
     assert child.returncode == 0, child.stderr
     assert_pinned(digests(out), GOLDEN["week"])
+
+
+def test_synth_in_another_process_matches_pinned_digests(tmp_path):
+    out = tmp_path / "S"
+    child = subprocess.run(
+        [sys.executable, "-m", "leadnet.cli", "synth", "--out", str(out),
+         "--n-users", "120", "--n-threads", "500", "--seed", "42"],
+        env=child_env(), capture_output=True, text=True, timeout=120)
+    assert child.returncode == 0, child.stderr
+    assert_pinned(digests(out), GOLDEN_COMMANDS["synth"])

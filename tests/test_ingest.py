@@ -11,10 +11,14 @@ from datetime import datetime, timedelta, timezone
 import pytest
 
 from conftest import (
+    canonical_jsonl,
     make_corpus,
     message_author_map,
     random_corpus,
+    rating_json,
     reference_recipients,
+    synth_corpus,
+    thread_json,
     window_figures,
     write_threads_csv,
 )
@@ -40,11 +44,9 @@ from leadnet.ingest import (
     parse_timestamp,
     whole_span_slice,
     window_partition,
-    write_ratings_jsonl,
-    write_threads_jsonl,
 )
 from leadnet.multiplex import window_events
-from leadnet.synth import SyntheticSpec, generate
+from leadnet.synth import SyntheticSpec
 
 UTC = timezone.utc
 
@@ -664,8 +666,8 @@ class TestWindowPartitionAgainstBruteForce:
     @pytest.mark.parametrize("seed", range(4))
     @pytest.mark.parametrize("cfg", CONFIGS)
     def test_synthetic_corpora(self, cfg, seed):
-        corpus = generate(SyntheticSpec(n_users=12, n_threads=40,
-                                        span_days=30, seed=seed))
+        corpus = synth_corpus(SyntheticSpec(n_users=12, n_threads=40,
+                                            span_days=30, seed=seed))
         assert_partition_matches_brute_force(corpus, cfg)
 
     @pytest.mark.parametrize("cfg", CONFIGS)
@@ -677,20 +679,34 @@ class TestWindowPartitionAgainstBruteForce:
 
 
 class TestRoundTrip:
-    def test_synthetic_corpus_survives_serialization(self, tmp_path):
-        corpus = generate(SyntheticSpec(n_users=12, n_threads=25, seed=5))
-        tpath = tmp_path / "threads.jsonl"
-        rpath = tmp_path / "ratings.jsonl"
-        write_threads_jsonl(corpus.threads, tpath)
-        write_ratings_jsonl(corpus.ratings, rpath)
-        threads, diags_t = parse_thread_log(tpath)
-        events, diags_r = parse_ratings(rpath)
-        assert diags_t == [] and diags_r == []
-        rebuilt, diags = build_corpus(threads, events)
+    def synth_logs(self, out, *flags):
+        """The corpus built from the logs ``synth`` writes with ``flags``,
+        every diagnostic of their parse and build, and the logs' texts."""
+        assert cli.main(["synth", "--out", str(out), *flags]) == 0
+        threads, diags = parse_thread_log(out / "threads.jsonl")
+        events, rating_diags = parse_ratings(out / "ratings.jsonl")
+        corpus, corpus_diags = build_corpus(threads, events)
+        texts = [(out / name).read_text(encoding="utf-8")
+                 for name in ("threads.jsonl", "ratings.jsonl")]
+        return corpus, diags + rating_diags + corpus_diags, texts
+
+    @pytest.mark.parametrize("flags, n_users", [
+        (("--n-users", "120", "--n-threads", "500", "--seed", "42"), 120),
+        (("--n-users", "1", "--n-threads", "30", "--seed", "3",
+          "--span-days", "400", "--comments-mean", "0"), 1),
+    ], ids=["S", "one-user"])
+    def test_synth_logs_parse_with_no_diagnostic(self, tmp_path, flags, n_users):
+        corpus, diags, _texts = self.synth_logs(tmp_path / "logs", *flags)
         assert diags == []
-        assert rebuilt.threads == corpus.threads
-        assert len(rebuilt.ratings) == len(corpus.ratings)
-        assert set(rebuilt.ratings) == set(corpus.ratings)
+        assert len(corpus.users) == n_users
+
+    def test_synth_logs_are_canonical(self, tmp_path):
+        # the reference encoder writes the parsed records back byte for byte
+        corpus, _diags, texts = self.synth_logs(
+            tmp_path / "logs", "--n-users", "12", "--n-threads", "25", "--seed", "5")
+        assert corpus.ratings
+        assert texts == [canonical_jsonl(map(thread_json, corpus.threads)),
+                         canonical_jsonl(map(rating_json, corpus.ratings))]
 
 
 def old_parse_timestamp(text):
@@ -918,12 +934,9 @@ class TestCanonicalRecords:
         assert answered(corpus) == ["b"]
 
     @pytest.mark.parametrize("seed", [3, 11])
-    def test_equals_corpus_of_unshared_copies(self, tmp_path, seed):
-        source = generate(SyntheticSpec(n_users=15, n_threads=40, seed=seed))
-        write_threads_jsonl(source.threads, tmp_path / "threads.jsonl")
-        write_ratings_jsonl(source.ratings, tmp_path / "ratings.jsonl")
-        threads, _diags = parse_thread_log(tmp_path / "threads.jsonl")
-        events, _diags = parse_ratings(tmp_path / "ratings.jsonl")
+    def test_equals_corpus_of_unshared_copies(self, seed):
+        parsed = synth_corpus(SyntheticSpec(n_users=15, n_threads=40, seed=seed))
+        threads, events = parsed.threads, parsed.ratings
         corpus, diags = build_corpus(threads, events)
         fresh, fresh_diags = build_corpus(
             [fresh_copy(t) for t in threads],

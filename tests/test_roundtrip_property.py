@@ -1,15 +1,19 @@
-"""Property: a corpus written as JSON Lines re-parses to an equal corpus."""
+"""Property: a corpus written as JSON Lines re-parses to an equal corpus.
+
+The logs are written by the canonical encoder of ``conftest.py``, the
+form ``synth`` writes, so parsing inverts encoding over every drawn
+corpus.
+"""
 
 import tempfile
 from datetime import datetime, timedelta, timezone
-from pathlib import Path
 
 import pytest
 
 pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
-from conftest import reference_recipients  # noqa: E402
+from conftest import reference_recipients, write_canonical_logs  # noqa: E402
 
 from leadnet.ingest import (  # noqa: E402
     CommentRecord,
@@ -24,8 +28,6 @@ from leadnet.ingest import (  # noqa: E402
     parse_timestamp,
     parse_thread_log,
     whole_span_slice,
-    write_ratings_jsonl,
-    write_threads_jsonl,
 )
 from leadnet.multiplex import window_events  # noqa: E402
 
@@ -77,9 +79,7 @@ def test_written_logs_reparse_to_an_equal_corpus(records):
     threads, ratings = records
     corpus, first_diags = build_corpus(threads, ratings)
     with tempfile.TemporaryDirectory() as tmp:
-        tpath, rpath = Path(tmp) / "threads.jsonl", Path(tmp) / "ratings.jsonl"
-        write_threads_jsonl(corpus.threads, tpath)
-        write_ratings_jsonl(corpus.ratings, rpath)
+        tpath, rpath = write_canonical_logs(corpus.threads, corpus.ratings, tmp)
         parsed, diags_t = parse_thread_log(tpath)
         events, diags_r = parse_ratings(rpath)
     rebuilt, diags = build_corpus(parsed, events)

@@ -2,7 +2,12 @@
 
 import pytest
 
-from conftest import message_author_map, pool_of_ngram, window_figures
+from conftest import (
+    message_author_map,
+    pool_of_ngram,
+    synth_corpus,
+    window_figures,
+)
 from leadnet.ingest import Gender, whole_span_slice
 from leadnet.synth import (
     POOLS,
@@ -48,36 +53,35 @@ class TestDeterminism:
 
 
 class TestShape:
-    def test_every_user_exists_even_if_silent(self):
-        corpus = generate(SMALL)
-        assert corpus.n_users == 20
-        assert [u.user_id for u in corpus.users] == \
-            sorted(u.user_id for u in corpus.users)
-
     def test_thread_and_comment_ids_are_unique(self):
-        corpus = generate(SMALL)
+        corpus = synth_corpus(SMALL)
         thread_ids = [t.thread_id for t in corpus.threads]
         assert len(set(thread_ids)) == len(thread_ids) == 40
         message_ids = list(message_author_map(corpus.threads))
         assert len(set(message_ids)) == len(message_ids)
 
+    # the quota holds over the users drawn, and a user who never posts
+    # or rates appears in no log: these specs' logs show every user
+
     def test_exact_gender_quota(self):
-        spec = SyntheticSpec(n_users=100, n_threads=1, gender_prior_w=0.24,
+        spec = SyntheticSpec(n_users=100, n_threads=400, gender_prior_w=0.24,
                              seed=3)
-        corpus = generate(spec)
+        corpus = synth_corpus(spec)
+        assert len(corpus.users) == 100
         women = sum(1 for u in corpus.users if u.gender is Gender.female)
         assert women == 24
         assert all(u.gender is not Gender.unknown for u in corpus.users)
 
     def test_roles_follow_the_weight_table(self):
-        spec = SyntheticSpec(n_users=400, n_threads=1, seed=5)
-        corpus = generate(spec)
+        spec = SyntheticSpec(n_users=400, n_threads=2000, seed=5)
+        corpus = synth_corpus(spec)
+        assert len(corpus.users) == 400
         consultants = sum(
             1 for u in corpus.users if u.role.value == "consultant")
         assert 0.35 <= consultants / 400 <= 0.55
 
     def test_threads_sorted_and_comments_after_publication(self):
-        corpus = generate(SMALL)
+        corpus = synth_corpus(SMALL)
         stamps = [t.published_at for t in corpus.threads]
         assert stamps == sorted(stamps)
         horizon = START
@@ -87,9 +91,13 @@ class TestShape:
             for comment in thread.comments:
                 assert comment.created_at >= previous
                 previous = comment.created_at
+            # the log's comment order is its time order: parsing kept it
+            ids = [c.comment_id for c in thread.comments]
+            assert ids == [f"{thread.thread_id}c{k:03d}"
+                           for k in range(1, len(ids) + 1)]
 
     def test_span_is_respected(self):
-        corpus = generate(SMALL)
+        corpus = synth_corpus(SMALL)
         last = corpus.threads[-1].published_at
         delta = last - START
         assert 0 <= delta.days < SMALL.span_days
@@ -97,8 +105,8 @@ class TestShape:
 
 class TestRatings:
     def test_raters_never_rate_their_own_message(self):
-        corpus = generate(SyntheticSpec(n_users=10, n_threads=120, seed=2,
-                                        like_rate=0.5, dislike_rate=0.3))
+        corpus = synth_corpus(SyntheticSpec(n_users=10, n_threads=120, seed=2,
+                                            like_rate=0.5, dislike_rate=0.3))
         authors = message_author_map(corpus.threads)
         assert corpus.ratings
         for event in corpus.ratings:
@@ -106,25 +114,25 @@ class TestRatings:
             assert event.rater_id != authors[event.target_message_id].user_id
 
     def test_single_user_corpus_has_no_ratings(self):
-        corpus = generate(SyntheticSpec(n_users=1, n_threads=30, seed=2,
-                                        like_rate=0.9, dislike_rate=0.1))
+        corpus = synth_corpus(SyntheticSpec(n_users=1, n_threads=30, seed=2,
+                                            like_rate=0.9, dislike_rate=0.1))
         assert corpus.ratings == ()
 
     def test_zero_rates_mean_zero_ratings(self):
-        corpus = generate(SyntheticSpec(n_users=10, n_threads=50, seed=2,
-                                        like_rate=0.0, dislike_rate=0.0))
+        corpus = synth_corpus(SyntheticSpec(n_users=10, n_threads=50, seed=2,
+                                            like_rate=0.0, dislike_rate=0.0))
         assert corpus.ratings == ()
 
 
 class TestTopicsPlanted:
     def test_threads_are_tagged_with_one_pool(self):
-        corpus = generate(SMALL)
+        corpus = synth_corpus(SMALL)
         names = {p.name for p in POOLS}
         for thread in corpus.threads:
             assert len(thread.tags) == 1 and thread.tags[0] in names
 
     def test_texts_stay_inside_their_pool(self):
-        corpus = generate(SMALL)
+        corpus = synth_corpus(SMALL)
         vocab = {
             pool.name: {surface for s, _c, _l in pool.concepts
                         for surface in s.split()}
@@ -176,7 +184,7 @@ class TestHomophilyKnob:
     def p_ww(self, uplift):
         spec = SyntheticSpec(n_users=200, n_threads=4000, comments_mean=0.5,
                              women_activity_uplift=uplift, seed=17)
-        corpus = generate(spec)
+        corpus = synth_corpus(spec)
         return window_figures(corpus, whole_span_slice(corpus))[
             "homophily_p_ww", ""][0]
 
@@ -191,7 +199,7 @@ class TestLatencyKnob:
     def test_manager_threads_answered_faster(self):
         spec = SyntheticSpec(n_users=150, n_threads=3000, seed=23,
                              manager_latency_factor=0.5)
-        corpus = generate(spec)
+        corpus = synth_corpus(spec)
         figures = window_figures(corpus, whole_span_slice(corpus))
         latency = "response_latency_mean_s"
         ratio = (figures[latency, "role:manager"][0] /

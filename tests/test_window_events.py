@@ -18,7 +18,13 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from conftest import T0, random_corpus, reference_ratings, reference_recipients
+from conftest import (
+    T0,
+    random_corpus,
+    reference_ratings,
+    reference_recipients,
+    synth_corpus,
+)
 from leadnet import cli, multiplex
 from leadnet.analytics import active_user_indices, analytics_rows, user_codes
 from leadnet.ingest import (
@@ -34,7 +40,7 @@ from leadnet.ingest import (
     window_partition,
 )
 from leadnet.multiplex import window_events
-from leadnet.synth import SyntheticSpec, generate
+from leadnet.synth import SyntheticSpec
 
 DATA = Path(__file__).parent / "data"
 
@@ -233,8 +239,8 @@ class TestAnalyticsMatchTheObjectWalks:
     @pytest.mark.parametrize("seed", range(5))
     def test_daily_windows_of_synthetic_corpora(self, seed):
         rng = random.Random(seed)
-        corpus = generate(SyntheticSpec(n_users=40, n_threads=150,
-                                        span_days=14, seed=seed))
+        corpus = synth_corpus(SyntheticSpec(n_users=40, n_threads=150,
+                                            span_days=14, seed=seed))
         daily = window_partition(corpus, WindowConfig.from_string("days:1"))
         assert len(daily) >= 14
         for window in daily:
